@@ -71,12 +71,6 @@ class Position:
                     raise ValueError(f"player {pid} attached to unknown channel {ch}")
 
 
-def make_position(channels, players) -> Position:
-    pos = Position(frozenset(channels), dict(players))
-    pos.check()
-    return pos
-
-
 EMPTY = Position(frozenset(), {})
 
 
@@ -126,9 +120,6 @@ class Sync:
 
 
 MoveKind = Union[Fork, ForkL, ForkR, Input, Output, Heartbeat, Sync]
-
-BASIC_KINDS = (ForkL, ForkR, Input, Output, Heartbeat)
-CLOSED_KINDS = (Fork, Sync, Heartbeat)
 
 
 def kind_label(kind: MoveKind) -> str:
@@ -188,53 +179,20 @@ class Move:
 def seed(kind: MoveKind) -> Move:
     """Build the minimal move of the given kind on fresh identifiers."""
     _validate_kind(kind)
-    if isinstance(kind, Heartbeat):
-        chans = tuple(new_id() for _ in range(kind.n))
-        p, q = new_id(), new_id()
+    if not isinstance(kind, Sync):
+        # one moving player; Heartbeat and Output keep its shape, the
+        # other kinds add one created channel in a last slot, and Fork
+        # gives it two avatars
+        chans = tuple(new_id() for _ in range(kind.m if isinstance(kind, Output) else kind.n))
+        grown = chans if isinstance(kind, (Heartbeat, Output)) else chans + (new_id(),)
+        p = new_id()
+        avatars = tuple(new_id() for _ in range(2 if isinstance(kind, Fork) else 1))
         return Move(
             kind,
             Position(frozenset(chans), {p: Player(chans)}),
-            Position(frozenset(chans), {q: Player(chans)}),
+            Position(frozenset(grown), {a: Player(grown) for a in avatars}),
             {c: c for c in chans},
-            {p: (q,)},
-            frozenset({p}),
-        )
-    if isinstance(kind, Output):
-        chans = tuple(new_id() for _ in range(kind.m))
-        p, q = new_id(), new_id()
-        return Move(
-            kind,
-            Position(frozenset(chans), {p: Player(chans)}),
-            Position(frozenset(chans), {q: Player(chans)}),
-            {c: c for c in chans},
-            {p: (q,)},
-            frozenset({p}),
-        )
-    if isinstance(kind, (ForkL, ForkR, Input)):
-        n = kind.n
-        chans = tuple(new_id() for _ in range(n))
-        w = new_id()
-        p, q = new_id(), new_id()
-        return Move(
-            kind,
-            Position(frozenset(chans), {p: Player(chans)}),
-            Position(frozenset(chans) | {w}, {q: Player(chans + (w,))}),
-            {c: c for c in chans},
-            {p: (q,)},
-            frozenset({p}),
-        )
-    if isinstance(kind, Fork):
-        n = kind.n
-        chans = tuple(new_id() for _ in range(n))
-        w = new_id()
-        p, left, right = new_id(), new_id(), new_id()
-        grown = chans + (w,)
-        return Move(
-            kind,
-            Position(frozenset(chans), {p: Player(chans)}),
-            Position(frozenset(grown), {left: Player(grown), right: Player(grown)}),
-            {c: c for c in chans},
-            {p: (left, right)},
+            {p: avatars},
             frozenset({p}),
         )
     # Sync: output player on u_1..u_m, input player sharing u_c as slot a
@@ -303,31 +261,6 @@ def extend(m: Move, z: Position, glue: dict[int, int]) -> Move:
     player_map = {pid: (pid,) for pid in z.players}
     player_map.update(m.player_map)
     return Move(m.kind, initial, final, {c: c for c in z.channels}, player_map, m.moving)
-
-
-def rename_move(m: Move, chan_map: dict[int, int], player_map: dict[int, int]) -> Move:
-    """Apply injective renamings to all identifiers of a move."""
-
-    def rc(c: int) -> int:
-        return chan_map.get(c, c)
-
-    def rp(p: int) -> int:
-        return player_map.get(p, p)
-
-    def rpos(pos: Position) -> Position:
-        return Position(
-            frozenset(rc(c) for c in pos.channels),
-            {rp(pid): Player(tuple(rc(c) for c in pl.attach)) for pid, pl in pos.players.items()},
-        )
-
-    return Move(
-        m.kind,
-        rpos(m.initial),
-        rpos(m.final),
-        {rc(a): rc(b) for a, b in m.channel_map.items()},
-        {rp(a): tuple(rp(b) for b in bs) for a, bs in m.player_map.items()},
-        frozenset(rp(p) for p in m.moving),
-    )
 
 
 # ---------------------------------------------------------------- plays

@@ -106,11 +106,8 @@ class Verdict:
 
 
 def _check_closed(g: LtsGraph) -> None:
-    for outs in g.edges:
-        for label, _ in outs:
-            if not isinstance(label, StepLabel):
-                raise TypeError("fair testing needs a closed-world graph")
-            return
+    if not isinstance(g.states[g.root], (GameState, ProcState)):
+        raise TypeError("fair testing needs a closed-world graph")
 
 
 def in_bot(g: LtsGraph, mode: str = "weak") -> Verdict:

@@ -24,6 +24,17 @@ dropped sibling to the environment along one fresh shared channel.
 The optional link rule lets the environment feed a receiver a fresh
 channel while naming a second handle it got it from; it is off by
 default and never changes h.
+
+One step engine serves both sides. An actor, a strategy player or a
+process thread, shows it its ``attach`` (the global channel of each
+local slot), its ``offers()`` and ``avatar(attach, cont)``, the actor
+that carries on as ``cont``; a state shows its ``actors`` and builds a
+``successor``. Offers are (seed key, ((choice, continuation), ...))
+groups in enumeration order: a player reads them off its strategy
+table, a thread off its own syntax. A step's choice is the
+concatenation of its actors' choices, so closed labels read ``#i,j``
+on the strategy side and carry branch indices, or nothing for a fork,
+on the process side.
 """
 
 from __future__ import annotations
@@ -32,16 +43,29 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
-from .strategy import Definite, interpret, strat_key
-from .term import Par, Process, Recv, Send, Sum, Tick, sort_key, typecheck
+from .strategy import Definite, SeedKey, interpret, prefix_to_key, strat_key
+from .term import Par, Process, sort_key, typecheck
 
 # ------------------------------------------------------------- states
+
+Offer = tuple[SeedKey, tuple[tuple[tuple[int, ...], object], ...]]
 
 
 @dataclass(frozen=True)
 class PlayerState:
     attach: tuple[int, ...]
     strat: Definite
+
+    def offers(self) -> list[Offer]:
+        """The strategy table: one group per entry, choice (i,) for the
+        i-th summand."""
+        return [
+            (key, tuple(((i,), d) for i, d in enumerate(plain.summands)))
+            for key, plain in self.strat.table
+        ]
+
+    def avatar(self, attach: tuple[int, ...], cont: Definite) -> PlayerState:
+        return PlayerState(attach, cont)
 
 
 def player_key(ps: PlayerState) -> tuple:
@@ -52,6 +76,13 @@ def player_key(ps: PlayerState) -> tuple:
 class GameState:
     num_channels: int
     players: tuple[PlayerState, ...]
+
+    @property
+    def actors(self) -> tuple[PlayerState, ...]:
+        return self.players
+
+    def successor(self, created: int, players: list[PlayerState]) -> GameState:
+        return game_state(self.num_channels + created, players)
 
 
 def game_state(num_channels: int, players: Iterable[PlayerState]) -> GameState:
@@ -73,6 +104,25 @@ class Thread:
     proc: Process
     env: tuple[int, ...]
 
+    @property
+    def attach(self) -> tuple[int, ...]:
+        return self.env
+
+    def offers(self) -> list[Offer]:
+        """The operational rules read off the syntax: a parallel offers
+        its two halves with no choice, a choice offers each branch under
+        its prefix's seed with choice (branch index,)."""
+        p = self.proc
+        if isinstance(p, Par):
+            return [(("forkL",), (((), p.left),)), (("forkR",), (((), p.right),))]
+        return [
+            (prefix_to_key(prefix), (((b,), cont),))
+            for b, (prefix, cont) in enumerate(p.branches)
+        ]
+
+    def avatar(self, env: tuple[int, ...], cont: Process) -> Thread:
+        return Thread(cont, env)
+
 
 def thread_key(t: Thread) -> tuple:
     return (sort_key(t.proc), t.env)
@@ -83,6 +133,13 @@ class ProcState:
     num_channels: int
     threads: tuple[Thread, ...]
 
+    @property
+    def actors(self) -> tuple[Thread, ...]:
+        return self.threads
+
+    def successor(self, created: int, threads: list[Thread]) -> ProcState:
+        return proc_state(self.num_channels + created, threads)
+
 
 def proc_state(num_channels: int, threads: Iterable[Thread]) -> ProcState:
     ts = sorted(threads, key=thread_key)
@@ -91,6 +148,9 @@ def proc_state(num_channels: int, threads: Iterable[Thread]) -> ProcState:
             if not 1 <= c <= num_channels:
                 raise ValueError(f"environment entry {c} outside 1..{num_channels}")
     return ProcState(num_channels, tuple(ts))
+
+
+State = Union[GameState, ProcState]
 
 
 def root_strategy(p: Process, gamma: int) -> GameState:
@@ -180,294 +240,162 @@ class AState:
     """Interface state: handle map of the environment plus the subject."""
 
     h: tuple[int, ...]
-    subject: Union[GameState, ProcState]
+    subject: State
 
     @property
     def delta(self) -> int:
         return len(self.h)
 
 
-# ------------------------------------------------- closed world, game
+# ---------------------------------------------------------- step engine
 
 
 @dataclass(frozen=True)
 class RawStep:
-    """A closed step with enough detail to rebuild the arena move:
-    which actors moved and the player or thread states they became."""
+    """A closed step with enough detail to rebuild the arena move: the
+    avatars each actor in ``label.actors`` became, and how many channels
+    the step created."""
 
     label: StepLabel
-    state: Union[GameState, ProcState]
-    actors: tuple[int, ...]
+    state: State
     avatars: tuple[tuple, ...]
     created: int
 
 
-def _replace_game(g: GameState, repl: dict[int, tuple[PlayerState, ...]], created: int) -> GameState:
-    players: list[PlayerState] = []
-    for i, ps in enumerate(g.players):
-        players.extend(repl.get(i, (ps,)))
-    return game_state(g.num_channels + created, players)
+def _replace(state: State, created: int, moved: dict[int, tuple]) -> State:
+    """The successor in which actor i became the avatars moved[i]. The
+    state constructors sort actors, so their order here is immaterial."""
+    actors = [a for i, a in enumerate(state.actors) if i not in moved]
+    for avatars in moved.values():
+        actors.extend(avatars)
+    return state.successor(created, actors)
 
 
-def _replace_proc(s: ProcState, repl: dict[int, tuple[Thread, ...]], created: int) -> ProcState:
-    threads: list[Thread] = []
-    for i, t in enumerate(s.threads):
-        threads.extend(repl.get(i, (t,)))
-    return proc_state(s.num_channels + created, threads)
+def _scan(state: State) -> tuple[list, ...]:
+    """Read every actor's attachment and offers once, and file each
+    group under the rule that consumes it."""
+    views, ticks, forks, outs, ins = [], [], [], [], []
+    for p, actor in enumerate(state.actors):
+        attach, offers = actor.attach, actor.offers()
+        views.append((p, actor, attach, offers))
+        left = right = None
+        for key, group in offers:
+            tag = key[0]
+            if tag == "heart":
+                ticks.append((p, actor, attach, group))
+            elif tag == "in":
+                ins.append((p, actor, attach, key[1], group))
+            elif tag == "out":
+                outs.append((p, actor, attach, key[1], key[2], group))
+            elif tag == "forkL":
+                left = group
+            else:
+                right = group
+        if left and right:
+            forks.append((p, actor, attach, left, right))
+    return views, ticks, forks, outs, ins
 
 
-def raw_closed_game_steps(g: GameState) -> list[RawStep]:
-    out: list[RawStep] = []
-    for p, ps in enumerate(g.players):
-        n = ps.strat.arity
-        for i, d in enumerate(ps.strat.lookup(("heart",)).summands):
-            av = (PlayerState(ps.attach, d),)
-            out.append(
-                RawStep(
-                    StepLabel(Heartbeat(n), (p,), (i,)),
-                    _replace_game(g, {p: av}, 0),
-                    (p,),
-                    (av,),
-                    0,
-                )
-            )
-    for p, ps in enumerate(g.players):
-        n = ps.strat.arity
-        lefts = ps.strat.lookup(("forkL",)).summands
-        rights = ps.strat.lookup(("forkR",)).summands
-        fresh = g.num_channels + 1
-        for i, dl in enumerate(lefts):
-            for j, dr in enumerate(rights):
-                av = (
-                    PlayerState(ps.attach + (fresh,), dl),
-                    PlayerState(ps.attach + (fresh,), dr),
-                )
-                out.append(
+def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[RawStep]:
+    """Forks by actor, then syncs by sender then receiver, the choices
+    of each step innermost."""
+    steps: list[RawStep] = []
+    fresh = state.num_channels + 1
+    for p, actor, attach, lefts, rights in forks:
+        kind = Fork(len(attach))
+        grown = attach + (fresh,)
+        for cl, dl in lefts:
+            for cr, dr in rights:
+                av = (actor.avatar(grown, dl), actor.avatar(grown, dr))
+                steps.append(
                     RawStep(
-                        StepLabel(Fork(n), (p,), (i, j)),
-                        _replace_game(g, {p: av}, 1),
-                        (p,),
+                        StepLabel(kind, (p,), cl + cr),
+                        _replace(state, 1, {p: av}),
                         (av,),
                         1,
                     )
                 )
-    for q, qs in enumerate(g.players):
-        for key_out in qs.strat.keys():
-            if key_out[0] != "out":
+    for q, sender, sattach, c, d, sends in outs:
+        shared, obj = sattach[c - 1], sattach[d - 1]
+        for p, receiver, rattach, a, recvs in ins:
+            if p == q or rattach[a - 1] != shared:
                 continue
-            _, c, d = key_out
-            shared = qs.attach[c - 1]
-            outs = qs.strat.lookup(key_out).summands
-            for p, rs in enumerate(g.players):
-                if p == q:
-                    continue
-                for key_in in rs.strat.keys():
-                    if key_in[0] != "in" or rs.attach[key_in[1] - 1] != shared:
-                        continue
-                    a = key_in[1]
-                    ins = rs.strat.lookup(key_in).summands
-                    kind = Sync(len(rs.attach), a, len(qs.attach), c, d)
-                    for i, ds in enumerate(outs):
-                        for j, dr in enumerate(ins):
-                            send_av = (PlayerState(qs.attach, ds),)
-                            recv_av = (
-                                PlayerState(rs.attach + (qs.attach[d - 1],), dr),
-                            )
-                            out.append(
-                                RawStep(
-                                    StepLabel(kind, (q, p), (i, j)),
-                                    _replace_game(
-                                        g, {q: send_av, p: recv_av}, 0
-                                    ),
-                                    (q, p),
-                                    (send_av, recv_av),
-                                    0,
-                                )
-                            )
-    return out
-
-
-def raw_closed_proc_steps(s: ProcState) -> list[RawStep]:
-    out: list[RawStep] = []
-    for t, th in enumerate(s.threads):
-        if not isinstance(th.proc, Sum):
-            continue
-        n = len(th.env)
-        for bi, (pf, cont) in enumerate(th.proc.branches):
-            if isinstance(pf, Tick):
-                av = (Thread(cont, th.env),)
-                out.append(
-                    RawStep(
-                        StepLabel(Heartbeat(n), (t,), (bi,)),
-                        _replace_proc(s, {t: av}, 0),
-                        (t,),
-                        (av,),
-                        0,
-                    )
-                )
-    for t, th in enumerate(s.threads):
-        if not isinstance(th.proc, Par):
-            continue
-        fresh = s.num_channels + 1
-        env2 = th.env + (fresh,)
-        av = (Thread(th.proc.left, env2), Thread(th.proc.right, env2))
-        out.append(
-            RawStep(
-                StepLabel(Fork(len(th.env)), (t,), ()),
-                _replace_proc(s, {t: av}, 1),
-                (t,),
-                (av,),
-                1,
-            )
-        )
-    for q, qt in enumerate(s.threads):
-        if not isinstance(qt.proc, Sum):
-            continue
-        for bi, (pf, cont_s) in enumerate(qt.proc.branches):
-            if not isinstance(pf, Send):
-                continue
-            shared = qt.env[pf.subject - 1]
-            obj = qt.env[pf.obj - 1]
-            for p, rt in enumerate(s.threads):
-                if p == q or not isinstance(rt.proc, Sum):
-                    continue
-                for bj, (pg, cont_r) in enumerate(rt.proc.branches):
-                    if not isinstance(pg, Recv) or rt.env[pg.subject - 1] != shared:
-                        continue
-                    kind = Sync(
-                        len(rt.env), pg.subject, len(qt.env), pf.subject, pf.obj
-                    )
-                    send_av = (Thread(cont_s, qt.env),)
-                    recv_av = (Thread(cont_r, rt.env + (obj,)),)
-                    out.append(
+            kind = Sync(len(rattach), a, len(sattach), c, d)
+            for cs, ds in sends:
+                for cr, dr in recvs:
+                    send_av = (sender.avatar(sattach, ds),)
+                    recv_av = (receiver.avatar(rattach + (obj,), dr),)
+                    steps.append(
                         RawStep(
-                            StepLabel(kind, (q, p), (bi, bj)),
-                            _replace_proc(s, {q: send_av, p: recv_av}, 0),
-                            (q, p),
+                            StepLabel(kind, (q, p), cs + cr),
+                            _replace(state, 0, {q: send_av, p: recv_av}),
                             (send_av, recv_av),
                             0,
                         )
                     )
-    return out
+    return steps
 
 
-def closed_world_steps(state: Union[GameState, ProcState]) -> list[tuple[StepLabel, object]]:
-    raws = (
-        raw_closed_game_steps(state)
-        if isinstance(state, GameState)
-        else raw_closed_proc_steps(state)
-    )
-    return [(r.label, r.state) for r in raws]
+def raw_closed_steps(state: State) -> list[RawStep]:
+    """Closed steps in enumeration order: ticks by actor, then forks by
+    actor, then syncs by sender then receiver, the choices of each step
+    innermost."""
+    _, ticks, forks, outs, ins = _scan(state)
+    steps: list[RawStep] = []
+    for p, actor, attach, group in ticks:
+        kind = Heartbeat(len(attach))
+        for choice, cont in group:
+            av = (actor.avatar(attach, cont),)
+            steps.append(
+                RawStep(StepLabel(kind, (p,), choice), _replace(state, 0, {p: av}), (av,), 0)
+            )
+    return steps + _silent_steps(state, forks, outs, ins)
 
 
-# --------------------------------------------------- interface, game
-
-
-def _game_interface_steps(ast: AState, enable_link: bool) -> list[tuple[ALab, AState]]:
-    g: GameState = ast.subject
-    h = ast.h
-    known = set(h)
-    out: list[tuple[ALab, AState]] = []
-    for p, ps in enumerate(g.players):
-        for key in ps.strat.keys():
-            tag = key[0]
-            plain = ps.strat.lookup(key)
-            if tag == "heart":
-                for d in plain.summands:
-                    nxt = _replace_game(g, {p: (PlayerState(ps.attach, d),)}, 0)
-                    out.append((ALab("tick"), AState(h, nxt)))
-            elif tag == "in":
-                ch = ps.attach[key[1] - 1]
-                if ch in known:
-                    fresh = g.num_channels + 1
-                    for d in plain.summands:
-                        nxt = _replace_game(
-                            g, {p: (PlayerState(ps.attach + (fresh,), d),)}, 1
-                        )
-                        out.append((ALab("in", (ch,)), AState(h + (fresh,), nxt)))
-            elif tag == "out":
-                ch = ps.attach[key[1] - 1]
-                if ch in known:
-                    obj = ps.attach[key[2] - 1]
-                    for d in plain.summands:
-                        nxt = _replace_game(g, {p: (PlayerState(ps.attach, d),)}, 0)
-                        out.append((ALab("out", (ch, obj)), AState(h + (obj,), nxt)))
-            elif tag in ("forkL", "forkR"):
-                fresh = g.num_channels + 1
-                for d in plain.summands:
-                    nxt = _replace_game(
-                        g, {p: (PlayerState(ps.attach + (fresh,), d),)}, 1
-                    )
-                    out.append((ALab(tag), AState(h + (fresh,), nxt)))
-        if enable_link:
-            for key in ps.strat.keys():
-                if key[0] != "in":
-                    continue
-                ch = ps.attach[key[1] - 1]
-                if ch not in known:
-                    continue
-                fresh = g.num_channels + 1
-                for src in sorted(known - {ch}):
-                    for d in ps.strat.lookup(key).summands:
-                        nxt = _replace_game(
-                            g, {p: (PlayerState(ps.attach + (fresh,), d),)}, 1
-                        )
-                        out.append((ALab("link", (ch, fresh, src)), AState(h, nxt)))
-    for r in raw_closed_game_steps(g):
-        if r.label.tag in SILENT_TAGS:
-            out.append((ALab(r.label.tag), AState(h, r.state)))
-    return out
-
-
-def _proc_interface_steps(ast: AState, enable_link: bool) -> list[tuple[ALab, AState]]:
-    s: ProcState = ast.subject
-    h = ast.h
-    known = set(h)
-    out: list[tuple[ALab, AState]] = []
-    for t, th in enumerate(s.threads):
-        if isinstance(th.proc, Par):
-            fresh = s.num_channels + 1
-            env2 = th.env + (fresh,)
-            for tag, kept in (("forkL", th.proc.left), ("forkR", th.proc.right)):
-                nxt = _replace_proc(s, {t: (Thread(kept, env2),)}, 1)
-                out.append((ALab(tag), AState(h + (fresh,), nxt)))
-            continue
-        for pf, cont in th.proc.branches:
-            if isinstance(pf, Tick):
-                nxt = _replace_proc(s, {t: (Thread(cont, th.env),)}, 0)
-                out.append((ALab("tick"), AState(h, nxt)))
-            elif isinstance(pf, Recv):
-                ch = th.env[pf.subject - 1]
-                if ch in known:
-                    fresh = s.num_channels + 1
-                    nxt = _replace_proc(s, {t: (Thread(cont, th.env + (fresh,)),)}, 1)
-                    out.append((ALab("in", (ch,)), AState(h + (fresh,), nxt)))
-                if enable_link:
-                    if ch in known:
-                        fresh = s.num_channels + 1
-                        for src in sorted(known - {ch}):
-                            nxt = _replace_proc(
-                                s, {t: (Thread(cont, th.env + (fresh,)),)}, 1
-                            )
-                            out.append(
-                                (ALab("link", (ch, fresh, src)), AState(h, nxt))
-                            )
-            else:
-                ch = th.env[pf.subject - 1]
-                if ch in known:
-                    obj = th.env[pf.obj - 1]
-                    nxt = _replace_proc(s, {t: (Thread(cont, th.env),)}, 0)
-                    out.append((ALab("out", (ch, obj)), AState(h + (obj,), nxt)))
-    for r in raw_closed_proc_steps(s):
-        if r.label.tag in SILENT_TAGS:
-            out.append((ALab(r.label.tag), AState(h, r.state)))
-    return out
+def closed_world_steps(state: State) -> list[tuple[StepLabel, object]]:
+    return [(r.label, r.state) for r in raw_closed_steps(state)]
 
 
 def interface_steps(ast: AState, enable_link: bool = False) -> list[tuple[ALab, AState]]:
-    if isinstance(ast.subject, GameState):
-        return _game_interface_steps(ast, enable_link)
-    return _proc_interface_steps(ast, enable_link)
+    """Observable steps actor by actor in offer order, each actor's link
+    steps after its other steps, then the silent forks and syncs."""
+    state, h = ast.subject, ast.h
+    known = set(h)
+    fresh = state.num_channels + 1
+    views, _, forks, outs, ins = _scan(state)
+    steps: list[tuple[ALab, AState]] = []
+    for p, actor, attach, offers in views:
+        grown = attach + (fresh,)
+        links = []
+        for key, group in offers:
+            tag = key[0]
+            if tag == "heart":
+                label, h2, after, created = ALab("tick"), h, attach, 0
+            elif tag == "forkL" or tag == "forkR":
+                label, h2, after, created = ALab(tag), h + (fresh,), grown, 1
+            else:
+                ch = attach[key[1] - 1]
+                if ch not in known:
+                    continue
+                if tag == "in":
+                    label, h2, after, created = ALab("in", (ch,)), h + (fresh,), grown, 1
+                    if enable_link:
+                        links.append((ch, group))
+                else:
+                    obj = attach[key[2] - 1]
+                    label, h2, after, created = ALab("out", (ch, obj)), h + (obj,), attach, 0
+            for _, cont in group:
+                nxt = _replace(state, created, {p: (actor.avatar(after, cont),)})
+                steps.append((label, AState(h2, nxt)))
+        for ch, group in links:
+            for src in sorted(known - {ch}):
+                label = ALab("link", (ch, fresh, src))
+                for _, cont in group:
+                    nxt = _replace(state, 1, {p: (actor.avatar(grown, cont),)})
+                    steps.append((label, AState(h, nxt)))
+    for r in _silent_steps(state, forks, outs, ins):
+        steps.append((ALab(r.label.tag), AState(h, r.state)))
+    return steps
 
 
 # -------------------------------------------------------------- graphs
@@ -526,7 +454,7 @@ def build_graph(root, successors: Callable, max_states: int = 200000) -> LtsGrap
     return LtsGraph(states, edges)
 
 
-def closed_graph(state: Union[GameState, ProcState], max_states: int = 200000) -> LtsGraph:
+def closed_graph(state: State, max_states: int = 200000) -> LtsGraph:
     return build_graph(state, closed_world_steps, max_states)
 
 
@@ -671,8 +599,9 @@ def arena_position(g: GameState):
 def arena_trace(g0: GameState, indices: Sequence[int]):
     """Replay closed steps chosen by index as an arena play.
 
-    Index k selects the k-th raw successor in enumeration order: ticks
-    by player, then forks, then sync pairs, summand products innermost.
+    Index k selects the k-th step of ``raw_closed_steps``: ticks by
+    player, then forks by player, then syncs by sender then receiver,
+    each player's entries in table order and summand products innermost.
     Channel and player traces are exact identity embeddings, so the
     resulting moves compose on the nose.
     """
@@ -690,7 +619,7 @@ def arena_trace(g0: GameState, indices: Sequence[int]):
     play = arena.identity_play(pos)
     state = g0
     for idx in indices:
-        raws = raw_closed_game_steps(state)
+        raws = raw_closed_steps(state)
         if not 0 <= idx < len(raws):
             raise IndexError(
                 f"edge index {idx} out of range: state has {len(raws)} raw steps"
@@ -698,10 +627,10 @@ def arena_trace(g0: GameState, indices: Sequence[int]):
         r = raws[idx]
         if r.created:
             chan_ids[state.num_channels + 1] = arena.new_id()
-        repl = dict(zip(r.actors, r.avatars))
+        repl = dict(zip(r.label.actors, r.avatars))
         pairs: list[tuple[PlayerState, int]] = []
         player_map: dict[int, tuple[int, ...]] = {}
-        moving = frozenset(pids[i] for i in r.actors)
+        moving = frozenset(pids[i] for i in r.label.actors)
         for i, ps in enumerate(state.players):
             if i in repl:
                 fresh_pids = tuple(arena.new_id() for _ in repl[i])

@@ -112,14 +112,6 @@ class Definite:
         return tuple(k for k, _ in self.table)
 
 
-def empty_definite(n: int) -> Definite:
-    return Definite(n)
-
-
-def empty_plain(n: int) -> Plain:
-    return Plain(n)
-
-
 def definite(n: int, entries: dict[SeedKey, Plain] | list[tuple[SeedKey, Plain]]) -> Definite:
     """Normalizing constructor: sorts keys, drops empty entries, validates."""
     items = entries.items() if isinstance(entries, dict) else entries
@@ -160,17 +152,6 @@ def validate(s: Definite | Plain) -> None:
         if plain.arity != key_arity(key, s.arity):
             raise ValueError(f"entry {key}: arity {plain.arity} at table arity {s.arity}")
         validate(plain)
-
-
-def deriv(s: Definite, key: SeedKey) -> Plain:
-    """Residual plain strategy after the basic move ``key``."""
-    check_key(key, s.arity)
-    return s.lookup(key)
-
-
-def restrict(s: Plain, i: int) -> Definite:
-    """Pick the i-th summand; raises IndexError when out of range."""
-    return s.summands[i]
 
 
 # ------------------------------------------------------------ interpret

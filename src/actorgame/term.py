@@ -106,14 +106,6 @@ def _check(p: Process, gamma: int, path: tuple[str, ...]) -> None:
         raise IllTyped(f"not a process node: {p!r}", path, gamma)
 
 
-def is_well_typed(p: Process, gamma: int) -> bool:
-    try:
-        typecheck(p, gamma)
-        return True
-    except IllTyped:
-        return False
-
-
 # ---------------------------------------------------------------- parsing
 
 # Concrete syntax:

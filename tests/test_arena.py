@@ -20,12 +20,10 @@ from actorgame.arena import (
     identity_play,
     interface,
     kind_label,
-    make_position,
     moves_isomorphic,
     new_id,
     play_of,
     positions_isomorphic,
-    rename_move,
     seed,
     to_dot,
 )
@@ -176,8 +174,11 @@ def test_extend_keeps_spectators_bit_for_bit():
             new_id(): Player((pool[0],)),
             new_id(): Player((pool[-1], pool[0])),
         }
-        ambient = make_position(chans, spectators)
+        ambient = Position(chans, spectators)
+        ambient.check()
         big = extend(m, ambient, glue)
+        big.initial.check()
+        big.final.check()
         for pid, pl in spectators.items():
             assert big.initial.players[pid] == pl
             assert big.final.players[pid] == pl
@@ -189,7 +190,7 @@ def test_extend_keeps_spectators_bit_for_bit():
 def test_extend_with_noninjective_glue():
     m = seed(Heartbeat(2))
     c = new_id()
-    z = make_position({c}, {})
+    z = Position(frozenset({c}), {})
     i1, i2 = sorted(interface(m))
     big = extend(m, z, {i1: c, i2: c})
     (p,) = big.initial.players.values()
@@ -208,7 +209,7 @@ def test_extend_rejects_non_seed():
     m = seed(Heartbeat(1))
     z, glue = glue_position(m)
     big = extend(m, z, glue)
-    empty_z = make_position(set(), {})
+    empty_z = Position(frozenset(), {})
     with pytest.raises(ValueError):
         extend(extend_non_seed_fixture(big), empty_z, {})
 
@@ -226,7 +227,7 @@ def extend_non_seed_fixture(big: Move) -> Move:
 def test_extend_rejects_bad_glue_target():
     m = seed(Heartbeat(1))
     (i1,) = interface(m)
-    z = make_position({new_id()}, {})
+    z = Position(frozenset({new_id()}), {})
     with pytest.raises(ValueError):
         extend(m, z, {i1: 999999999})
 
@@ -252,46 +253,37 @@ def test_play_composition_rejects_mismatched_boundary():
         compose(b, a)
 
 
-def test_rename_move_commutes_with_shape():
-    m = seed(Sync(1, 1, 2, 1, 2))
-    cmap = {c: new_id() for c in m.final.channels}
-    pmap = {p: new_id() for p in set(m.initial.players) | set(m.final.players)}
-    r = rename_move(m, cmap, pmap)
-    assert moves_isomorphic(m, r)
-    assert r.initial.channels == frozenset(cmap[c] for c in m.initial.channels)
-
-
 # ------------------------------------------------------------ isomorphy
 
 
 def test_positions_isomorphic_ignores_identifiers():
     a1, a2, p1 = new_id(), new_id(), new_id()
     b1, b2, q1 = new_id(), new_id(), new_id()
-    x = make_position({a1, a2}, {p1: Player((a1, a2))})
-    y = make_position({b1, b2}, {q1: Player((b1, b2))})
+    x = Position(frozenset({a1, a2}), {p1: Player((a1, a2))})
+    y = Position(frozenset({b1, b2}), {q1: Player((b1, b2))})
     assert positions_isomorphic(x, y)
 
 
 def test_positions_isomorphic_sees_sharing():
     a1, a2, p = new_id(), new_id(), new_id()
-    x = make_position({a1, a2}, {p: Player((a1, a2))})
+    x = Position(frozenset({a1, a2}), {p: Player((a1, a2))})
     y_c, q = new_id(), new_id()
-    y = make_position({y_c, new_id()}, {q: Player((y_c, y_c))})
+    y = Position(frozenset({y_c, new_id()}), {q: Player((y_c, y_c))})
     assert not positions_isomorphic(x, y)
 
 
 def test_positions_isomorphic_counts_players():
     c1, c2 = new_id(), new_id()
-    x = make_position({c1}, {new_id(): Player((c1,)), new_id(): Player((c1,))})
-    y = make_position({c2}, {new_id(): Player((c2,))})
+    x = Position(frozenset({c1}), {new_id(): Player((c1,)), new_id(): Player((c1,))})
+    y = Position(frozenset({c2}), {new_id(): Player((c2,))})
     assert not positions_isomorphic(x, y)
 
 
 def test_position_key_respects_payload():
     c1, p1 = new_id(), new_id()
     c2, p2 = new_id(), new_id()
-    x = make_position({c1}, {p1: Player((c1,))})
-    y = make_position({c2}, {p2: Player((c2,))})
+    x = Position(frozenset({c1}), {p1: Player((c1,))})
+    y = Position(frozenset({c2}), {p2: Player((c2,))})
     assert canonical_position_key(x, {p1: ("a",)}) != canonical_position_key(
         y, {p2: ("b",)}
     )
@@ -303,9 +295,9 @@ def test_position_key_respects_payload():
 def test_position_key_distinguishes_twin_channels():
     # two players on one shared channel versus two private channels
     c = new_id()
-    x = make_position({c}, {new_id(): Player((c,)), new_id(): Player((c,))})
+    x = Position(frozenset({c}), {new_id(): Player((c,)), new_id(): Player((c,))})
     d1, d2 = new_id(), new_id()
-    y = make_position({d1, d2}, {new_id(): Player((d1,)), new_id(): Player((d2,))})
+    y = Position(frozenset({d1, d2}), {new_id(): Player((d1,)), new_id(): Player((d2,))})
     assert canonical_position_key(x) != canonical_position_key(y)
 
 
@@ -314,6 +306,12 @@ def test_moves_isomorphic_detects_kind_and_wiring():
     assert not moves_isomorphic(seed(Heartbeat(2)), seed(Heartbeat(1)))
     assert not moves_isomorphic(seed(Output(2, 1, 2)), seed(Output(2, 1, 1)))
     assert not moves_isomorphic(seed(Input(2, 1)), seed(Heartbeat(2)))
+
+
+def test_position_check_rejects_unknown_channel():
+    c = new_id()
+    with pytest.raises(ValueError):
+        Position(frozenset({c}), {new_id(): Player((c, new_id()))}).check()
 
 
 def test_empty_position():
@@ -326,15 +324,15 @@ def test_empty_position():
 
 def test_dot_position_is_canonical():
     a1, a2, p = new_id(), new_id(), new_id()
-    x = make_position({a1, a2}, {p: Player((a2, a1))})
+    x = Position(frozenset({a1, a2}), {p: Player((a2, a1))})
     b1, b2, q = new_id(), new_id(), new_id()
-    y = make_position({b1, b2}, {q: Player((b2, b1))})
+    y = Position(frozenset({b1, b2}), {q: Player((b2, b1))})
     assert to_dot(x) == to_dot(y)
 
 
 def test_dot_golden_single_player():
     c, p = new_id(), new_id()
-    x = make_position({c}, {p: Player((c, c))})
+    x = Position(frozenset({c}), {p: Player((c, c))})
     assert to_dot(x) == (
         "digraph position {\n"
         "  rankdir=LR;\n"

@@ -12,7 +12,7 @@ from actorgame.fairtest import (
     merge_map,
     passes,
 )
-from actorgame.lts import closed_graph, root_strategy, strategy_lts
+from actorgame.lts import closed_graph, process_lts, root_strategy, strategy_lts
 from actorgame.strategy import interpret
 from actorgame.term import parse
 from oracles import brute_in_bot, count_terms
@@ -95,6 +95,13 @@ def test_bot_rejects_interface_graphs():
     g = strategy_lts(term("ctx 0. tick.0"), 0)
     with pytest.raises(TypeError):
         in_bot(g)
+
+
+def test_bot_rejects_edgeless_interface_graphs():
+    # no edge to look at: the check must go by the kind of state
+    for build in (process_lts, strategy_lts):
+        with pytest.raises(TypeError):
+            in_bot(build(*parse("ctx 0. 0")))
 
 
 def test_bot_rejects_unknown_mode():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -23,13 +24,13 @@ from actorgame.lts import (
     player_key,
     proc_state,
     process_lts,
-    raw_closed_game_steps,
+    raw_closed_steps,
     root_process,
     root_strategy,
     strategy_lts,
     weak_bisim,
 )
-from actorgame.strategy import empty_definite, interpret
+from actorgame.strategy import Definite, interpret
 from actorgame.term import parse
 from gen import typed_terms
 from oracles import naive_weak_equiv
@@ -48,7 +49,7 @@ def roots(text):
 def test_game_state_sorts_players():
     s = interpret(parse("ctx 1. tick.0")[0], 1)
     a = PlayerState((1,), s)
-    b = PlayerState((1,), empty_definite(1))
+    b = PlayerState((1,), Definite(1))
     g1 = game_state(1, [a, b])
     g2 = game_state(1, [b, a])
     assert g1 == g2
@@ -56,9 +57,9 @@ def test_game_state_sorts_players():
 
 def test_game_state_rejects_arity_mismatch():
     with pytest.raises(ValueError):
-        game_state(2, [PlayerState((1, 2), empty_definite(1))])
+        game_state(2, [PlayerState((1, 2), Definite(1))])
     with pytest.raises(ValueError):
-        game_state(1, [PlayerState((2,), empty_definite(1))])
+        game_state(1, [PlayerState((2,), Definite(1))])
 
 
 def test_proc_state_rejects_bad_env():
@@ -262,6 +263,23 @@ def test_link_rule_only_behind_flag():
             assert nxt.subject.num_channels == 3
 
 
+def test_link_steps_follow_the_actors_other_steps():
+    # the in step of a receive comes first, its link steps after every
+    # other step of the same thread
+    p, gamma = parse("ctx 2. rcv(1).0 + tick.0")
+    root = AState((1, 2), root_process(p, gamma))
+    tags = [label.tag for label, _ in interface_steps(root, enable_link=True)]
+    assert tags == ["in", "tick", "link"]
+
+
+def test_link_graphs_weakly_bisimilar_across_sides(small_corpus):
+    for gamma, terms in small_corpus.items():
+        for t in terms:
+            linked_p = process_lts(t, gamma, enable_link=True)
+            linked_s = strategy_lts(t, gamma, enable_link=True)
+            assert weak_bisim(linked_p, linked_s).equivalent, (gamma, t)
+
+
 def test_noninjective_h_duplicates_are_one_edge():
     # both handles name channel 1; the in label is by channel, so the
     # two table matches collapse into one edge
@@ -270,6 +288,55 @@ def test_noninjective_h_duplicates_are_one_edge():
     graph = build_graph(root, lambda a: interface_steps(a))
     ins = [l for e in graph.edges for l, _ in e if l.tag == "in"]
     assert ins == [ALab("in", (1,))]
+
+
+# ------------------------------------------------------------ golden dumps
+
+# SHA-256 of the concatenated dump() text of every corpus term, one
+# digest per kind of graph, recorded while each side still had its own
+# step rules; they check the shared step engine against those rules.
+GOLDEN_DUMPS = {
+    "closed.strategy": (
+        "0103e2863f31c3c04610f30c57063c11"
+        "a02b77d6a73f3aa1958623affe218782"
+    ),
+    "closed.process": (
+        "18139a8dcd0fb781b1bb092807156b4e"
+        "5607abc47c986cde7b9b6b3eea461091"
+    ),
+    "interface.strategy": (
+        "7ebad7f8b01c166e175c9e33f38cc9b2"
+        "51b182c67d09a0ad3a3264bc83bbb880"
+    ),
+    "interface.process": (
+        "03076ece52412722b2f0265685775222"
+        "0e2b3367f622eb49fc477409d9d1402a"
+    ),
+    "interface.strategy.link": (
+        "1e576277c3c814511388e7a481d6f7bd"
+        "211e278e1c26bbf86c83fca61b3dd0ca"
+    ),
+}
+
+
+def corpus_dump_digests(corpus):
+    builds = {
+        "closed.strategy": lambda t, g: closed_graph(root_strategy(t, g)),
+        "closed.process": lambda t, g: closed_graph(root_process(t, g)),
+        "interface.strategy": strategy_lts,
+        "interface.process": process_lts,
+        "interface.strategy.link": lambda t, g: strategy_lts(t, g, enable_link=True),
+    }
+    digests = {kind: hashlib.sha256() for kind in builds}
+    for gamma, terms in corpus.items():
+        for t in terms:
+            for kind, build in builds.items():
+                digests[kind].update(build(t, gamma).dump().encode())
+    return {kind: h.hexdigest() for kind, h in digests.items()}
+
+
+def test_corpus_dumps_match_golden_digests(corpus):
+    assert corpus_dump_digests(corpus) == GOLDEN_DUMPS
 
 
 # --------------------------------------------------------------- graphs
@@ -389,5 +456,5 @@ def test_arena_trace_positions_track_states():
     play = arena_trace(g, [0, 0])
     assert type(play.moves[0].kind).__name__ == "Fork"
     assert play.moves[1].kind == Heartbeat(1)
-    state1 = raw_closed_game_steps(g)[0].state
+    state1 = raw_closed_steps(g)[0].state
     assert positions_isomorphic(play.moves[0].final, arena_position(state1))

@@ -8,17 +8,13 @@ from actorgame.strategy import (
     MixedShapeWarning,
     Plain,
     definite,
-    deriv,
     dump,
-    empty_definite,
-    empty_plain,
     enumerate_pure,
     interpret,
     key_arity,
     prefix_of_key,
     prefix_to_key,
     readback,
-    restrict,
     seed_keys,
     seed_order,
     strat_key,
@@ -61,18 +57,18 @@ def test_key_arity():
 
 
 def test_definite_normalizes_and_validates():
-    d = definite(1, {("heart",): Plain(1, (empty_definite(1),))})
+    d = definite(1, {("heart",): Plain(1, (Definite(1),))})
     assert d.keys() == (("heart",),)
     with pytest.raises(ValueError):
-        definite(1, {("in", 2): Plain(2, (empty_definite(2),))})
+        definite(1, {("in", 2): Plain(2, (Definite(2),))})
     with pytest.raises(ValueError):
-        definite(1, {("heart",): Plain(2, (empty_definite(2),))})
+        definite(1, {("heart",): Plain(2, (Definite(2),))})
     with pytest.raises(ValueError):
         definite(
             1,
             [
-                (("heart",), Plain(1, (empty_definite(1),))),
-                (("heart",), Plain(1, (empty_definite(1),))),
+                (("heart",), Plain(1, (Definite(1),))),
+                (("heart",), Plain(1, (Definite(1),))),
             ],
         )
 
@@ -83,21 +79,19 @@ def test_definite_drops_empty_entries():
 
 
 def test_lookup_total_with_empty_default():
-    d = empty_definite(2)
-    assert deriv(d, ("in", 1)) == empty_plain(3)
-    assert deriv(d, ("out", 2, 1)) == empty_plain(2)
-    with pytest.raises(ValueError):
-        deriv(d, ("in", 3))
+    d = Definite(2)
+    assert d.lookup(("in", 1)) == Plain(3)
+    assert d.lookup(("out", 2, 1)) == Plain(2)
 
 
 def test_restrict_indexes_summands():
     s = interp("ctx 1. rcv(1).0 + rcv(1).tick.0")
-    plain = deriv(s, ("in", 1))
+    plain = s.lookup(("in", 1))
     assert len(plain.summands) == 2
-    assert restrict(plain, 0) == empty_definite(2)
-    assert restrict(plain, 1).keys() == (("heart",),)
+    assert plain.summands[0] == Definite(2)
+    assert plain.summands[1].keys() == (("heart",),)
     with pytest.raises(IndexError):
-        restrict(plain, 2)
+        plain.summands[2]
 
 
 def test_validate_passes_on_corpus(corpus):
@@ -110,25 +104,25 @@ def test_validate_passes_on_corpus(corpus):
 
 
 def test_interpret_nil_is_empty():
-    assert interp("ctx 0. 0") == empty_definite(0)
+    assert interp("ctx 0. 0") == Definite(0)
 
 
 def test_interpret_tick_single_entry():
     s = interp("ctx 0. tick.0")
     assert s.keys() == (("heart",),)
-    assert deriv(s, ("heart",)) == Plain(0, (empty_definite(0),))
+    assert s.lookup(("heart",)) == Plain(0, (Definite(0),))
 
 
 def test_interpret_par_is_fork_shaped():
     s = interp("ctx 1. 0 | 0")
     assert s.keys() == (("forkL",), ("forkR",))
-    assert deriv(s, ("forkL",)) == Plain(2, (empty_definite(2),))
+    assert s.lookup(("forkL",)) == Plain(2, (Definite(2),))
 
 
 def test_interpret_groups_branches_by_prefix():
     s = interp("ctx 1. rcv(1).0 + tick.0 + rcv(1).tick.0")
     assert s.keys() == (("in", 1), ("heart",))
-    assert len(deriv(s, ("in", 1)).summands) == 2
+    assert len(s.lookup(("in", 1)).summands) == 2
 
 
 def test_interpret_typechecks():
@@ -139,7 +133,7 @@ def test_interpret_typechecks():
 
 def test_interpret_recv_continuation_arity():
     s = interp("ctx 1. rcv(1).snd(2,2).0")
-    cont = restrict(deriv(s, ("in", 1)), 0)
+    cont = s.lookup(("in", 1)).summands[0]
     assert cont.arity == 2
     assert cont.keys() == (("out", 2, 2),)
 
@@ -180,8 +174,8 @@ def test_readback_warns_and_drops_mixed_shape():
     mixed = definite(
         0,
         {
-            ("heart",): Plain(0, (empty_definite(0),)),
-            ("forkL",): Plain(1, (empty_definite(1),)),
+            ("heart",): Plain(0, (Definite(0),)),
+            ("forkL",): Plain(1, (Definite(1),)),
         },
     )
     with pytest.warns(MixedShapeWarning):
@@ -194,8 +188,8 @@ def test_readback_fork_requires_exact_shape():
     lopsided = definite(
         0,
         {
-            ("forkL",): Plain(1, (empty_definite(1), empty_definite(1))),
-            ("forkR",): Plain(1, (empty_definite(1),)),
+            ("forkL",): Plain(1, (Definite(1), Definite(1))),
+            ("forkR",): Plain(1, (Definite(1),)),
         },
     )
     with pytest.warns(MixedShapeWarning):

@@ -15,7 +15,6 @@ from actorgame.term import (
     canonical,
     ctx_after,
     enumerate_terms,
-    is_well_typed,
     max_term_size,
     parse,
     pretty,
@@ -115,19 +114,22 @@ def test_typecheck_ok():
 def test_recv_binds_one_index():
     p, _ = parse("ctx 0. tick.0")
     q = Sum(((Recv(1), NIL),))
-    assert not is_well_typed(q, 0)
-    assert is_well_typed(q, 1)
+    with pytest.raises(IllTyped):
+        typecheck(q, 0)
+    typecheck(q, 1)
     r = Sum(((Recv(1), Sum(((Recv(2), NIL),))),))
-    assert is_well_typed(r, 1)
-    assert not is_well_typed(Sum(((Recv(1), Sum(((Recv(3), NIL),))),)), 1)
+    typecheck(r, 1)
+    with pytest.raises(IllTyped):
+        typecheck(Sum(((Recv(1), Sum(((Recv(3), NIL),))),)), 1)
 
 
 def test_par_children_typed_one_larger():
     inner = Sum(((Send(1, 1), NIL),))
-    assert is_well_typed(Par(inner, NIL), 0)
+    typecheck(Par(inner, NIL), 0)
     deeper = Sum(((Send(2, 2), NIL),))
-    assert is_well_typed(Par(deeper, NIL), 1)
-    assert not is_well_typed(Par(deeper, NIL), 0)
+    typecheck(Par(deeper, NIL), 1)
+    with pytest.raises(IllTyped):
+        typecheck(Par(deeper, NIL), 0)
 
 
 def test_illtyped_reports_path():
@@ -243,7 +245,7 @@ def test_enumeration_is_exact_and_ordered():
     seen = set()
     last_size = 0
     for t in enumerate_terms(1, 2, 2):
-        assert is_well_typed(t, 1)
+        typecheck(t, 1)
         assert term_depth(t) <= 2
         assert t not in seen
         seen.add(t)
