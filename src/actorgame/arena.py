@@ -229,11 +229,13 @@ def extend(m: Move, z: Position, glue: dict[int, int]) -> Move:
 
     ``glue`` must send every interface channel of ``m`` to a channel of
     ``z`` (not necessarily injectively). Players of ``z`` become
-    spectators, present and untouched in both boundaries. Identifier
-    freshness makes ``z`` and the seed disjoint; this is checked.
+    spectators, present and untouched in both boundaries, so each must
+    sit on channels of ``z``. Identifier freshness makes ``z`` and the
+    seed disjoint. All of this is checked.
     """
     if not m.is_seed():
         raise ValueError("only seeds can be extended")
+    z.check()
     iface = interface(m)
     missing = iface - glue.keys()
     if missing:
@@ -295,7 +297,7 @@ def canonical_position_key(pos: Position, payload: dict[int, object] | None = No
     """Canonical form of a position under bijective renaming.
 
     ``payload`` optionally colors players with extra orderable data that
-    a renaming must preserve (the transition systems use strategy keys);
+    a renaming must preserve (``moves_isomorphic`` marks traces with it);
     payload values used together must be mutually comparable. Color
     refinement plus individualization; exact, if slow on large highly
     symmetric positions, which this package never builds.
@@ -393,56 +395,35 @@ def moves_isomorphic(a: Move, b: Move) -> bool:
     """Move equality up to bijective renaming commuting with the traces."""
     if a.kind != b.kind:
         return False
-    if len(a.initial.players) != len(b.initial.players):
-        return False
-    if len(a.initial.channels) != len(b.initial.channels):
-        return False
-    if len(a.final.channels) != len(b.final.channels):
-        return False
+    (x, px), (y, py) = _trace_position(a), _trace_position(b)
+    return positions_isomorphic(x, y, px, py)
 
-    a_pids = sorted(a.initial.players)
-    for b_perm in itertools.permutations(sorted(b.initial.players)):
-        pmap = dict(zip(a_pids, b_perm))
-        if any(
-            a.initial.players[p].arity != b.initial.players[q].arity
-            or (p in a.moving) != (q in b.moving)
-            or len(a.player_map.get(p, ())) != len(b.player_map.get(q, ()))
-            for p, q in pmap.items()
-        ):
-            continue
-        cmap: dict[int, int] = {}
-        ok = True
-        for p, q in pmap.items():
-            for ca, cb in zip(a.initial.players[p].attach, b.initial.players[q].attach):
-                if cmap.setdefault(ca, cb) != cb:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok or len(set(cmap.values())) != len(cmap):
-            continue
-        # avatars correspond componentwise through the player traces
-        fmap = {}
-        for p, q in pmap.items():
-            for pa, qa in zip(a.player_map.get(p, ()), b.player_map.get(q, ())):
-                fmap[pa] = qa
-        if len(fmap) != len(a.final.players) or set(fmap.values()) != set(b.final.players):
-            continue
-        for pa, qa in fmap.items():
-            if a.final.players[pa].arity != b.final.players[qa].arity:
-                ok = False
-                break
-            for ca, cb in zip(a.final.players[pa].attach, b.final.players[qa].attach):
-                if cmap.setdefault(ca, cb) != cb:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok or len(set(cmap.values())) != len(cmap):
-            continue
-        # unattached channels only need matching counts, checked above
-        return True
-    return False
+
+def _trace_position(m: Move) -> tuple[Position, dict[int, object]]:
+    """One position with payload holding a move's both boundaries; two
+    moves of one kind are isomorphic exactly when theirs are.
+
+    Each initial player and its avatars share one fresh trace channel in
+    an extra last slot. An initial player's payload carries its moving
+    flag, an avatar's its index in ``player_map``, and a marker player
+    sits on each initial channel, so a renaming of the encoding keeps
+    the traces and sends initial channels to initial channels.
+    """
+    num = {c: i for i, c in enumerate(sorted(m.initial.channels | m.final.channels))}
+
+    def attach(pl: Player) -> tuple[int, ...]:
+        return tuple(num[c] for c in pl.attach)
+
+    rows = [((num[c],), (2,)) for c in m.initial.channels]
+    for trace, pid in enumerate(sorted(m.initial.players), len(num)):
+        rows.append((attach(m.initial.players[pid]) + (trace,), (0, pid in m.moving)))
+        for k, av in enumerate(m.player_map.get(pid, ())):
+            rows.append((attach(m.final.players[av]) + (trace,), (1, k)))
+    pos = Position(
+        frozenset(range(len(num) + len(m.initial.players))),
+        {i: Player(att) for i, (att, _) in enumerate(rows)},
+    )
+    return pos, {i: tag for i, (_, tag) in enumerate(rows)}
 
 
 # ---------------------------------------------------------------- dot

@@ -21,7 +21,6 @@ import argparse
 import itertools
 import random
 import sys
-from dataclasses import dataclass
 
 from .arena import to_dot
 from .fairtest import Test, eq_check, gen_tests, identity_test, passes
@@ -39,35 +38,16 @@ from .strategy import dump, interpret
 from .term import IllTyped, ParseError, parse, typecheck, unparse
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, fully determined."""
-
-    command: str
-    files: tuple[str, ...]
-    world: str = "interface"
-    side: str = "strategy"
-    what: str = "position"
-    test_file: str | None = None
-    handle_map: str | None = None
-    depth: int | None = None
-    width: int = 2
-    limit: int | None = None
-    seed: int | None = None
-    bot: str = "weak"
-    bisim: bool = False
-    enable_link: bool = False
-    index: int = 0
-    trace: str | None = None
-
-    def suite(self, gamma: int) -> list[Test]:
-        stream = gen_tests(gamma, self.depth, self.width)
-        if self.limit is not None:
-            stream = itertools.islice(stream, self.limit)
-        tests = list(stream)
-        if self.seed is not None:
-            random.Random(self.seed).shuffle(tests)
-        return tests
+def _suite(args: argparse.Namespace, gamma: int) -> list[Test]:
+    """The generated suite: depth ``--gen``, cut at ``--limit``, shuffled
+    by ``--seed``."""
+    stream = gen_tests(gamma, args.gen, args.width)
+    if args.limit is not None:
+        stream = itertools.islice(stream, args.limit)
+    tests = list(stream)
+    if args.seed is not None:
+        random.Random(args.seed).shuffle(tests)
+    return tests
 
 
 def _read_term(path: str):
@@ -86,30 +66,30 @@ def _render_test(test: Test) -> str:
     return f"h=({h}) {unparse(test.proc, test.ctx)}"
 
 
-def cmd_parse(cfg: RunConfig) -> int:
-    proc, gamma = _read_term(cfg.files[0])
+def cmd_parse(args: argparse.Namespace) -> int:
+    proc, gamma = _read_term(args.file)
     print(unparse(proc, gamma))
     return 0
 
 
-def cmd_interp(cfg: RunConfig) -> int:
-    proc, gamma = _read_term(cfg.files[0])
+def cmd_interp(args: argparse.Namespace) -> int:
+    proc, gamma = _read_term(args.file)
     sys.stdout.write(dump(interpret(proc, gamma)))
     return 0
 
 
-def cmd_lts(cfg: RunConfig) -> int:
-    proc, gamma = _read_term(cfg.files[0])
-    if cfg.world == "closed":
+def cmd_lts(args: argparse.Namespace) -> int:
+    proc, gamma = _read_term(args.file)
+    if args.world == "closed":
         root = (
             root_strategy(proc, gamma)
-            if cfg.side == "strategy"
+            if args.side == "strategy"
             else root_process(proc, gamma)
         )
         graph = closed_graph(root)
     else:
-        build = strategy_lts if cfg.side == "strategy" else process_lts
-        graph = build(proc, gamma, enable_link=cfg.enable_link)
+        build = strategy_lts if args.side == "strategy" else process_lts
+        graph = build(proc, gamma, enable_link=args.enable_link)
     sys.stdout.write(graph.dump())
     return 0
 
@@ -126,14 +106,14 @@ def _parse_map(text: str, gamma: int) -> tuple[int, ...]:
     return h
 
 
-def cmd_fair(cfg: RunConfig) -> int:
-    subject, gamma = _read_term(cfg.files[0])
-    if (cfg.test_file is None) == (cfg.depth is None):
+def cmd_fair(args: argparse.Namespace) -> int:
+    subject, gamma = _read_term(args.file)
+    if (args.test is None) == (args.gen is None):
         raise ValueError("fair needs exactly one of --test FILE or --gen DEPTH")
-    if cfg.test_file is not None:
-        tproc, tctx = _read_term(cfg.test_file)
-        if cfg.handle_map is not None:
-            test = Test(_parse_map(cfg.handle_map, gamma), tctx, tproc)
+    if args.test is not None:
+        tproc, tctx = _read_term(args.test)
+        if args.map is not None:
+            test = Test(_parse_map(args.map, gamma), tctx, tproc)
         else:
             if tctx != gamma:
                 raise ValueError(
@@ -141,13 +121,13 @@ def cmd_fair(cfg: RunConfig) -> int:
                     "give an explicit --map"
                 )
             test = identity_test(gamma, tproc)
-        verdict = passes(subject, gamma, test, cfg.side, cfg.bot)
+        verdict = passes(subject, gamma, test, args.side, args.bot)
         print(f"RESULT {verdict.render()}")
         return 0 if verdict.passed else 1
     failures = 0
     total = 0
-    for k, test in enumerate(cfg.suite(gamma)):
-        verdict = passes(subject, gamma, test, cfg.side, cfg.bot)
+    for k, test in enumerate(_suite(args, gamma)):
+        verdict = passes(subject, gamma, test, args.side, args.bot)
         total += 1
         if not verdict.passed:
             failures += 1
@@ -156,13 +136,13 @@ def cmd_fair(cfg: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_eq(cfg: RunConfig) -> int:
-    left, gl = _read_term(cfg.files[0])
-    right, gr = _read_term(cfg.files[1])
+def cmd_eq(args: argparse.Namespace) -> int:
+    left, gl = _read_term(args.left)
+    right, gr = _read_term(args.right)
     if gl != gr:
         raise ValueError(f"subjects have different contexts: {gl} and {gr}")
-    if cfg.bisim:
-        build = strategy_lts if cfg.side == "game" else process_lts
+    if args.bisim:
+        build = strategy_lts if args.side == "game" else process_lts
         res = weak_bisim(build(left, gl), build(right, gr))
         if res.equivalent:
             print("RESULT equivalent")
@@ -171,7 +151,7 @@ def cmd_eq(cfg: RunConfig) -> int:
             print("witness: " + ";".join(res.witness))
         print("RESULT distinguished")
         return 1
-    res = eq_check(left, right, gl, cfg.suite(gl), cfg.side, cfg.bot)
+    res = eq_check(left, right, gl, _suite(args, gl), args.side, args.bot)
     if res.equivalent:
         print(f"checked {res.checked} tests")
         print("RESULT equivalent-on-suite")
@@ -184,15 +164,15 @@ def cmd_eq(cfg: RunConfig) -> int:
     return 1
 
 
-def cmd_dot(cfg: RunConfig) -> int:
-    proc, gamma = _read_term(cfg.files[0])
+def cmd_dot(args: argparse.Namespace) -> int:
+    proc, gamma = _read_term(args.file)
     root = root_strategy(proc, gamma)
-    if cfg.what == "position":
+    if args.what == "position":
         sys.stdout.write(to_dot(arena_position(root)))
         return 0
-    indices = [int(x) for x in cfg.trace.split(",")] if cfg.trace else []
-    if cfg.what == "move":
-        play = arena_trace(root, indices or [cfg.index])
+    indices = [int(x) for x in args.trace.split(",")] if args.trace else []
+    if args.what == "move":
+        play = arena_trace(root, indices or [args.index])
         if not play.moves:
             raise ValueError("no move selected")
         sys.stdout.write(to_dot(play.moves[-1]))
@@ -209,32 +189,6 @@ _COMMANDS = {
     "eq": cmd_eq,
     "dot": cmd_dot,
 }
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    files = tuple(
-        getattr(args, name)
-        for name in ("file", "left", "right")
-        if getattr(args, name, None) is not None
-    )
-    return RunConfig(
-        command=args.cmd,
-        files=files,
-        world=getattr(args, "world", "interface"),
-        side=getattr(args, "side", "strategy"),
-        what=getattr(args, "what", "position"),
-        test_file=getattr(args, "test", None),
-        handle_map=getattr(args, "map", None),
-        depth=getattr(args, "gen", None),
-        width=getattr(args, "width", 2),
-        limit=getattr(args, "limit", None),
-        seed=getattr(args, "seed", None),
-        bot=getattr(args, "bot", "weak"),
-        bisim=getattr(args, "bisim", False),
-        enable_link=getattr(args, "enable_link", False),
-        index=getattr(args, "index", 0),
-        trace=getattr(args, "trace", None),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,15 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cfg = config_from_args(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IllTyped as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError, RuntimeError, OSError) as exc:
+        return _COMMANDS[args.cmd](args)
+    except (ParseError, IllTyped, ValueError, IndexError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

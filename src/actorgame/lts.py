@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
+from . import arena
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
 from .strategy import Definite, SeedKey, interpret, prefix_to_key, strat_key
 from .term import Par, Process, sort_key, typecheck
@@ -296,10 +297,11 @@ def _scan(state: State) -> tuple[list, ...]:
     return views, ticks, forks, outs, ins
 
 
-def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[RawStep]:
+def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[tuple]:
     """Forks by actor, then syncs by sender then receiver, the choices
-    of each step innermost."""
-    steps: list[RawStep] = []
+    of each step innermost, as (kind, actors, choice, created, avatars)
+    tuples: actor ``actors[i]`` becomes the avatars ``avatars[i]``."""
+    steps: list[tuple] = []
     fresh = state.num_channels + 1
     for p, actor, attach, lefts, rights in forks:
         kind = Fork(len(attach))
@@ -307,14 +309,7 @@ def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[RawS
         for cl, dl in lefts:
             for cr, dr in rights:
                 av = (actor.avatar(grown, dl), actor.avatar(grown, dr))
-                steps.append(
-                    RawStep(
-                        StepLabel(kind, (p,), cl + cr),
-                        _replace(state, 1, {p: av}),
-                        (av,),
-                        1,
-                    )
-                )
+                steps.append((kind, (p,), cl + cr, 1, (av,)))
     for q, sender, sattach, c, d, sends in outs:
         shared, obj = sattach[c - 1], sattach[d - 1]
         for p, receiver, rattach, a, recvs in ins:
@@ -325,14 +320,7 @@ def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[RawS
                 for cr, dr in recvs:
                     send_av = (sender.avatar(sattach, ds),)
                     recv_av = (receiver.avatar(rattach + (obj,), dr),)
-                    steps.append(
-                        RawStep(
-                            StepLabel(kind, (q, p), cs + cr),
-                            _replace(state, 0, {q: send_av, p: recv_av}),
-                            (send_av, recv_av),
-                            0,
-                        )
-                    )
+                    steps.append((kind, (q, p), cs + cr, 0, (send_av, recv_av)))
     return steps
 
 
@@ -341,15 +329,21 @@ def raw_closed_steps(state: State) -> list[RawStep]:
     actor, then syncs by sender then receiver, the choices of each step
     innermost."""
     _, ticks, forks, outs, ins = _scan(state)
-    steps: list[RawStep] = []
+    steps: list[tuple] = []
     for p, actor, attach, group in ticks:
         kind = Heartbeat(len(attach))
         for choice, cont in group:
-            av = (actor.avatar(attach, cont),)
-            steps.append(
-                RawStep(StepLabel(kind, (p,), choice), _replace(state, 0, {p: av}), (av,), 0)
-            )
-    return steps + _silent_steps(state, forks, outs, ins)
+            steps.append((kind, (p,), choice, 0, ((actor.avatar(attach, cont),),)))
+    return [
+        RawStep(
+            StepLabel(kind, actors, choice),
+            _replace(state, created, dict(zip(actors, avatars))),
+            avatars,
+            created,
+        )
+        for kind, actors, choice, created, avatars in steps
+        + _silent_steps(state, forks, outs, ins)
+    ]
 
 
 def closed_world_steps(state: State) -> list[tuple[StepLabel, object]]:
@@ -393,8 +387,9 @@ def interface_steps(ast: AState, enable_link: bool = False) -> list[tuple[ALab, 
                 for _, cont in group:
                     nxt = _replace(state, 1, {p: (actor.avatar(grown, cont),)})
                     steps.append((label, AState(h, nxt)))
-    for r in _silent_steps(state, forks, outs, ins):
-        steps.append((ALab(r.label.tag), AState(h, r.state)))
+    for kind, actors, _, created, avatars in _silent_steps(state, forks, outs, ins):
+        nxt = _replace(state, created, dict(zip(actors, avatars)))
+        steps.append((ALab(_CLOSED_TAG[type(kind).__name__]), AState(h, nxt)))
     return steps
 
 
@@ -585,18 +580,25 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph, witness_depth: int = 16) -> BisimResu
 # -------------------------------------------------------- arena bridge
 
 
-def arena_position(g: GameState):
+def _position(state: GameState, chan_ids: dict[int, int], pids: Sequence[int]) -> arena.Position:
+    """The arena position of ``state``: global channel c is ``chan_ids[c]``
+    and the i-th player is ``pids[i]``."""
+    return arena.Position(
+        frozenset(chan_ids[c] for c in range(1, state.num_channels + 1)),
+        {
+            pid: arena.Player(tuple(chan_ids[c] for c in ps.attach))
+            for ps, pid in zip(state.players, pids)
+        },
+    )
+
+
+def arena_position(g: GameState) -> arena.Position:
     """The current strategy-side state as a string-diagram position."""
-    from . import arena
-
     chan_ids = {c: arena.new_id() for c in range(1, g.num_channels + 1)}
-    players = {}
-    for ps in g.players:
-        players[arena.new_id()] = arena.Player(tuple(chan_ids[c] for c in ps.attach))
-    return arena.Position(frozenset(chan_ids.values()), players)
+    return _position(g, chan_ids, [arena.new_id() for _ in g.players])
 
 
-def arena_trace(g0: GameState, indices: Sequence[int]):
+def arena_trace(g0: GameState, indices: Sequence[int]) -> arena.Play:
     """Replay closed steps chosen by index as an arena play.
 
     Index k selects the k-th step of ``raw_closed_steps``: ticks by
@@ -605,17 +607,9 @@ def arena_trace(g0: GameState, indices: Sequence[int]):
     Channel and player traces are exact identity embeddings, so the
     resulting moves compose on the nose.
     """
-    from . import arena
-
     chan_ids = {c: arena.new_id() for c in range(1, g0.num_channels + 1)}
     pids = [arena.new_id() for _ in g0.players]
-    pos = arena.Position(
-        frozenset(chan_ids.values()),
-        {
-            pids[i]: arena.Player(tuple(chan_ids[c] for c in ps.attach))
-            for i, ps in enumerate(g0.players)
-        },
-    )
+    pos = _position(g0, chan_ids, pids)
     play = arena.identity_play(pos)
     state = g0
     for idx in indices:
@@ -640,13 +634,9 @@ def arena_trace(g0: GameState, indices: Sequence[int]):
                 player_map[pids[i]] = (pids[i],)
                 pairs.append((state.players[i], pids[i]))
         pairs.sort(key=lambda pr: player_key(pr[0]))
-        final = arena.Position(
-            frozenset(chan_ids[c] for c in range(1, r.state.num_channels + 1)),
-            {
-                pid: arena.Player(tuple(chan_ids[c] for c in ps.attach))
-                for ps, pid in pairs
-            },
-        )
+        assert tuple(ps for ps, _ in pairs) == r.state.players
+        pids = [pid for _, pid in pairs]
+        final = _position(r.state, chan_ids, pids)
         move = arena.Move(
             r.label.kind,
             pos,
@@ -655,9 +645,7 @@ def arena_trace(g0: GameState, indices: Sequence[int]):
             player_map,
             moving,
         )
-        assert tuple(ps for ps, _ in pairs) == r.state.players
         play = arena.compose(arena.play_of(move), play)
         pos = final
-        pids = [pid for _, pid in pairs]
         state = r.state
     return play

@@ -232,6 +232,14 @@ def test_extend_rejects_bad_glue_target():
         extend(m, z, {i1: 999999999})
 
 
+def test_extend_rejects_spectator_on_unknown_channel():
+    m = seed(Heartbeat(1))
+    z, glue = glue_position(m)
+    z.players[new_id()] = Player((new_id(),))
+    with pytest.raises(ValueError):
+        extend(m, z, glue)
+
+
 # ---------------------------------------------------------------- plays
 
 
@@ -306,6 +314,18 @@ def test_moves_isomorphic_detects_kind_and_wiring():
     assert not moves_isomorphic(seed(Heartbeat(2)), seed(Heartbeat(1)))
     assert not moves_isomorphic(seed(Output(2, 1, 2)), seed(Output(2, 1, 1)))
     assert not moves_isomorphic(seed(Input(2, 1)), seed(Heartbeat(2)))
+    for kind in (Output(2, 1, 2), Sync(1, 1, 2, 1, 2), Fork(2), Input(2, 1)):
+        m = seed(kind)
+        z, glue = glue_position(m)
+        plain = extend(m, z, glue)
+        assert moves_isomorphic(plain, m), kind
+        c = new_id()
+        merged = extend(m, Position(frozenset({c}), {}), {i: c for i in interface(m)})
+        assert not moves_isomorphic(merged, m), kind
+        z.players[new_id()] = Player((min(z.channels),))
+        assert not moves_isomorphic(extend(m, z, glue), plain), kind
+        still = Move(m.kind, m.initial, m.final, m.channel_map, m.player_map, frozenset())
+        assert not moves_isomorphic(still, m), kind
 
 
 def test_position_check_rejects_unknown_channel():

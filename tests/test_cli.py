@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import actorgame
 from actorgame.cli import main
 
 RELAY = "ctx 1. snd(2,2).0 | rcv(2).tick.0"
@@ -187,6 +191,28 @@ def test_dot_outputs(capsys, write):
 
 
 # --------------------------------------------------------------- errors
+
+
+def test_module_entry_point():
+    # python -m actorgame runs __main__.py, which exits with main()'s code
+    paths = [os.path.dirname(os.path.dirname(actorgame.__file__))]
+    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+    def go(text):
+        return subprocess.run(
+            [sys.executable, "-m", "actorgame", "parse", "-"],
+            input=text,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    ok = go("ctx 0. tick.0")
+    assert ok.returncode == 0 and ok.stdout == "ctx 0. tick.0\n"
+    bad = go("ctx 0. rcv(1).0")
+    assert bad.returncode == 2 and bad.stdout == "" and bad.stderr.startswith("error:")
 
 
 def test_missing_file(capsys):
