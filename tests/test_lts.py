@@ -414,6 +414,37 @@ def test_weak_bisim_matches_naive_oracle_on_pairs(small_corpus):
             assert got == want, (gamma, i, j)
 
 
+# SHA-256 over (equivalent, num_blocks, witness) of every pair below,
+# recorded with the saturating signature-refinement weak_bisim.
+GOLDEN_BISIM = (
+    "ae8b6365157d3169374ca078e67a0fdc"
+    "5d04cbe7ed19471609216b271808edde"
+)
+
+
+def bisim_results_digest(corpus, small_corpus):
+    h = hashlib.sha256()
+
+    def record(g1, g2):
+        res = weak_bisim(g1, g2)
+        h.update(repr((res.equivalent, res.num_blocks, res.witness)).encode())
+
+    for gamma, terms in small_corpus.items():
+        graphs = []
+        for t in terms[:12]:
+            graphs += [process_lts(t, gamma), strategy_lts(t, gamma)]
+        for g1, g2 in itertools.combinations(graphs, 2):
+            record(g1, g2)
+    for gamma, terms in corpus.items():
+        for t in terms:
+            record(process_lts(t, gamma), strategy_lts(t, gamma))
+    return h.hexdigest()
+
+
+def test_weak_bisim_matches_golden_results(corpus, small_corpus):
+    assert bisim_results_digest(corpus, small_corpus) == GOLDEN_BISIM
+
+
 @settings(max_examples=40, deadline=None)
 @given(typed_terms(max_gamma=1, depth=2))
 def test_weak_bisim_random_term_against_its_process_side(tg):
