@@ -41,6 +41,9 @@ from .term import IllTyped, ParseError, parse, typecheck, unparse
 def _suite(args: argparse.Namespace, gamma: int) -> list[Test]:
     """The generated suite: depth ``--gen``, cut at ``--limit``, shuffled
     by ``--seed``."""
+    for option, value in (("--gen", args.gen), ("--width", args.width), ("--limit", args.limit)):
+        if value is not None and value < 0:
+            raise ValueError(f"{option} must be at least 0, got {value}")
     stream = gen_tests(gamma, args.gen, args.width)
     if args.limit is not None:
         stream = itertools.islice(stream, args.limit)
@@ -170,7 +173,10 @@ def cmd_dot(args: argparse.Namespace) -> int:
     if args.what == "position":
         sys.stdout.write(to_dot(arena_position(root)))
         return 0
-    indices = [int(x) for x in args.trace.split(",")] if args.trace else []
+    try:
+        indices = [int(x) for x in args.trace.split(",")] if args.trace else []
+    except ValueError:
+        raise ValueError(f"bad --trace {args.trace!r}: expected comma separated step indices")
     if args.what == "move":
         play = arena_trace(root, indices or [args.index])
         if not play.moves:

@@ -40,7 +40,7 @@ on the process side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import arena
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
@@ -473,108 +473,180 @@ class BisimResult:
     num_blocks: int
 
 
-def _tau_closure(n: int, silent_adj: list[list[int]]) -> list[frozenset[int]]:
-    out = []
-    for v in range(n):
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in silent_adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(frozenset(seen))
-    return out
-
-
 def weak_bisim(g1: LtsGraph, g2: LtsGraph, witness_depth: int = 16) -> BisimResult:
     """Decide weak bisimilarity of the two roots.
 
-    Signature refinement over the disjoint union: silent edges may be
-    absorbed, every other label (tick included) is observable. When the
-    roots differ the witness is a label sequence tracing one spine of a
-    distinguishing experiment; it is a hint, not a certificate.
+    Over the disjoint union of the two graphs, silent edges may be
+    absorbed and every other label (tick included) is observable. The
+    graphs must be acyclic, as every graph of this calculus is: each
+    step consumes a prefix or a parallel node. A cycle raises
+    ValueError.
+
+    One depth-first pass classifies each vertex after all of its
+    successors, in the rank-based style of Dovier, Piazza & Policriti
+    (TCS 311, 2004). A vertex's weak behaviour is read off its
+    successors' classes: T, the classes it reaches in one or more silent
+    steps, and O, the (label, class) pairs it reaches by a weak
+    observable step. A class keeps its O and its T plus itself. The
+    vertex stutters into a class in its T that has the same O and whose
+    T plus itself is the vertex's T; otherwise it joins, or founds, the
+    class of its (O, T). Blocks are numbered by their first vertex, the
+    first graph's vertices first.
+
+    When the roots differ the witness is a label sequence tracing one
+    spine of a distinguishing experiment; it is a hint, not a
+    certificate.
     """
+    # Edges as flat int arrays, so that coding a large graph allocates
+    # no container per vertex for the cycle collector to walk: vertex
+    # v's silent targets are taus[tau_at[v]:tau_at[v + 1]], its
+    # observable steps go to dsts[at[v]:at[v + 1]] under the label ids
+    # in labs.
     n1 = len(g1.states)
-    n = n1 + len(g2.states)
-    silent_adj: list[list[int]] = [[] for _ in range(n)]
-    obs_adj: list[list[tuple[ALab, int]]] = [[] for _ in range(n)]
-    for src in range(n1):
-        for label, dst in g1.edges[src]:
-            (silent_adj if label.is_silent else obs_adj)[src].append(
-                dst if label.is_silent else (label, dst)
-            )
-    for src in range(len(g2.states)):
-        for label, dst in g2.edges[src]:
-            (silent_adj if label.is_silent else obs_adj)[src + n1].append(
-                dst + n1 if label.is_silent else (label, dst + n1)
-            )
+    labels: list = []
+    label_ids: dict[tuple, int] = {}
+    taus: list[int] = []
+    labs: list[int] = []
+    dsts: list[int] = []
+    tau_at, at = [0], [0]
+    for base, g in ((0, g1), (n1, g2)):
+        for out in g.edges:
+            for label, dst in out:
+                if label.tag in SILENT_TAGS:
+                    taus.append(base + dst)
+                    continue
+                a = label_ids.setdefault(label.sort_key(), len(labels))
+                if a == len(labels):
+                    labels.append(label)
+                labs.append(a)
+                dsts.append(base + dst)
+            tau_at.append(len(taus))
+            at.append(len(dsts))
+    n = len(at) - 1
 
-    tau = _tau_closure(n, silent_adj)
-    weak: list[dict[ALab, frozenset[int]]] = []
-    for v in range(n):
-        acc: dict[ALab, set[int]] = {}
-        for u in tau[v]:
-            for label, w in obs_adj[u]:
-                acc.setdefault(label, set()).update(tau[w])
-        weak.append({label: frozenset(ws) for label, ws in acc.items()})
+    def silent(v: int) -> list[int]:
+        return taus[tau_at[v] : tau_at[v + 1]]
 
-    block = [0] * n
-    num_blocks = 1
-    while True:
-        sigs = []
-        for v in range(n):
-            obs_sig = frozenset(
-                (label, block[w]) for label, ws in weak[v].items() for w in ws
-            )
-            tau_sig = frozenset(block[u] for u in tau[v])
-            sigs.append((block[v], obs_sig, tau_sig))
-        ranks: dict = {}
-        for v in range(n):
-            if sigs[v] not in ranks:
-                ranks[sigs[v]] = len(ranks)
-        new_block = [ranks[sigs[v]] for v in range(n)]
-        if len(ranks) == num_blocks:
-            block = new_block
-            break
-        block = new_block
-        num_blocks = len(ranks)
+    def observable(v: int) -> Iterable[tuple[int, int]]:
+        return zip(labs[at[v] : at[v + 1]], dsts[at[v] : at[v + 1]])
 
+    def successors(v: int) -> Iterator[int]:
+        return iter(silent(v) + dsts[at[v] : at[v + 1]])
+
+    # A (label, class) pair is the int class * k + label; label id
+    # len(labels) stands for a silent step.
+    tau_id = len(labels)
+    k = tau_id + 1
+    reach: list[frozenset[int]] = []  # per class: its T plus itself
+    weak: list[frozenset[int]] = []  # per class: its O
+    classes: dict[tuple, int] = {}  # (O, T) and (O, T plus itself) -> class
+    by_steps: dict[frozenset[int], int] = {}  # a vertex's own steps -> class
+
+    def classify(v: int) -> int:
+        steps = frozenset(
+            [cls[u] * k + tau_id for u in silent(v)]
+            + [cls[w] * k + a for a, w in observable(v)]
+        )
+        c = by_steps.get(steps)
+        if c is not None:
+            return c
+        t: set[int] = set()
+        o: set[int] = set()
+        for step in steps:
+            d, a = divmod(step, k)
+            if a == tau_id:
+                t |= reach[d]
+                o |= weak[d]
+            else:
+                o.update(e * k + a for e in reach[d])
+        key = (frozenset(o), frozenset(t))
+        c = classes.get(key)
+        if c is None:
+            c = len(reach)
+            t.add(c)
+            reach.append(frozenset(t))
+            weak.append(key[0])
+            classes[key] = classes[key[0], reach[c]] = c
+        by_steps[steps] = c
+        return c
+
+    unseen, open_ = -1, -2
+    cls = [unseen] * n
+    for root in range(n):
+        if cls[root] != unseen:
+            continue
+        cls[root] = open_
+        stack = [(root, successors(root))]
+        while stack:
+            v, succ = stack[-1]
+            for w in succ:
+                if cls[w] == unseen:
+                    cls[w] = open_
+                    stack.append((w, successors(w)))
+                    break
+                if cls[w] == open_:
+                    side, vertex = (1, w) if w < n1 else (2, w - n1)
+                    raise ValueError(
+                        f"weak_bisim needs acyclic graphs: vertex {vertex} of "
+                        f"graph {side} lies on a cycle"
+                    )
+            else:
+                stack.pop()
+                cls[v] = classify(v)
+
+    first: dict[int, int] = {}
+    block = [first.setdefault(c, len(first)) for c in cls]
     r1, r2 = 0, n1
     if block[r1] == block[r2]:
-        return BisimResult(True, (), num_blocks)
+        return BisimResult(True, (), len(first))
+
+    def closure(vs: Iterable[int]) -> set[int]:
+        seen = set(vs)
+        stack = list(seen)
+        while stack:
+            for w in silent(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    def weak_successors(x: int) -> dict[int, set[int]]:
+        targets: dict[int, list[int]] = {}
+        for u in closure([x]):
+            for a, w in observable(u):
+                targets.setdefault(a, []).append(w)
+        return {a: closure(ws) for a, ws in targets.items()}
 
     def distinguish(x: int, y: int, depth: int) -> list[str]:
         if depth == 0:
             return []
-        labels = sorted(set(weak[x]) | set(weak[y]), key=lambda l: l.sort_key())
-        for label in labels:
-            bx = {block[w] for w in weak[x].get(label, ())}
-            by = {block[w] for w in weak[y].get(label, ())}
+        wx, wy = weak_successors(x), weak_successors(y)
+        for a in sorted(wx.keys() | wy.keys(), key=lambda a: labels[a].sort_key()):
+            bx = {block[w] for w in wx.get(a, ())}
+            by = {block[w] for w in wy.get(a, ())}
             if bx == by:
                 continue
             if bx - by:
-                extra, src, other = min(bx - by), x, weak[y].get(label, frozenset())
+                extra, src, other = min(bx - by), wx[a], wy.get(a, set())
             else:
-                extra, src, other = min(by - bx), y, weak[x].get(label, frozenset())
+                extra, src, other = min(by - bx), wy[a], wx.get(a, set())
             if not other:
-                return [label.render()]
-            w1 = min(w for w in weak[src][label] if block[w] == extra)
-            w2 = min(other)
-            return [label.render()] + distinguish(w1, w2, depth - 1)
-        bx = {block[u] for u in tau[x]}
-        by = {block[u] for u in tau[y]}
+                return [labels[a].render()]
+            w1 = min(w for w in src if block[w] == extra)
+            return [labels[a].render()] + distinguish(w1, min(other), depth - 1)
+        tx, ty = closure([x]), closure([y])
+        bx = {block[u] for u in tx}
+        by = {block[u] for u in ty}
         if bx != by:
             if bx - by:
-                extra, src, osrc = min(bx - by), x, y
+                extra, src, other = min(bx - by), tx, ty
             else:
-                extra, src, osrc = min(by - bx), y, x
-            u1 = min(u for u in tau[src] if block[u] == extra)
-            return distinguish(u1, min(tau[osrc]), depth - 1)
+                extra, src, other = min(by - bx), ty, tx
+            u1 = min(u for u in src if block[u] == extra)
+            return distinguish(u1, min(other), depth - 1)
         return []
 
-    return BisimResult(False, tuple(distinguish(r1, r2, witness_depth)), num_blocks)
+    return BisimResult(False, tuple(distinguish(r1, r2, witness_depth)), len(first))
 
 
 # -------------------------------------------------------- arena bridge

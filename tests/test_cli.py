@@ -261,6 +261,16 @@ def test_dot_empty_move(capsys, write):
     assert code == 2 and "error:" in err
 
 
+def test_bad_numeric_options_name_the_option(capsys, write):
+    f = write(RELAY)
+    code, out, err = run(capsys, "dot", f, "--what", "play", "--trace", "x")
+    assert code == 2 and out == ""
+    assert err == "error: bad --trace 'x': expected comma separated step indices\n"
+    code, out, err = run(capsys, "eq", f, f, "--gen", "1", "--limit", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --limit must be at least 0, got -1\n"
+
+
 # ---------------------------------------------------------- determinism
 
 

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actorgame.arena import Fork, Heartbeat, Sync, positions_isomorphic
 from actorgame.lts import (
@@ -144,27 +145,42 @@ def test_sync_between_identical_twins():
     assert len(syncs) == 2
 
 
+def assert_acyclic(graph):
+    # BFS numbering alone does not make every edge point at a later
+    # vertex, so peel off sources until none is left
+    n = len(graph.states)
+    indeg = [0] * n
+    for src in range(n):
+        for _, dst in graph.edges[src]:
+            indeg[dst] += 1
+    queue = [v for v in range(n) if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for _, dst in graph.edges[v]:
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                queue.append(dst)
+    assert seen == n
+
+
 def test_closed_graphs_are_dags(small_corpus):
     for gamma, terms in small_corpus.items():
         for t in terms[:12]:
-            graph = closed_graph(root_strategy(t, gamma))
-            # edges only point at strictly later discovered states is not
-            # guaranteed by BFS alone; check acyclicity explicitly
-            n = len(graph.states)
-            indeg = [0] * n
-            for src in range(n):
-                for _, dst in graph.edges[src]:
-                    indeg[dst] += 1
-            queue = [v for v in range(n) if indeg[v] == 0]
-            seen = 0
-            while queue:
-                v = queue.pop()
-                seen += 1
-                for _, dst in graph.edges[v]:
-                    indeg[dst] -= 1
-                    if indeg[dst] == 0:
-                        queue.append(dst)
-            assert seen == n
+            assert_acyclic(closed_graph(root_strategy(t, gamma)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(typed_terms())
+def test_random_terms_give_acyclic_graphs(tg):
+    # weak_bisim relies on this: every step consumes a prefix or a
+    # parallel node
+    t, gamma = tg
+    assert_acyclic(strategy_lts(t, gamma))
+    assert_acyclic(process_lts(t, gamma))
+    assert_acyclic(closed_graph(root_strategy(t, gamma)))
+    assert_acyclic(closed_graph(root_process(t, gamma)))
 
 
 # ------------------------------------------------------------ interface
@@ -404,6 +420,13 @@ def test_weak_bisim_identifies_duplicate_branches():
     assert weak_bisim(strategy_lts(a, 1), strategy_lts(b, 1)).equivalent
 
 
+def test_weak_bisim_rejects_cycles():
+    tick = ALab("tick")
+    loop = LtsGraph([0, 1], [((tick, 1),), ((tick, 0),)])
+    with pytest.raises(ValueError, match="vertex 0 of graph 2 lies on a cycle"):
+        weak_bisim(LtsGraph([0], [()]), loop)
+
+
 def test_weak_bisim_matches_naive_oracle_on_pairs(small_corpus):
     for gamma, terms in small_corpus.items():
         sample = terms[:10]
@@ -412,6 +435,78 @@ def test_weak_bisim_matches_naive_oracle_on_pairs(small_corpus):
             got = weak_bisim(graphs[i], graphs[j]).equivalent
             want = naive_weak_equiv(graphs[i], graphs[j])
             assert got == want, (gamma, i, j)
+
+
+def rerooted(graph, root):
+    """The part of ``graph`` reachable from ``root``, numbered from 0 in
+    BFS order."""
+    index = {root: 0}
+    order = [root]
+    for v in order:
+        for _, w in graph.edges[v]:
+            if w not in index:
+                index[w] = len(order)
+                order.append(w)
+    edges = [tuple((label, index[w]) for label, w in graph.edges[v]) for v in order]
+    return LtsGraph([graph.states[v] for v in order], edges)
+
+
+def test_weak_bisim_matches_naive_oracle_on_silent_pairs(corpus):
+    # graphs with silent edges, so that the stutter rule is at work: every
+    # pair among both sides of the first eight such terms per context, and
+    # the two ends of every silent edge, where a stuttering edge joins
+    # equivalent states
+    pairs, stutters = [], []
+    for gamma, terms in corpus.items():
+        graphs = []
+        for t in terms:
+            sides = [process_lts(t, gamma), strategy_lts(t, gamma)]
+            if len(sides[1].states) > 40 or not any(
+                l.is_silent for e in sides[1].edges for l, _ in e
+            ):
+                continue
+            for g in sides:
+                stutters += [
+                    (rerooted(g, v), rerooted(g, u))
+                    for v in range(len(g.states))
+                    for l, u in g.edges[v]
+                    if l.is_silent
+                ]
+            if len(graphs) < 16:
+                graphs += sides
+        assert len(graphs) == 16, gamma
+        pairs += itertools.combinations(graphs, 2)
+    answers = []
+    for g1, g2 in pairs + stutters:
+        answers.append(weak_bisim(g1, g2).equivalent)
+        assert answers[-1] == naive_weak_equiv(g1, g2)
+    assert any(answers[len(pairs) :])
+
+
+@st.composite
+def small_dags(draw):
+    """A graph on up to seven vertices whose edges all point at a later
+    vertex, labelled sync (silent), tick or in(1)."""
+    labels = [ALab("sync"), ALab("tick"), ALab("in", (1,))]
+    n = draw(st.integers(2, 7))
+    edges = [
+        tuple(draw(st.sets(st.tuples(st.sampled_from(labels), st.integers(v + 1, n - 1)), max_size=3)))
+        if v < n - 1
+        else ()
+        for v in range(n)
+    ]
+    return LtsGraph(list(range(n)), edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_dags())
+def test_weak_bisim_matches_naive_oracle_on_random_dags(g):
+    # every two vertices of one graph, so that a vertex is often compared
+    # with its own silent successors and with states that reach the same
+    # steps through them
+    subgraphs = [rerooted(g, v) for v in range(len(g.states))]
+    for g1, g2 in itertools.combinations(subgraphs, 2):
+        assert weak_bisim(g1, g2).equivalent == naive_weak_equiv(g1, g2)
 
 
 # SHA-256 over (equivalent, num_blocks, witness) of every pair below,
