@@ -538,8 +538,11 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph, witness_depth: int = 16) -> BisimResu
     tau_id = len(labels)
     k = tau_id + 1
     reach: list[frozenset[int]] = []  # per class: its T plus itself
-    weak: list[frozenset[int]] = []  # per class: its O
-    classes: dict[tuple, int] = {}  # (O, T) and (O, T plus itself) -> class
+    weak_pairs: list[frozenset[int]] = []  # per class: its O
+    # A class is found under the (O, T) of the vertex that founded it,
+    # and under (O, T plus itself), the (O, T) of a vertex stuttering
+    # into it.
+    classes: dict[tuple, int] = {}
     by_steps: dict[frozenset[int], int] = {}  # a vertex's own steps -> class
 
     def classify(v: int) -> int:
@@ -556,7 +559,7 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph, witness_depth: int = 16) -> BisimResu
             d, a = divmod(step, k)
             if a == tau_id:
                 t |= reach[d]
-                o |= weak[d]
+                o |= weak_pairs[d]
             else:
                 o.update(e * k + a for e in reach[d])
         key = (frozenset(o), frozenset(t))
@@ -565,7 +568,7 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph, witness_depth: int = 16) -> BisimResu
             c = len(reach)
             t.add(c)
             reach.append(frozenset(t))
-            weak.append(key[0])
+            weak_pairs.append(key[0])
             classes[key] = classes[key[0], reach[c]] = c
         by_steps[steps] = c
         return c

@@ -269,6 +269,8 @@ def test_bad_numeric_options_name_the_option(capsys, write):
     code, out, err = run(capsys, "eq", f, f, "--gen", "1", "--limit", "-1")
     assert code == 2 and out == ""
     assert err == "error: --limit must be at least 0, got -1\n"
+    code, _, err = run(capsys, "fair", f, "--gen", "1", "--width", "-2")
+    assert code == 2 and err == "error: --width must be at least 0, got -2\n"
 
 
 # ---------------------------------------------------------- determinism
