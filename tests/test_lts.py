@@ -460,11 +460,10 @@ def test_weak_bisim_matches_naive_oracle_on_silent_pairs(corpus):
     for gamma, terms in corpus.items():
         graphs = []
         for t in terms:
-            sides = [process_lts(t, gamma), strategy_lts(t, gamma)]
-            if len(sides[1].states) > 40 or not any(
-                l.is_silent for e in sides[1].edges for l, _ in e
-            ):
+            s = strategy_lts(t, gamma)
+            if len(s.states) > 40 or not any(l.is_silent for e in s.edges for l, _ in e):
                 continue
+            sides = [process_lts(t, gamma), s]
             for g in sides:
                 stutters += [
                     (rerooted(g, v), rerooted(g, u))
@@ -489,12 +488,10 @@ def small_dags(draw):
     vertex, labelled sync (silent), tick or in(1)."""
     labels = [ALab("sync"), ALab("tick"), ALab("in", (1,))]
     n = draw(st.integers(2, 7))
-    edges = [
-        tuple(draw(st.sets(st.tuples(st.sampled_from(labels), st.integers(v + 1, n - 1)), max_size=3)))
-        if v < n - 1
-        else ()
-        for v in range(n)
-    ]
+    edges = [()] * n
+    for v in range(n - 1):
+        later = st.tuples(st.sampled_from(labels), st.integers(v + 1, n - 1))
+        edges[v] = tuple(draw(st.sets(later, max_size=3)))
     return LtsGraph(list(range(n)), edges)
 
 
