@@ -71,9 +71,6 @@ class Position:
                     raise ValueError(f"player {pid} attached to unknown channel {ch}")
 
 
-EMPTY = Position(frozenset(), {})
-
-
 # ---------------------------------------------------------------- kinds
 
 

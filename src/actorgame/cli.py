@@ -113,6 +113,8 @@ def cmd_fair(args: argparse.Namespace) -> int:
     subject, gamma = _read_term(args.file)
     if (args.test is None) == (args.gen is None):
         raise ValueError("fair needs exactly one of --test FILE or --gen DEPTH")
+    if args.map is not None and args.test is None:
+        raise ValueError("--map needs --test: generated tests carry their own handle maps")
     if args.test is not None:
         tproc, tctx = _read_term(args.test)
         if args.map is not None:

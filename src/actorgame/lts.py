@@ -26,10 +26,10 @@ channel while naming a second handle it got it from; it is off by
 default and never changes h.
 
 One step engine serves both sides. An actor, a strategy player or a
-process thread, shows it its ``attach`` (the global channel of each
-local slot), its ``offers()`` and ``avatar(attach, cont)``, the actor
-that carries on as ``cont``; a state shows its ``actors`` and builds a
-``successor``. Offers are (seed key, ((choice, continuation), ...))
+process thread, has an ``attach`` field (the global channel of each
+local slot), ``offers()`` and ``avatar(attach, cont)``, the actor that
+carries on as ``cont``; a state has a sorted ``actors`` field and builds
+a ``successor``. Offers are (seed key, ((choice, continuation), ...))
 groups in enumeration order: a player reads them off its strategy
 table, a thread off its own syntax. A step's choice is the
 concatenation of its actors' choices, so closed labels read ``#i,j``
@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import arena
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
-from .strategy import Definite, SeedKey, interpret, prefix_to_key, strat_key
+from .strategy import Definite, SeedKey, interpret, prefix_to_key
 from .term import Par, Process, sort_key, typecheck
 
 # ------------------------------------------------------------- states
@@ -70,17 +70,13 @@ class PlayerState:
 
 
 def player_key(ps: PlayerState) -> tuple:
-    return (len(ps.attach), ps.attach, strat_key(ps.strat))
+    return (len(ps.attach), ps.attach, ps.strat)
 
 
 @dataclass(frozen=True)
 class GameState:
     num_channels: int
-    players: tuple[PlayerState, ...]
-
-    @property
-    def actors(self) -> tuple[PlayerState, ...]:
-        return self.players
+    actors: tuple[PlayerState, ...]
 
     def successor(self, created: int, players: list[PlayerState]) -> GameState:
         return game_state(self.num_channels + created, players)
@@ -103,11 +99,7 @@ def game_state(num_channels: int, players: Iterable[PlayerState]) -> GameState:
 @dataclass(frozen=True)
 class Thread:
     proc: Process
-    env: tuple[int, ...]
-
-    @property
-    def attach(self) -> tuple[int, ...]:
-        return self.env
+    attach: tuple[int, ...]
 
     def offers(self) -> list[Offer]:
         """The operational rules read off the syntax: a parallel offers
@@ -121,22 +113,20 @@ class Thread:
             for b, (prefix, cont) in enumerate(p.branches)
         ]
 
-    def avatar(self, env: tuple[int, ...], cont: Process) -> Thread:
-        return Thread(cont, env)
+    def avatar(self, attach: tuple[int, ...], cont: Process) -> Thread:
+        return Thread(cont, attach)
 
 
 def thread_key(t: Thread) -> tuple:
-    return (sort_key(t.proc), t.env)
+    # Terms cannot order themselves as strategies do: a Sum does not
+    # compare with a Par, nor a Recv with a Send.
+    return (sort_key(t.proc), t.attach)
 
 
 @dataclass(frozen=True)
 class ProcState:
     num_channels: int
-    threads: tuple[Thread, ...]
-
-    @property
-    def actors(self) -> tuple[Thread, ...]:
-        return self.threads
+    actors: tuple[Thread, ...]
 
     def successor(self, created: int, threads: list[Thread]) -> ProcState:
         return proc_state(self.num_channels + created, threads)
@@ -145,7 +135,7 @@ class ProcState:
 def proc_state(num_channels: int, threads: Iterable[Thread]) -> ProcState:
     ts = sorted(threads, key=thread_key)
     for t in ts:
-        for c in t.env:
+        for c in t.attach:
             if not 1 <= c <= num_channels:
                 raise ValueError(f"environment entry {c} outside 1..{num_channels}")
     return ProcState(num_channels, tuple(ts))
@@ -243,24 +233,8 @@ class AState:
     h: tuple[int, ...]
     subject: State
 
-    @property
-    def delta(self) -> int:
-        return len(self.h)
-
 
 # ---------------------------------------------------------- step engine
-
-
-@dataclass(frozen=True)
-class RawStep:
-    """A closed step with enough detail to rebuild the arena move: the
-    avatars each actor in ``label.actors`` became, and how many channels
-    the step created."""
-
-    label: StepLabel
-    state: State
-    avatars: tuple[tuple, ...]
-    created: int
 
 
 def _replace(state: State, created: int, moved: dict[int, tuple]) -> State:
@@ -324,10 +298,13 @@ def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[tupl
     return steps
 
 
-def raw_closed_steps(state: State) -> list[RawStep]:
+def raw_closed_steps(state: State) -> list[tuple]:
     """Closed steps in enumeration order: ticks by actor, then forks by
     actor, then syncs by sender then receiver, the choices of each step
-    innermost."""
+    innermost. Each is a (label, successor, avatars, created) tuple with
+    enough detail to rebuild the arena move: actor ``label.actors[i]``
+    became the avatars ``avatars[i]``, and the step created ``created``
+    channels."""
     _, ticks, forks, outs, ins = _scan(state)
     steps: list[tuple] = []
     for p, actor, attach, group in ticks:
@@ -335,7 +312,7 @@ def raw_closed_steps(state: State) -> list[RawStep]:
         for choice, cont in group:
             steps.append((kind, (p,), choice, 0, ((actor.avatar(attach, cont),),)))
     return [
-        RawStep(
+        (
             StepLabel(kind, actors, choice),
             _replace(state, created, dict(zip(actors, avatars))),
             avatars,
@@ -347,7 +324,7 @@ def raw_closed_steps(state: State) -> list[RawStep]:
 
 
 def closed_world_steps(state: State) -> list[tuple[StepLabel, object]]:
-    return [(r.label, r.state) for r in raw_closed_steps(state)]
+    return [(label, nxt) for label, nxt, _, _ in raw_closed_steps(state)]
 
 
 def interface_steps(ast: AState, enable_link: bool = False) -> list[tuple[ALab, AState]]:
@@ -424,27 +401,24 @@ class LtsGraph:
 def build_graph(root, successors: Callable, max_states: int = 200000) -> LtsGraph:
     """BFS the reachable states. Successor lists are deduplicated and
     sorted by label then target, so vertex numbering and edge order are
-    functions of the root alone."""
+    functions of the root alone. Two labels are equal exactly when their
+    sort keys are, so each edge is filed once under (sort key, target)."""
     index = {root: 0}
     states = [root]
     edges: list[tuple] = []
     frontier = 0
     while frontier < len(states):
         state = states[frontier]
-        seen = set()
-        outs = []
+        outs: dict[tuple, tuple] = {}
         for label, nxt in successors(state):
-            if nxt not in index:
+            dst = index.get(nxt)
+            if dst is None:
                 if len(states) >= max_states:
                     raise RuntimeError(f"state space exceeds {max_states} states")
-                index[nxt] = len(states)
+                dst = index[nxt] = len(states)
                 states.append(nxt)
-            pair = (label, index[nxt])
-            if pair not in seen:
-                seen.add(pair)
-                outs.append(pair)
-        outs.sort(key=lambda p: (p[0].sort_key(), p[1]))
-        edges.append(tuple(outs))
+            outs[label.sort_key(), dst] = (label, dst)
+        edges.append(tuple(edge for _, edge in sorted(outs.items())))
         frontier += 1
     return LtsGraph(states, edges)
 
@@ -473,7 +447,10 @@ class BisimResult:
     num_blocks: int
 
 
-def weak_bisim(g1: LtsGraph, g2: LtsGraph, witness_depth: int = 16) -> BisimResult:
+WITNESS_DEPTH = 16
+
+
+def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     """Decide weak bisimilarity of the two roots.
 
     Over the disjoint union of the two graphs, silent edges may be
@@ -494,8 +471,8 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph, witness_depth: int = 16) -> BisimResu
     first graph's vertices first.
 
     When the roots differ the witness is a label sequence tracing one
-    spine of a distinguishing experiment; it is a hint, not a
-    certificate.
+    spine of a distinguishing experiment, at most WITNESS_DEPTH labels
+    long; it is a hint, not a certificate.
     """
     # Edges as flat int arrays, so that coding a large graph allocates
     # no container per vertex for the cycle collector to walk: vertex
@@ -649,7 +626,7 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph, witness_depth: int = 16) -> BisimResu
             return distinguish(u1, min(other), depth - 1)
         return []
 
-    return BisimResult(False, tuple(distinguish(r1, r2, witness_depth)), len(first))
+    return BisimResult(False, tuple(distinguish(r1, r2, WITNESS_DEPTH)), len(first))
 
 
 # -------------------------------------------------------- arena bridge
@@ -662,7 +639,7 @@ def _position(state: GameState, chan_ids: dict[int, int], pids: Sequence[int]) -
         frozenset(chan_ids[c] for c in range(1, state.num_channels + 1)),
         {
             pid: arena.Player(tuple(chan_ids[c] for c in ps.attach))
-            for ps, pid in zip(state.players, pids)
+            for ps, pid in zip(state.actors, pids)
         },
     )
 
@@ -670,7 +647,7 @@ def _position(state: GameState, chan_ids: dict[int, int], pids: Sequence[int]) -
 def arena_position(g: GameState) -> arena.Position:
     """The current strategy-side state as a string-diagram position."""
     chan_ids = {c: arena.new_id() for c in range(1, g.num_channels + 1)}
-    return _position(g, chan_ids, [arena.new_id() for _ in g.players])
+    return _position(g, chan_ids, [arena.new_id() for _ in g.actors])
 
 
 def arena_trace(g0: GameState, indices: Sequence[int]) -> arena.Play:
@@ -683,7 +660,7 @@ def arena_trace(g0: GameState, indices: Sequence[int]) -> arena.Play:
     resulting moves compose on the nose.
     """
     chan_ids = {c: arena.new_id() for c in range(1, g0.num_channels + 1)}
-    pids = [arena.new_id() for _ in g0.players]
+    pids = [arena.new_id() for _ in g0.actors]
     pos = _position(g0, chan_ids, pids)
     play = arena.identity_play(pos)
     state = g0
@@ -693,27 +670,27 @@ def arena_trace(g0: GameState, indices: Sequence[int]) -> arena.Play:
             raise IndexError(
                 f"edge index {idx} out of range: state has {len(raws)} raw steps"
             )
-        r = raws[idx]
-        if r.created:
+        label, nxt, avatars, created = raws[idx]
+        if created:
             chan_ids[state.num_channels + 1] = arena.new_id()
-        repl = dict(zip(r.label.actors, r.avatars))
+        repl = dict(zip(label.actors, avatars))
         pairs: list[tuple[PlayerState, int]] = []
         player_map: dict[int, tuple[int, ...]] = {}
-        moving = frozenset(pids[i] for i in r.label.actors)
-        for i, ps in enumerate(state.players):
+        moving = frozenset(pids[i] for i in label.actors)
+        for i, ps in enumerate(state.actors):
             if i in repl:
                 fresh_pids = tuple(arena.new_id() for _ in repl[i])
                 player_map[pids[i]] = fresh_pids
                 pairs.extend(zip(repl[i], fresh_pids))
             else:
                 player_map[pids[i]] = (pids[i],)
-                pairs.append((state.players[i], pids[i]))
+                pairs.append((ps, pids[i]))
         pairs.sort(key=lambda pr: player_key(pr[0]))
-        assert tuple(ps for ps, _ in pairs) == r.state.players
+        assert tuple(ps for ps, _ in pairs) == nxt.actors
         pids = [pid for _, pid in pairs]
-        final = _position(r.state, chan_ids, pids)
+        final = _position(nxt, chan_ids, pids)
         move = arena.Move(
-            r.label.kind,
+            label.kind,
             pos,
             final,
             {c: c for c in pos.channels},
@@ -722,5 +699,5 @@ def arena_trace(g0: GameState, indices: Sequence[int]) -> arena.Play:
         )
         play = arena.compose(arena.play_of(move), play)
         pos = final
-        state = r.state
+        state = nxt
     return play

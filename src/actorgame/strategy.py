@@ -40,8 +40,6 @@ from .term import (
 
 SeedKey = tuple
 
-_KEY_TAGS = ("in", "out", "heart", "forkL", "forkR")
-
 
 def seed_order(key: SeedKey) -> tuple:
     """Sort key giving the fixed table order: in, out, heart, forkL, forkR."""
@@ -77,17 +75,7 @@ def check_key(key: SeedKey, n: int) -> None:
         raise ValueError(f"unknown seed key tag {tag!r}")
 
 
-def seed_keys(n: int) -> list[SeedKey]:
-    """All basic seed keys available at arity n, in table order."""
-    keys: list[SeedKey] = [("in", a) for a in range(1, n + 1)]
-    keys.extend(("out", a, b) for a in range(1, n + 1) for b in range(1, n + 1))
-    keys.append(("heart",))
-    keys.append(("forkL",))
-    keys.append(("forkR",))
-    return keys
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Plain:
     """A formal sum of definite strategies of one arity."""
 
@@ -95,9 +83,10 @@ class Plain:
     summands: tuple["Definite", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Definite:
-    """A strategy table: seed key to plain strategy for the avatar."""
+    """A strategy table: seed key to plain strategy for the avatar.
+    Strategies order by arity, then table entry by entry, key first."""
 
     arity: int
     table: tuple[tuple[SeedKey, Plain], ...] = ()
@@ -193,8 +182,7 @@ def _interp(p: Process, gamma: int) -> Definite:
     groups: dict[SeedKey, list[Definite]] = {}
     for prefix, cont in p.branches:
         key = prefix_to_key(prefix)
-        g2 = gamma + 1 if key[0] == "in" else gamma
-        groups.setdefault(key, []).append(_interp(cont, g2))
+        groups.setdefault(key, []).append(_interp(cont, key_arity(key, gamma)))
     return definite(
         gamma,
         [(key, Plain(key_arity(key, gamma), tuple(ds))) for key, ds in groups.items()],
@@ -267,17 +255,6 @@ def _key_str(key: SeedKey) -> str:
     return tag
 
 
-def strat_key(s: Definite) -> tuple:
-    """Hashable structural key; equal iff the strategies are equal."""
-    return (
-        s.arity,
-        tuple(
-            (key, tuple(strat_key(d) for d in plain.summands))
-            for key, plain in s.table
-        ),
-    )
-
-
 # ------------------------------------------------------------ enumerate
 
 
@@ -290,7 +267,6 @@ def enumerate_pure(arity: int, depth: int, width: int = 2):
     seen = set()
     for t in enumerate_terms(arity, depth, width):
         s = _interp(canonical(t), arity)
-        k = strat_key(s)
-        if k not in seen:
-            seen.add(k)
+        if s not in seen:
+            seen.add(s)
             yield s

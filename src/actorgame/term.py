@@ -9,6 +9,7 @@ gamma+1 names that mailbox. Terms are finite; there is no recursion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -183,9 +184,9 @@ class _Parser:
         return v
 
     def file(self) -> tuple[Process, int]:
-        w = self.expect("word")
-        if w[1] != "ctx":
-            raise ParseError("expected 'ctx'", *_linecol(self.text, w[2]))
+        if self.peek()[:2] != ("word", "ctx"):
+            raise self.fail(f"expected 'ctx', found {self.peek()[1] or 'end of input'!r}")
+        self.next()
         gamma = self.num("context size", 0)
         self.expect(".")
         p = self.proc()
@@ -204,17 +205,8 @@ class _Parser:
         return out
 
     def sum(self) -> Process:
-        kind, val, _ = self.peek()
-        if kind == "num":
-            if val != "0":
-                raise self.fail("a bare number is not a process; only 0 is")
-            self.next()
-            return NIL
-        if kind == "(":
-            self.next()
-            p = self.proc()
-            self.expect(")")
-            return p
+        if self.peek()[0] in ("num", "("):
+            return self.cont()
         branches = [self.branch()]
         while self.peek()[0] == "+":
             self.next()
@@ -334,10 +326,6 @@ def canonical(p: Process) -> Process:
 # parallel is 1 plus both sides. Sum width is bounded by ``width``;
 # parallels are binary and not width constrained.
 
-_terms_memo: dict[tuple[int, int, int, int], tuple[Process, ...]] = {}
-_branch_memo: dict[tuple[int, int, int, int], tuple[Branch, ...]] = {}
-
-
 def term_size(p: Process) -> int:
     if isinstance(p, Sum):
         return 1 + sum(1 + term_size(c) for _, c in p.branches)
@@ -367,11 +355,8 @@ def enumerate_terms(gamma: int, depth: int, width: int) -> Iterator[Process]:
         yield from _terms_of(gamma, size, depth, width)
 
 
+@functools.lru_cache(maxsize=None)
 def _terms_of(gamma: int, size: int, depth: int, width: int) -> tuple[Process, ...]:
-    key = (gamma, size, depth, width)
-    hit = _terms_memo.get(key)
-    if hit is not None:
-        return hit
     out: list[Process] = []
     if size == 1:
         out.append(NIL)
@@ -389,17 +374,12 @@ def _terms_of(gamma: int, size: int, depth: int, width: int) -> tuple[Process, .
                 continue
             rs = _terms_of(gamma + 1, size - 1 - left_size, depth - 1, width)
             out.extend(Par(l, r) for l in ls for r in rs)
-    res = tuple(out)
-    _terms_memo[key] = res
-    return res
+    return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
 def _branches_of(gamma: int, size: int, depth: int, width: int) -> tuple[Branch, ...]:
     # size counts the prefix (1) plus the continuation
-    key = (gamma, size, depth, width)
-    hit = _branch_memo.get(key)
-    if hit is not None:
-        return hit
     out: list[Branch] = []
     if size >= 2:
         conts_recv = _terms_of(gamma + 1, size - 1, depth - 1, width)
@@ -410,9 +390,7 @@ def _branches_of(gamma: int, size: int, depth: int, width: int) -> tuple[Branch,
             for b in range(1, gamma + 1):
                 out.extend((Send(a, b), c) for c in conts_same)
         out.extend((Tick(), c) for c in conts_same)
-    res = tuple(out)
-    _branch_memo[key] = res
-    return res
+    return tuple(out)
 
 
 def _compositions(total: int, k: int, lo: int) -> Iterator[tuple[int, ...]]:

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from actorgame.arena import (
-    EMPTY,
     Fork,
     ForkL,
     ForkR,
@@ -335,8 +334,10 @@ def test_position_check_rejects_unknown_channel():
 
 
 def test_empty_position():
-    assert EMPTY.channels == frozenset()
-    assert positions_isomorphic(EMPTY, Position(frozenset(), {}))
+    empty = Position(frozenset(), {})
+    empty.check()
+    assert positions_isomorphic(empty, Position(frozenset(), {}))
+    assert not positions_isomorphic(empty, Position(frozenset({new_id()}), {}))
 
 
 # ------------------------------------------------------------------ dot

@@ -240,6 +240,12 @@ def test_fair_needs_exactly_one_mode(capsys, write):
     assert code == 2 and "exactly one" in err
 
 
+def test_fair_map_needs_test(capsys, write):
+    f = write("ctx 1. rcv(1).tick.0")
+    code, out, err = run(capsys, "fair", f, "--map", "1", "--gen", "1", "--limit", "2")
+    assert code == 2 and out == "" and "--map" in err
+
+
 def test_eq_context_mismatch(capsys, write):
     a = write("ctx 0. tick.0", "a.act")
     b = write("ctx 1. tick.0", "b.act")

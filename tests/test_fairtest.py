@@ -40,7 +40,7 @@ def test_compose_game_shapes():
     s = interpret(term("ctx 1. rcv(1).0"), 1)
     g = compose_game(s, FTest((2,), 2, term("ctx 2. snd(2,1).0")))
     assert g.num_channels == 2
-    assert sorted(p.attach for p in g.players) == [(1, 2), (2,)]
+    assert sorted(p.attach for p in g.actors) == [(1, 2), (2,)]
     with pytest.raises(ValueError):
         compose_game(s, FTest((1, 2), 2, term("ctx 2. 0")))
 
@@ -50,7 +50,7 @@ def test_compose_proc_mirrors_game():
     test = FTest((2,), 2, term("ctx 2. snd(2,1).0"))
     s = compose_proc(subject, 1, test)
     assert s.num_channels == 2
-    assert sorted(t.env for t in s.threads) == [(1, 2), (2,)]
+    assert sorted(t.attach for t in s.actors) == [(1, 2), (2,)]
 
 
 # ---------------------------------------------------------------- in_bot

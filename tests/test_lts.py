@@ -70,8 +70,8 @@ def test_proc_state_rejects_bad_env():
 
 def test_root_states():
     g, s = roots("ctx 2. tick.0")
-    assert g.num_channels == 2 and g.players[0].attach == (1, 2)
-    assert s.num_channels == 2 and s.threads[0].env == (1, 2)
+    assert g.num_channels == 2 and g.actors[0].attach == (1, 2)
+    assert s.num_channels == 2 and s.actors[0].attach == (1, 2)
 
 
 # --------------------------------------------------------- closed world
@@ -109,10 +109,10 @@ def test_fork_creates_shared_channel():
     (label_g, nxt_g), = closed_world_steps(g)
     assert label_g.kind == Fork(1)
     assert nxt_g.num_channels == 2
-    assert all(p.attach == (1, 2) for p in nxt_g.players)
+    assert all(p.attach == (1, 2) for p in nxt_g.actors)
     (label_s, nxt_s), = closed_world_steps(s)
     assert nxt_s.num_channels == 2
-    assert all(t.env == (1, 2) for t in nxt_s.threads)
+    assert all(t.attach == (1, 2) for t in nxt_s.actors)
 
 
 def test_sync_moves_object_channel():
@@ -123,12 +123,12 @@ def test_sync_moves_object_channel():
     assert len(sync_steps) == 1
     label, g2 = sync_steps[0]
     assert label.kind == Sync(3, 1, 3, 1, 2)
-    receiver = next(p for p in g2.players if len(p.attach) == 4)
+    receiver = next(p for p in g2.actors if len(p.attach) == 4)
     assert receiver.attach == (1, 2, 3, 2)
     (_, s1), = closed_world_steps(s)
     sl, s2 = next(x for x in closed_world_steps(s1) if x[0].tag == "sync")
-    recv_thread = next(t for t in s2.threads if len(t.env) == 4)
-    assert recv_thread.env == (1, 2, 3, 2)
+    recv_thread = next(t for t in s2.actors if len(t.attach) == 4)
+    assert recv_thread.attach == (1, 2, 3, 2)
 
 
 def test_sync_needs_distinct_actors():
@@ -225,7 +225,7 @@ def test_interface_out_teaches_environment():
     (label, nxt), = interface_steps(root)
     assert label == ALab("out", (1, 1))
     assert nxt.h == (1, 1)
-    assert nxt.delta == 2
+    assert len(nxt.h) == 2
 
 
 def test_interface_out_needs_known_subject():
@@ -258,10 +258,10 @@ def test_interface_silent_fork_vs_observable_halves():
         if label.tag == "fork":
             assert nxt.h == root_state.h
             assert nxt.subject.num_channels == 1
-            assert len(nxt.subject.players) == 2
+            assert len(nxt.subject.actors) == 2
         else:
             assert nxt.h == root_state.h + (1,)
-            assert len(nxt.subject.players) == 1
+            assert len(nxt.subject.actors) == 1
 
 
 def test_link_rule_only_behind_flag():
@@ -579,5 +579,5 @@ def test_arena_trace_positions_track_states():
     play = arena_trace(g, [0, 0])
     assert type(play.moves[0].kind).__name__ == "Fork"
     assert play.moves[1].kind == Heartbeat(1)
-    state1 = raw_closed_steps(g)[0].state
+    _, state1, _, _ = raw_closed_steps(g)[0]
     assert positions_isomorphic(play.moves[0].final, arena_position(state1))

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actorgame.strategy import (
     Definite,
@@ -15,13 +16,11 @@ from actorgame.strategy import (
     prefix_of_key,
     prefix_to_key,
     readback,
-    seed_keys,
     seed_order,
-    strat_key,
     validate,
 )
 from actorgame.term import NIL, IllTyped, Par, Recv, Send, Sum, Tick, canonical, parse, pretty
-from gen import typed_terms
+from gen import terms, typed_terms
 
 
 def interp(text):
@@ -33,8 +32,7 @@ def interp(text):
 
 
 def test_seed_keys_in_table_order():
-    keys = seed_keys(2)
-    assert keys == [
+    keys = [
         ("in", 1),
         ("in", 2),
         ("out", 1, 1),
@@ -45,7 +43,7 @@ def test_seed_keys_in_table_order():
         ("forkL",),
         ("forkR",),
     ]
-    assert keys == sorted(keys, key=seed_order)
+    assert keys == sorted(reversed(keys), key=seed_order)
 
 
 def test_key_arity():
@@ -221,12 +219,15 @@ def test_dump_deterministic_under_branch_reordering():
     assert a == b
 
 
-def test_strat_key_injective_on_corpus(corpus):
-    for gamma, terms in corpus.items():
-        strategies = [interpret(t, gamma) for t in terms]
-        keys = {strat_key(s) for s in strategies}
-        distinct = {s for s in strategies}
-        assert len(keys) == len(distinct)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_strategies_are_totally_ordered(data):
+    # a field that does not order would make a comparison raise
+    gamma = data.draw(st.integers(0, 2))
+    a, b, c = (interpret(data.draw(terms(gamma)), gamma) for _ in range(3))
+    assert [a < b, b < a, a == b].count(True) == 1
+    assert (a == b) == (dump(a) == dump(b))
+    assert sorted([a, b, c]) == sorted([c, b, a])
 
 
 # ------------------------------------------------------------ enumerate
@@ -236,9 +237,8 @@ def test_enumerate_pure_streams_valid_unique():
     seen = set()
     for s in itertools.islice(enumerate_pure(1, 2), 80):
         validate(s)
-        k = strat_key(s)
-        assert k not in seen
-        seen.add(k)
+        assert s not in seen
+        seen.add(s)
         assert s.arity == 1
 
 

@@ -97,6 +97,15 @@ def test_parse_rejects(text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, found", [("", "'end of input'"), ("0", "'0'"), ("foo 1. 0", "'foo'")]
+)
+def test_bad_header_expects_ctx(text, found):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"expected 'ctx', found {found} at line 1, column 1"
+
+
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as exc:
         parse("ctx 1.\nrcv(1)")
