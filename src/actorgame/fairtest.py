@@ -12,6 +12,19 @@ tick-free steps can still reach, by tick-free steps, a state with an
 outgoing tick. The strict verdict asks that every immediate successor
 of the root have a direct tick available; a root with no steps passes
 vacuously.
+
+``in_bot`` reads both verdicts off a built closed graph. ``passes``
+reaches the same verdicts, failure witness included, without building
+one (``decide``). Every graph of this calculus is acyclic, since each
+step consumes a prefix or a parallel node, so a state that cannot
+reach a tick has a tick-free path to a deadlock: the weak verdict is
+deadlock reachability over tick-free steps. The search files each
+state under a channel-normalised form (``lts.channel_normal_form``);
+the step rules are equivariant under channel renaming, so a form's
+ticks, deadlocks and distances are those of every state it stands for.
+On a failure, a breadth-first search over concrete states that keeps
+only successors on shortest paths to a failing form rebuilds the
+witness ``in_bot`` would give.
 """
 
 from __future__ import annotations
@@ -26,11 +39,14 @@ from .lts import (
     LtsGraph,
     PlayerState,
     ProcState,
+    State,
     StepLabel,
     Thread,
-    closed_graph,
+    channel_normal_form,
+    closed_world_steps,
     game_state,
     proc_state,
+    tick_free_steps,
 )
 from .strategy import Definite, interpret
 from .term import Process, enumerate_terms, typecheck
@@ -164,6 +180,123 @@ def in_bot(g: LtsGraph, mode: str = "weak") -> Verdict:
     return Verdict(True, mode)
 
 
+UNBOUNDED = float("inf")
+
+
+class _Search:
+    """The weak verdict's search over channel-normalised states.
+
+    Each normal form met so far has an index into ``forms``; ``dist``
+    holds its tick-free distance to a form that cannot reach a tick: 0
+    for such a form, UNBOUNDED when none is reachable, None until known.
+    Forms and the concrete states of a witness search both count
+    against ``max_states``.
+    """
+
+    def __init__(self, max_states: int):
+        self.index: dict[State, int] = {}
+        self.forms: list[State] = []
+        self.dist: list[Optional[float]] = []
+        self.max_states = max_states
+        self.states = 0
+
+    def admit(self) -> None:
+        if self.states >= self.max_states:
+            raise RuntimeError(f"state space exceeds {self.max_states} states")
+        self.states += 1
+
+    def form_of(self, state: State) -> int:
+        form = channel_normal_form(state)
+        i = self.index.get(form)
+        if i is None:
+            self.admit()
+            i = self.index[form] = len(self.forms)
+            self.forms.append(form)
+            self.dist.append(None)
+        return i
+
+    def frame(self, i: int) -> tuple:
+        can_tick, steps = tick_free_steps(self.forms[i])
+        children = [self.form_of(nxt) for _, nxt in steps]
+        return i, can_tick, children, iter(children)
+
+    def distance(self, state: State) -> float:
+        """The distance of ``state``'s normal form, found depth first
+        below it if no earlier search met that form; every graph is
+        acyclic, so each form is finished after all of its successors."""
+        dist = self.dist
+        top = self.form_of(state)
+        if dist[top] is None:
+            stack = [self.frame(top)]
+            while stack:
+                i, can_tick, children, todo = stack[-1]
+                for c in todo:
+                    if dist[c] is None:
+                        stack.append(self.frame(c))
+                        break
+                else:
+                    stack.pop()
+                    ds = [dist[c] for c in children]
+                    dist[i] = 1 + min(ds, default=UNBOUNDED) if can_tick or any(ds) else 0
+        return dist[top]
+
+    def witness(self, root: State, top: int) -> tuple[str, ...]:
+        """The failure witness of ``in_bot``: breadth first over concrete
+        states with each state's steps in label order, keeping at depth
+        k only the unseen successors at distance ``top - k - 1``. These
+        are exactly the states on shortest paths to the forms that
+        cannot reach a tick, met in ``in_bot``'s queue order with its
+        parent pointers."""
+        parent: dict[State, tuple[State, StepLabel]] = {}
+        seen = {root}
+        level = [root]
+        for depth in range(top):
+            below, want = [], top - depth - 1
+            for u in level:
+                steps = sorted(tick_free_steps(u)[1], key=lambda step: step[0].sort_key())
+                for label, nxt in steps:
+                    if nxt not in seen and self.distance(nxt) == want:
+                        self.admit()
+                        seen.add(nxt)
+                        parent[nxt] = (u, label)
+                        below.append(nxt)
+            level = below
+        v = level[0]
+        labels = []
+        while v in parent:
+            v, label = parent[v]
+            labels.append(label.render())
+        return tuple(reversed(labels))
+
+
+def decide(state: State, mode: str = "weak", max_states: int = 200000) -> Verdict:
+    """``in_bot(closed_graph(state), mode)``, found without building the
+    graph.
+
+    weak: every graph is acyclic, so a state that cannot reach a tick
+    has a tick-free path to a deadlock, a state with no steps at all,
+    and the composite passes exactly when no deadlock is reachable by
+    tick-free steps. The search follows
+    tick-free steps only, over channel-normalised forms: the step rules
+    are equivariant under channel renaming, so a form's distance to the
+    nearest state that cannot reach a tick is that of every state it
+    stands for. strict: the root's steps in label order, each checked
+    for a direct tick.
+    """
+    if mode == "strict":
+        for label, nxt in sorted(closed_world_steps(state), key=lambda step: step[0].sort_key()):
+            if not tick_free_steps(nxt)[0]:
+                return Verdict(False, mode, (label.render(),))
+        return Verdict(True, mode)
+    if mode != "weak":
+        raise ValueError(f"unknown verdict mode {mode!r}")
+    search = _Search(max_states)
+    top = search.distance(state)
+    if top == UNBOUNDED:
+        return Verdict(True, mode)
+    return Verdict(False, mode, search.witness(state, int(top)))
+
+
 def passes(
     subject: Process,
     gamma: int,
@@ -177,7 +310,7 @@ def passes(
         st = compose_proc(subject, gamma, test)
     else:
         raise ValueError(f"unknown side {side!r}")
-    return in_bot(closed_graph(st), mode)
+    return decide(st, mode)
 
 
 # ----------------------------------------------------------- test sets

@@ -246,6 +246,39 @@ def _replace(state: State, created: int, moved: dict[int, tuple]) -> State:
     return state.successor(created, actors)
 
 
+def channel_normal_form(state: State) -> State:
+    """A channel renaming of ``state`` without its inert actors.
+
+    The live actors are taken in an order that ignores channels (by
+    strategy, or by term), channels are renumbered 1, 2, ... by first
+    occurrence in that order, and channels no actor holds are dropped,
+    so the next fresh channel is still ``num_channels + 1``. Every step
+    rule is equivariant under channel bijections and an inert actor
+    never moves, so the form has the steps of ``state`` up to that
+    renaming and to actor indices. It is *a* renaming, not a canonical
+    one: equal actors keep their order in ``state``.
+    """
+    if isinstance(state, GameState):
+        live = sorted((a for a in state.actors if a.strat.table), key=lambda a: a.strat)
+        bodies = [a.strat for a in live]
+    else:
+        # threads are already sorted by term first
+        live = [t for t in state.actors if isinstance(t.proc, Par) or t.proc.branches]
+        bodies = [t.proc for t in live]
+    names: dict[int, int] = {}
+    for a in live:
+        for c in a.attach:
+            if c not in names:
+                names[c] = len(names) + 1
+    return type(state)(
+        len(names),
+        tuple(
+            a.avatar(tuple(names[c] for c in a.attach), body)
+            for a, body in zip(live, bodies)
+        ),
+    )
+
+
 def _scan(state: State) -> tuple[list, ...]:
     """Read every actor's attachment and offers once, and file each
     group under the rule that consumes it."""
@@ -320,6 +353,16 @@ def raw_closed_steps(state: State) -> list[tuple]:
         )
         for kind, actors, choice, created, avatars in steps
         + _silent_steps(state, forks, outs, ins)
+    ]
+
+
+def tick_free_steps(state: State) -> tuple[bool, list[tuple[StepLabel, State]]]:
+    """Whether ``state`` can tick, and its forks and syncs as (label,
+    successor) pairs in the order of ``raw_closed_steps``."""
+    _, ticks, forks, outs, ins = _scan(state)
+    return bool(ticks), [
+        (StepLabel(kind, actors, choice), _replace(state, created, dict(zip(actors, avatars))))
+        for kind, actors, choice, created, avatars in _silent_steps(state, forks, outs, ins)
     ]
 
 

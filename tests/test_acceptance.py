@@ -2,9 +2,9 @@
 
 Seven criteria, one test each, run in definition order. Each prints a
 single PASS or FAIL line (visible under ``pytest -s``) and asserts it.
-Closed-world composites built while running criteria 2 and 6 are
-recorded and replayed against a brute-force verdict oracle in
-criterion 7.
+The composite roots whose verdicts criteria 2 and 6 search for are
+recorded, and criterion 7 checks each verdict against the one read off
+the full closed graph and against a brute-force oracle.
 """
 
 import itertools
@@ -32,6 +32,7 @@ from actorgame.lts import (
     AState,
     PlayerState,
     build_graph,
+    closed_graph,
     game_state,
     interface_steps,
     process_lts,
@@ -56,18 +57,20 @@ _REGISTRY: dict[str, object] = {}
 
 @contextmanager
 def _recording():
-    """Capture every closed graph fed to the verdict check."""
-    orig = fairtest_mod.in_bot
+    """Capture every composite root fed to the verdict search, with the
+    verdict it gave."""
+    orig = fairtest_mod.decide
 
-    def recording(g, mode="weak"):
-        _REGISTRY.setdefault(g.dump(), g)
-        return orig(g, mode)
+    def recording(state, mode="weak"):
+        verdict = orig(state, mode)
+        _REGISTRY[state, mode] = verdict
+        return verdict
 
-    fairtest_mod.in_bot = recording
+    fairtest_mod.decide = recording
     try:
         yield
     finally:
-        fairtest_mod.in_bot = orig
+        fairtest_mod.decide = orig
 
 
 def _report(num, ok, detail):
@@ -320,13 +323,16 @@ def test_criterion_7_verdicts_against_oracle():
                         passes(subject, gamma, t, "game")
                         passes(subject, gamma, t, "process")
     checked = failed = 0
-    for g in _REGISTRY.values():
+    for (root, mode), verdict in _REGISTRY.items():
         checked += 1
-        if in_bot(g).passed != brute_in_bot(g):
+        g = closed_graph(root)
+        reference = in_bot(g, mode)
+        if verdict != reference or (mode == "weak" and reference.passed != brute_in_bot(g)):
             failed += 1
     ok = failed == 0 and checked > 0
     _report(
         7,
         ok,
-        f"verdicts match the brute-force oracle on all {checked} recorded composites",
+        f"verdicts match the full closed graph and the brute-force oracle on "
+        f"all {checked} recorded composites",
     )

@@ -1,12 +1,17 @@
+import functools
 import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from actorgame import cli, fairtest
 from actorgame.fairtest import Test as FTest
 from actorgame.fairtest import (
     compose_game,
     compose_proc,
+    decide,
     eq_check,
     gen_tests,
     in_bot,
@@ -16,6 +21,7 @@ from actorgame.fairtest import (
 from actorgame.lts import closed_graph, process_lts, root_strategy, strategy_lts
 from actorgame.strategy import interpret
 from actorgame.term import parse
+from gen import terms
 from oracles import brute_in_bot, count_terms
 
 
@@ -171,6 +177,70 @@ def test_large_composite_fail_witnesses():
         "fail witness: fork(1)@1#;fork(2)@1#;fork(2)@3#;fork(3)@1#;"
         "fork(3)@4#;sync(1;1|4;1,1)@3,4#0,1;sync(4;1|2;1,1)@4,1#0,0"
     )
+
+
+@st.composite
+def composites(draw):
+    """A random subject at context 0-2 composed, on a random side, with a
+    random test at context 0-2 under a random handle map."""
+    gamma = draw(st.integers(0, 2))
+    ctx = draw(st.integers(1 if gamma else 0, 2))
+    h = draw(st.tuples(*[st.integers(1, ctx)] * gamma))
+    subject = draw(terms(gamma))
+    test = FTest(h, ctx, draw(terms(ctx)))
+    if draw(st.sampled_from(["game", "process"])) == "game":
+        return compose_game(interpret(subject, gamma), test)
+    return compose_proc(subject, gamma, test)
+
+
+@settings(max_examples=150, deadline=None)
+@given(composites())
+def test_search_matches_full_graph_verdict(root):
+    g = closed_graph(root)
+    for mode in ("weak", "strict"):
+        assert decide(root, mode) == in_bot(g, mode)
+    # the weak verdict is deadlock reachability: every graph is acyclic
+    reached, stack = {g.root}, [g.root]
+    while stack:
+        for label, d in g.edges[stack.pop()]:
+            if not label.is_tick and d not in reached:
+                reached.add(d)
+                stack.append(d)
+    assert in_bot(g).passed == all(g.edges[v] for v in reached)
+
+
+def test_search_counts_forms_and_witness_states():
+    # root, forked and ticking: three forms, no witness
+    relay = compose_proc(term("ctx 1. snd(2,2).0 | rcv(2).tick.0"), 1, EMPTY1)
+    assert decide(relay, max_states=3).passed
+    with pytest.raises(RuntimeError, match="state space exceeds 2 states"):
+        decide(relay, max_states=2)
+    # root, forked and deadlocked forms, then two witness states
+    late = compose_proc(term("ctx 1. snd(2,2).0 | rcv(2).0 + tick.0"), 1, EMPTY1)
+    assert not decide(late, max_states=5).passed
+    with pytest.raises(RuntimeError, match="state space exceeds 4 states"):
+        decide(late, max_states=4)
+
+
+def test_state_bound_is_an_input_error(tmp_path, monkeypatch, capsys):
+    big = (
+        "ctx 1. ((rcv(1).0 | snd(2,1).0) | (rcv(2).tick.0 | snd(2,2).0)) "
+        "| ((tick.0 | rcv(1).0) | (snd(1,1).0 | rcv(3).0))"
+    )
+    subject = tmp_path / "subject.act"
+    subject.write_text("ctx 1. rcv(1).tick.0 + snd(1,1).0\n")
+    test = tmp_path / "test.act"
+    test.write_text(big + "\n")
+    argv = ["fair", str(subject), "--test", str(test)]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(fairtest, "decide", functools.partial(decide, max_states=50))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: state space exceeds 50 states\n"
+
+
+def test_passes_rejects_unknown_mode():
+    with pytest.raises(ValueError):
+        passes(term("ctx 0. 0"), 0, EMPTY0, mode="sloppy")
 
 
 def test_passes_rejects_unknown_side():
