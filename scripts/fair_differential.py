@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Check the fair verdict search against the verdict read off the full
+closed graph.
+
+Every composite is decided twice, in both modes: by ``decide``, the
+search over channel-normalised states that ``passes`` uses, and by
+``in_bot(closed_graph(root))``. The composites are the four subjects of
+acceptance criterion 6 against every test of the context-1, depth-2
+suite on both sides (86776 composites), and the three large closed
+composites of the benchmark's ``closed`` workload on both sides. The
+verdicts must agree on pass or fail and on the failure witness.
+
+    PYTHONPATH=src python3 scripts/fair_differential.py
+
+Takes a few minutes; prints the composites and verdicts checked, each
+mismatch, and the time.
+"""
+
+import sys
+import time
+
+from actorgame.fairtest import compose_game, compose_proc, decide, gen_tests, identity_test, in_bot
+from actorgame.lts import closed_graph, root_process, root_strategy
+from actorgame.strategy import interpret
+from actorgame.term import parse
+
+SUBJECTS = {
+    "A": "ctx 1. rcv(1).tick.0",
+    "B": "ctx 1. rcv(1).tick.0 + rcv(1).0",
+    "C": "ctx 1. rcv(1).0 + rcv(1).0",
+    "D": "ctx 1. rcv(1).0",
+}
+BIG = (
+    "ctx 1. ((rcv(1).0 | snd(2,1).0) | (rcv(2).tick.0 | snd(2,2).0)) "
+    "| ((tick.0 | rcv(1).0) | (snd(1,1).0 | rcv(3).0))"
+)
+PASS_SUBJECT = "ctx 1. rcv(1).tick.0 + snd(1,1).0"
+FAIL_SUBJECT = "ctx 1. snd(1,1).rcv(1).0 + rcv(1).snd(1,1).0"
+FAIL_TEST = (
+    "ctx 1. ((rcv(1).tick.0 | rcv(1).0) | (snd(2,1).0 | rcv(2).0)) "
+    "| ((rcv(2).0 | snd(2,2).0) | (snd(1,1).0 | rcv(3).0))"
+)
+
+
+def term(text):
+    return parse(text)[0]
+
+
+def composites():
+    """(name, root) pairs: the suite composites, then the closed ones."""
+    suite = list(gen_tests(1, 2))
+    for name, text in SUBJECTS.items():
+        subject = term(text)
+        strategy = interpret(subject, 1)
+        for k, test in enumerate(suite):
+            yield f"{name} test#{k} game", compose_game(strategy, test)
+            yield f"{name} test#{k} process", compose_proc(subject, 1, test)
+    big = term(BIG)
+    yield "BIG game", root_strategy(big, 1)
+    yield "BIG process", root_process(big, 1)
+    for name, subject, test in (
+        ("PASS", PASS_SUBJECT, BIG),
+        ("FAIL", FAIL_SUBJECT, FAIL_TEST),
+    ):
+        t = identity_test(1, term(test))
+        yield f"{name} game", compose_game(interpret(term(subject), 1), t)
+        yield f"{name} process", compose_proc(term(subject), 1, t)
+
+
+def main() -> int:
+    start = time.perf_counter()
+    checked = verdicts = mismatches = 0
+    for name, root in composites():
+        checked += 1
+        g = closed_graph(root)
+        for mode in ("weak", "strict"):
+            verdicts += 1
+            got, want = decide(root, mode), in_bot(g, mode)
+            if got != want:
+                mismatches += 1
+                print(f"mismatch {name} {mode}: search {got.render()!r}, graph {want.render()!r}")
+    elapsed = time.perf_counter() - start
+    print(f"composites {checked}, verdicts {verdicts}, mismatches {mismatches}, {elapsed:.1f}s")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,7 +52,7 @@ C6_SUITE_SIZE = 10847  # all tests at context 1, depth 2, width 2
 C7_FLOOR_SUBJECTS = 5  # standalone run only, when nothing was recorded
 C7_FLOOR_TESTS = 8
 
-_REGISTRY: dict[str, object] = {}
+_REGISTRY: dict[tuple, object] = {}
 
 
 @contextmanager
