@@ -33,7 +33,7 @@ Seed shapes:
 
 Fork, Sync and Heartbeat are the closed-world kinds; ForkL, ForkR,
 Input, Output and Heartbeat are the basic kinds a single strategy table
-indexes.
+indexes. Kinds order by class name, then field by field.
 """
 
 from __future__ import annotations
@@ -74,41 +74,48 @@ class Position:
 # ---------------------------------------------------------------- kinds
 
 
+class _Kind:
+    def __lt__(self, other: MoveKind) -> bool:
+        return (type(self).__name__, *vars(self).values()) < (
+            type(other).__name__, *vars(other).values()
+        )
+
+
 @dataclass(frozen=True)
-class Fork:
+class Fork(_Kind):
     n: int
 
 
 @dataclass(frozen=True)
-class ForkL:
+class ForkL(_Kind):
     n: int
 
 
 @dataclass(frozen=True)
-class ForkR:
+class ForkR(_Kind):
     n: int
 
 
 @dataclass(frozen=True)
-class Input:
+class Input(_Kind):
     n: int
     a: int
 
 
 @dataclass(frozen=True)
-class Output:
+class Output(_Kind):
     m: int
     c: int
     d: int
 
 
 @dataclass(frozen=True)
-class Heartbeat:
+class Heartbeat(_Kind):
     n: int
 
 
 @dataclass(frozen=True)
-class Sync:
+class Sync(_Kind):
     n: int
     a: int
     m: int

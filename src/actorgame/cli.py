@@ -84,6 +84,8 @@ def cmd_interp(args: argparse.Namespace) -> int:
 def cmd_lts(args: argparse.Namespace) -> int:
     proc, gamma = _read_term(args.file)
     if args.world == "closed":
+        if args.enable_link:
+            raise ValueError("--enable-link needs --world interface: a closed world has no links")
         root = (
             root_strategy(proc, gamma)
             if args.side == "strategy"

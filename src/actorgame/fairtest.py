@@ -55,13 +55,14 @@ from .term import Process, enumerate_terms, typecheck
 @dataclass(frozen=True)
 class Test:
     """A testing context: h wires subject interface channel i to test
-    channel h[i-1]; proc is the test's own behavior at context ctx."""
+    channel h[i-1]; proc is the test's own behavior at context ctx.
+    A test is checked once, when it is built."""
 
     h: tuple[int, ...]
     ctx: int
     proc: Process
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         for i, c in enumerate(self.h, 1):
             if not 1 <= c <= self.ctx:
                 raise ValueError(f"handle {i} wired to {c}, outside 1..{self.ctx}")
@@ -73,7 +74,6 @@ def identity_test(gamma: int, proc: Process) -> Test:
 
 
 def compose_game(subject: Definite, test: Test) -> GameState:
-    test.check()
     if subject.arity != len(test.h):
         raise ValueError(
             f"subject arity {subject.arity} does not match handle map of "
@@ -89,7 +89,6 @@ def compose_game(subject: Definite, test: Test) -> GameState:
 
 
 def compose_proc(subject: Process, gamma: int, test: Test) -> ProcState:
-    test.check()
     typecheck(subject, gamma)
     if gamma != len(test.h):
         raise ValueError(
@@ -253,7 +252,7 @@ class _Search:
         for depth in range(top):
             below, want = [], top - depth - 1
             for u in level:
-                steps = sorted(tick_free_steps(u)[1], key=lambda step: step[0].sort_key())
+                steps = sorted(tick_free_steps(u)[1], key=lambda step: step[0])
                 for label, nxt in steps:
                     if nxt not in seen and self.distance(nxt) == want:
                         self.admit()
@@ -284,7 +283,7 @@ def decide(state: State, mode: str = "weak", max_states: int = 200000) -> Verdic
     for a direct tick.
     """
     if mode == "strict":
-        for label, nxt in sorted(closed_world_steps(state), key=lambda step: step[0].sort_key()):
+        for label, nxt in sorted(closed_world_steps(state), key=lambda step: step[0]):
             if not tick_free_steps(nxt)[0]:
                 return Verdict(False, mode, (label.render(),))
         return Verdict(True, mode)

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 from . import arena
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
 from .strategy import Definite, SeedKey, interpret, prefix_to_key
-from .term import Par, Process, sort_key, typecheck
+from .term import Par, Process, typecheck
 
 # ------------------------------------------------------------- states
 
@@ -54,6 +54,8 @@ Offer = tuple[SeedKey, tuple[tuple[tuple[int, ...], object], ...]]
 
 @dataclass(frozen=True)
 class PlayerState:
+    """A strategy player; players order by arity, attachment, strategy."""
+
     attach: tuple[int, ...]
     strat: Definite
 
@@ -68,9 +70,11 @@ class PlayerState:
     def avatar(self, attach: tuple[int, ...], cont: Definite) -> PlayerState:
         return PlayerState(attach, cont)
 
-
-def player_key(ps: PlayerState) -> tuple:
-    return (len(ps.attach), ps.attach, ps.strat)
+    def __lt__(self, other: PlayerState) -> bool:
+        a, b = self.attach, other.attach
+        if a == b:
+            return self.strat < other.strat
+        return (len(a), a) < (len(b), b)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class GameState:
 
 
 def game_state(num_channels: int, players: Iterable[PlayerState]) -> GameState:
-    ps = sorted(players, key=player_key)
+    ps = sorted(players)
     for p in ps:
         if len(p.attach) != p.strat.arity:
             raise ValueError(
@@ -96,7 +100,7 @@ def game_state(num_channels: int, players: Iterable[PlayerState]) -> GameState:
     return GameState(num_channels, tuple(ps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Thread:
     proc: Process
     attach: tuple[int, ...]
@@ -117,12 +121,6 @@ class Thread:
         return Thread(cont, attach)
 
 
-def thread_key(t: Thread) -> tuple:
-    # Terms cannot order themselves as strategies do: a Sum does not
-    # compare with a Par, nor a Recv with a Send.
-    return (sort_key(t.proc), t.attach)
-
-
 @dataclass(frozen=True)
 class ProcState:
     num_channels: int
@@ -133,7 +131,7 @@ class ProcState:
 
 
 def proc_state(num_channels: int, threads: Iterable[Thread]) -> ProcState:
-    ts = sorted(threads, key=thread_key)
+    ts = sorted(threads)
     for t in ts:
         for c in t.attach:
             if not 1 <= c <= num_channels:
@@ -158,16 +156,10 @@ def root_process(p: Process, gamma: int) -> ProcState:
 # ------------------------------------------------------------- labels
 
 
-def _kind_key(kind: MoveKind) -> tuple:
-    return (type(kind).__name__,) + tuple(
-        getattr(kind, f) for f in kind.__dataclass_fields__
-    )
-
-
 _CLOSED_TAG = {"Heartbeat": "tick", "Fork": "fork", "Sync": "sync"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class StepLabel:
     """Closed-world edge label: the move kind, the indices of the actors
     in the source state, and the summand or branch indices chosen."""
@@ -193,11 +185,8 @@ class StepLabel:
         ch = ",".join(str(i) for i in self.choice)
         return f"{kind_label(self.kind)}@{a}#{ch}"
 
-    def sort_key(self) -> tuple:
-        return (_kind_key(self.kind), self.actors, self.choice)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ALab:
     """Interface edge label. Observable tags: tick, in, out, forkL,
     forkR, link; silent tags: sync, fork. Arguments are global channel
@@ -218,9 +207,6 @@ class ALab:
         if not self.args:
             return self.tag
         return f"{self.tag}({','.join(str(a) for a in self.args)})"
-
-    def sort_key(self) -> tuple:
-        return (self.tag, self.args)
 
 
 SILENT_TAGS = frozenset({"sync", "fork"})
@@ -444,15 +430,14 @@ class LtsGraph:
 def build_graph(root, successors: Callable, max_states: int = 200000) -> LtsGraph:
     """BFS the reachable states. Successor lists are deduplicated and
     sorted by label then target, so vertex numbering and edge order are
-    functions of the root alone. Two labels are equal exactly when their
-    sort keys are, so each edge is filed once under (sort key, target)."""
+    functions of the root alone."""
     index = {root: 0}
     states = [root]
     edges: list[tuple] = []
     frontier = 0
     while frontier < len(states):
         state = states[frontier]
-        outs: dict[tuple, tuple] = {}
+        outs: set[tuple] = set()
         for label, nxt in successors(state):
             dst = index.get(nxt)
             if dst is None:
@@ -460,8 +445,8 @@ def build_graph(root, successors: Callable, max_states: int = 200000) -> LtsGrap
                     raise RuntimeError(f"state space exceeds {max_states} states")
                 dst = index[nxt] = len(states)
                 states.append(nxt)
-            outs[label.sort_key(), dst] = (label, dst)
-        edges.append(tuple(edge for _, edge in sorted(outs.items())))
+            outs.add((label, dst))
+        edges.append(tuple(sorted(outs)))
         frontier += 1
     return LtsGraph(states, edges)
 
@@ -523,8 +508,7 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     # observable steps go to dsts[at[v]:at[v + 1]] under the label ids
     # in labs.
     n1 = len(g1.states)
-    labels: list = []
-    label_ids: dict[tuple, int] = {}
+    label_ids: dict[object, int] = {}
     taus: list[int] = []
     labs: list[int] = []
     dsts: list[int] = []
@@ -535,14 +519,12 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
                 if label.tag in SILENT_TAGS:
                     taus.append(base + dst)
                     continue
-                a = label_ids.setdefault(label.sort_key(), len(labels))
-                if a == len(labels):
-                    labels.append(label)
-                labs.append(a)
+                labs.append(label_ids.setdefault(label, len(label_ids)))
                 dsts.append(base + dst)
             tau_at.append(len(taus))
             at.append(len(dsts))
     n = len(at) - 1
+    labels = list(label_ids)
 
     def silent(v: int) -> list[int]:
         return taus[tau_at[v] : tau_at[v + 1]]
@@ -644,7 +626,7 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
         if depth == 0:
             return []
         wx, wy = weak_successors(x), weak_successors(y)
-        for a in sorted(wx.keys() | wy.keys(), key=lambda a: labels[a].sort_key()):
+        for a in sorted(wx.keys() | wy.keys(), key=lambda a: labels[a]):
             bx = {block[w] for w in wx.get(a, ())}
             by = {block[w] for w in wy.get(a, ())}
             if bx == by:
@@ -728,7 +710,7 @@ def arena_trace(g0: GameState, indices: Sequence[int]) -> arena.Play:
             else:
                 player_map[pids[i]] = (pids[i],)
                 pairs.append((ps, pids[i]))
-        pairs.sort(key=lambda pr: player_key(pr[0]))
+        pairs.sort(key=lambda pr: pr[0])
         assert tuple(ps for ps, _ in pairs) == nxt.actors
         pids = [pid for _, pid in pairs]
         final = _position(nxt, chan_ids, pids)

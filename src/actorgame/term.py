@@ -5,6 +5,9 @@ A receive prefix binds the transmitted channel, so its continuation is
 typed in context gamma+1. A parallel composition shares one fresh mailbox
 between its children, so both children are typed in gamma+1 and index
 gamma+1 names that mailbox. Terms are finite; there is no recursion.
+
+Prefixes order receive < send < tick and terms choice < parallel, then
+field by field; this is the canonical order of threads and branches.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ class Send:
     subject: int
     obj: int
 
+    def __lt__(self, other: Prefix) -> bool:
+        if isinstance(other, Send):
+            return (self.subject, self.obj) < (other.subject, other.obj)
+        return isinstance(other, Tick)
+
 
 @dataclass(frozen=True)
 class Recv:
@@ -30,10 +38,18 @@ class Recv:
 
     subject: int
 
+    def __lt__(self, other: Prefix) -> bool:
+        if isinstance(other, Recv):
+            return self.subject < other.subject
+        return isinstance(other, (Send, Tick))
+
 
 @dataclass(frozen=True)
 class Tick:
     """Success beacon; the observable that fair testing counts."""
+
+    def __lt__(self, other: Prefix) -> bool:
+        return False
 
 
 Prefix = Union[Send, Recv, Tick]
@@ -45,6 +61,11 @@ class Sum:
 
     branches: tuple["Branch", ...] = ()
 
+    def __lt__(self, other: Process) -> bool:
+        if isinstance(other, Sum):
+            return self.branches < other.branches
+        return isinstance(other, Par)
+
 
 @dataclass(frozen=True)
 class Par:
@@ -52,6 +73,9 @@ class Par:
 
     left: "Process"
     right: "Process"
+
+    def __lt__(self, other: Process) -> bool:
+        return isinstance(other, Par) and (self.left, self.right) < (other.left, other.right)
 
 
 Process = Union[Sum, Par]
@@ -294,26 +318,11 @@ def unparse(p: Process, gamma: int) -> str:
 # ---------------------------------------------------------------- ordering
 
 
-def prefix_key(prefix: Prefix) -> tuple:
-    if isinstance(prefix, Recv):
-        return (0, prefix.subject)
-    if isinstance(prefix, Send):
-        return (1, prefix.subject, prefix.obj)
-    return (2,)
-
-
-def sort_key(p: Process) -> tuple:
-    """Total order on terms, used for canonical thread ordering."""
-    if isinstance(p, Sum):
-        return (0, tuple((prefix_key(a), sort_key(c)) for a, c in p.branches))
-    return (1, sort_key(p.left), sort_key(p.right))
-
-
 def canonical(p: Process) -> Process:
     """Stable-sort all branch lists by prefix. Branch multiplicity is kept."""
     if isinstance(p, Sum):
         bs = [(a, canonical(c)) for a, c in p.branches]
-        bs.sort(key=lambda b: prefix_key(b[0]))
+        bs.sort(key=lambda b: b[0])
         return Sum(tuple(bs))
     return Par(canonical(p.left), canonical(p.right))
 

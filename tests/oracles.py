@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from actorgame.term import Recv, Send, Sum
+
 
 @lru_cache(maxsize=None)
 def count_terms(gamma: int, depth: int, width: int) -> int:
@@ -121,3 +123,42 @@ def naive_weak_equiv(g1, g2) -> bool:
                 rel.discard(pair)
                 changed = True
     return (g1.root, n1 + g2.root) in rel
+
+
+# The sort keys the package used before its values ordered themselves.
+# Each native order must sort as its key does, and two values must be
+# equal exactly when their keys are.
+
+
+def prefix_key(prefix) -> tuple:
+    if isinstance(prefix, Recv):
+        return (0, prefix.subject)
+    if isinstance(prefix, Send):
+        return (1, prefix.subject, prefix.obj)
+    return (2,)
+
+
+def term_key(p) -> tuple:
+    if isinstance(p, Sum):
+        return (0, tuple((prefix_key(a), term_key(c)) for a, c in p.branches))
+    return (1, term_key(p.left), term_key(p.right))
+
+
+def thread_key(t) -> tuple:
+    return (term_key(t.proc), t.attach)
+
+
+def player_key(ps) -> tuple:
+    return (len(ps.attach), ps.attach, ps.strat)
+
+
+def kind_key(kind) -> tuple:
+    return (type(kind).__name__,) + tuple(getattr(kind, f) for f in kind.__dataclass_fields__)
+
+
+def step_label_key(label) -> tuple:
+    return (kind_key(label.kind), label.actors, label.choice)
+
+
+def interface_label_key(label) -> tuple:
+    return (label.tag, label.args)

@@ -246,6 +246,12 @@ def test_fair_map_needs_test(capsys, write):
     assert code == 2 and out == "" and "--map" in err
 
 
+def test_closed_lts_rejects_enable_link(capsys, write):
+    f = write(RELAY)
+    code, out, err = run(capsys, "lts", f, "--world", "closed", "--enable-link")
+    assert code == 2 and out == "" and "--enable-link" in err
+
+
 def test_eq_context_mismatch(capsys, write):
     a = write("ctx 0. tick.0", "a.act")
     b = write("ctx 1. tick.0", "b.act")

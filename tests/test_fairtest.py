@@ -20,7 +20,7 @@ from actorgame.fairtest import (
 )
 from actorgame.lts import closed_graph, process_lts, root_strategy, strategy_lts
 from actorgame.strategy import interpret
-from actorgame.term import parse
+from actorgame.term import IllTyped, parse
 from gen import terms
 from oracles import brute_in_bot, count_terms
 
@@ -37,10 +37,10 @@ EMPTY1 = FTest((1,), 1, term("ctx 1. 0"))
 
 
 def test_test_validation():
-    with pytest.raises(ValueError):
-        FTest((2,), 1, term("ctx 1. 0")).check()
-    with pytest.raises(Exception):
-        FTest((1,), 1, term("ctx 2. snd(2,2).0")).check()
+    with pytest.raises(ValueError, match=r"^handle 1 wired to 3, outside 1\.\.2$"):
+        FTest((3,), 2, term("ctx 2. 0"))
+    with pytest.raises(IllTyped):
+        FTest((1,), 1, term("ctx 2. snd(2,2).0"))
 
 
 def test_compose_game_shapes():
@@ -262,8 +262,6 @@ def test_merge_map():
 def test_gen_tests_identity_block_first():
     suite = list(itertools.islice(gen_tests(1, 2), 5))
     assert all(t.h == (1,) and t.ctx == 1 for t in suite)
-    for t in suite:
-        t.check()
 
 
 def test_gen_tests_merge_block():
@@ -271,8 +269,6 @@ def test_gen_tests_merge_block():
     idn = count_terms(2, 1, 2)
     assert len(suite) == idn + count_terms(1, 1, 2)
     assert suite[idn].h == (1, 1) and suite[idn].ctx == 1
-    for t in suite:
-        t.check()
 
 
 def test_gen_tests_size_matches_enumeration_counts():

@@ -22,7 +22,6 @@ from actorgame.lts import (
     closed_world_steps,
     game_state,
     interface_steps,
-    player_key,
     proc_state,
     process_lts,
     raw_closed_steps,

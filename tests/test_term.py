@@ -18,8 +18,6 @@ from actorgame.term import (
     max_term_size,
     parse,
     pretty,
-    prefix_key,
-    sort_key,
     term_depth,
     term_size,
     typecheck,
@@ -187,9 +185,10 @@ def test_unparse_roundtrip_random(tg):
 # ------------------------------------------------------------ ordering
 
 
-def test_prefix_key_orders_recv_send_tick():
-    keys = [prefix_key(Tick()), prefix_key(Send(1, 2)), prefix_key(Recv(3))]
-    assert sorted(keys) == [prefix_key(Recv(3)), prefix_key(Send(1, 2)), prefix_key(Tick())]
+def test_prefixes_order_recv_send_tick():
+    assert sorted([Tick(), Send(1, 2), Recv(3)]) == [Recv(3), Send(1, 2), Tick()]
+    assert Recv(1) < Recv(2) and Send(1, 2) < Send(2, 1) and Send(1, 1) < Send(1, 2)
+    assert not Tick() < Tick() and not Send(1, 1) < Recv(9)
 
 
 def test_canonical_sorts_and_is_idempotent():
@@ -204,11 +203,10 @@ def test_canonical_keeps_duplicates():
     assert len(canonical(p).branches) == 2
 
 
-def test_sort_key_injective_and_comparable(corpus):
+def test_terms_are_totally_ordered(corpus):
     for terms in corpus.values():
-        keys = [sort_key(t) for t in terms]
-        sorted(keys)
-        assert len(set(keys)) == len(terms)
+        ordered = sorted(terms)
+        assert all(a < b and not b < a for a, b in zip(ordered, ordered[1:]))
 
 
 # --------------------------------------------------------- enumeration
