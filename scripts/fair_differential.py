@@ -19,9 +19,8 @@ mismatch, and the time.
 import sys
 import time
 
-from actorgame.fairtest import compose_game, compose_proc, decide, gen_tests, identity_test, in_bot
+from actorgame.fairtest import compose, decide, gen_tests, in_bot
 from actorgame.lts import closed_graph, root_process, root_strategy
-from actorgame.strategy import interpret
 from actorgame.term import parse
 
 SUBJECTS = {
@@ -46,25 +45,25 @@ def term(text):
     return parse(text)[0]
 
 
+SIDES = (("game", root_strategy), ("process", root_process))
+
+
 def composites():
     """(name, root) pairs: the suite composites, then the closed ones."""
     suite = list(gen_tests(1, 2))
     for name, text in SUBJECTS.items():
-        subject = term(text)
-        strategy = interpret(subject, 1)
+        subjects = [(side, root, root(term(text), 1)) for side, root in SIDES]
         for k, test in enumerate(suite):
-            yield f"{name} test#{k} game", compose_game(strategy, test)
-            yield f"{name} test#{k} process", compose_proc(subject, 1, test)
-    big = term(BIG)
-    yield "BIG game", root_strategy(big, 1)
-    yield "BIG process", root_process(big, 1)
+            for side, root, subject in subjects:
+                yield f"{name} test#{k} {side}", compose(subject, root(test.proc, test.ctx), test.h)
+    for side, root in SIDES:
+        yield f"BIG {side}", root(term(BIG), 1)
     for name, subject, test in (
         ("PASS", PASS_SUBJECT, BIG),
         ("FAIL", FAIL_SUBJECT, FAIL_TEST),
     ):
-        t = identity_test(1, term(test))
-        yield f"{name} game", compose_game(interpret(term(subject), 1), t)
-        yield f"{name} process", compose_proc(term(subject), 1, t)
+        for side, root in SIDES:
+            yield f"{name} {side}", compose(root(term(subject), 1), root(term(test), 1), (1,))
 
 
 def main() -> int:

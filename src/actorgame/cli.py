@@ -22,8 +22,9 @@ import itertools
 import random
 import sys
 
+from . import fairtest
 from .arena import to_dot
-from .fairtest import Test, eq_check, gen_tests, identity_test, passes
+from .fairtest import Test, compose, eq_check, gen_tests, identity_test, passes
 from .lts import (
     arena_position,
     arena_trace,
@@ -51,6 +52,12 @@ def _suite(args: argparse.Namespace, gamma: int) -> list[Test]:
     if args.seed is not None:
         random.Random(args.seed).shuffle(tests)
     return tests
+
+
+def _refuse_suite_options(args: argparse.Namespace, why: str) -> None:
+    for option, value in (("--limit", args.limit), ("--seed", args.seed)):
+        if value is not None:
+            raise ValueError(f"{option} needs a generated suite: {why}")
 
 
 def _read_term(path: str):
@@ -100,10 +107,8 @@ def cmd_lts(args: argparse.Namespace) -> int:
 
 
 def _parse_map(text: str, gamma: int) -> tuple[int, ...]:
-    if not text:
-        return ()
     try:
-        h = tuple(int(x) for x in text.split(","))
+        h = tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
         raise ValueError(f"bad handle map {text!r}: expected comma separated integers")
     if len(h) != gamma:
@@ -118,6 +123,7 @@ def cmd_fair(args: argparse.Namespace) -> int:
     if args.map is not None and args.test is None:
         raise ValueError("--map needs --test: generated tests carry their own handle maps")
     if args.test is not None:
+        _refuse_suite_options(args, "--test runs a single test")
         tproc, tctx = _read_term(args.test)
         if args.map is not None:
             test = Test(_parse_map(args.map, gamma), tctx, tproc)
@@ -131,15 +137,17 @@ def cmd_fair(args: argparse.Namespace) -> int:
         verdict = passes(subject, gamma, test, args.side, args.bot)
         print(f"RESULT {verdict.render()}")
         return 0 if verdict.passed else 1
+    tests = _suite(args, gamma)
+    root = fairtest._root(args.side)
+    subject_root = root(subject, gamma)
     failures = 0
-    total = 0
-    for k, test in enumerate(_suite(args, gamma)):
-        verdict = passes(subject, gamma, test, args.side, args.bot)
-        total += 1
+    for k, test in enumerate(tests):
+        env = root(test.proc, test.ctx)
+        verdict = fairtest.decide(compose(subject_root, env, test.h), args.bot)
         if not verdict.passed:
             failures += 1
         print(f"test#{k} {verdict.render()}")
-    print(f"RESULT {total - failures}/{total} pass")
+    print(f"RESULT {len(tests) - failures}/{len(tests)} pass")
     return 0 if failures == 0 else 1
 
 
@@ -149,6 +157,7 @@ def cmd_eq(args: argparse.Namespace) -> int:
     if gl != gr:
         raise ValueError(f"subjects have different contexts: {gl} and {gr}")
     if args.bisim:
+        _refuse_suite_options(args, "--bisim runs no test suite")
         build = strategy_lts if args.side == "game" else process_lts
         res = weak_bisim(build(left, gl), build(right, gr))
         if res.equivalent:

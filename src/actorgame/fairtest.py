@@ -29,26 +29,23 @@ witness ``in_bot`` would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional
 
 from collections import deque
 
 from .lts import (
     GameState,
     LtsGraph,
-    PlayerState,
     ProcState,
     State,
     StepLabel,
-    Thread,
     channel_normal_form,
     closed_world_steps,
-    game_state,
-    proc_state,
+    root_process,
+    root_strategy,
     tick_free_steps,
 )
-from .strategy import Definite, interpret
 from .term import Process, enumerate_terms, typecheck
 
 
@@ -73,34 +70,22 @@ def identity_test(gamma: int, proc: Process) -> Test:
     return Test(tuple(range(1, gamma + 1)), gamma, proc)
 
 
-def compose_game(subject: Definite, test: Test) -> GameState:
-    if subject.arity != len(test.h):
+def compose(subject: State, env: State, h: tuple[int, ...]) -> State:
+    """The closed world of ``subject`` run against the test ``env``: the
+    subject's one actor, interface channel i wired to env channel
+    h[i-1], beside env's actors over env's channels. Both are one-actor
+    roots of the same side, as ``root_strategy`` or ``root_process``
+    build them."""
+    (actor,) = subject.actors
+    if len(actor.attach) != len(h):
         raise ValueError(
-            f"subject arity {subject.arity} does not match handle map of "
-            f"length {len(test.h)}"
+            f"subject arity {len(actor.attach)} does not match handle map of length {len(h)}"
         )
-    return game_state(
-        test.ctx,
-        [
-            PlayerState(test.h, subject),
-            PlayerState(tuple(range(1, test.ctx + 1)), interpret(test.proc, test.ctx)),
-        ],
-    )
+    return env.successor(0, [replace(actor, attach=h), *env.actors])
 
 
-def compose_proc(subject: Process, gamma: int, test: Test) -> ProcState:
-    typecheck(subject, gamma)
-    if gamma != len(test.h):
-        raise ValueError(
-            f"subject context {gamma} does not match handle map of length {len(test.h)}"
-        )
-    return proc_state(
-        test.ctx,
-        [
-            Thread(subject, test.h),
-            Thread(test.proc, tuple(range(1, test.ctx + 1))),
-        ],
-    )
+# perfbench/tracing.py still hooks these two names (ROADMAP item 1)
+compose_game = compose_proc = compose
 
 
 # ------------------------------------------------------------ verdicts
@@ -296,20 +281,18 @@ def decide(state: State, mode: str = "weak", max_states: int = 200000) -> Verdic
     return Verdict(False, mode, search.witness(state, int(top)))
 
 
-def passes(
-    subject: Process,
-    gamma: int,
-    test: Test,
-    side: str = "game",
-    mode: str = "weak",
-) -> Verdict:
+def _root(side: str) -> Callable[[Process, int], State]:
+    """The root builder of a side: one actor on the identity attachment."""
     if side == "game":
-        st = compose_game(interpret(subject, gamma), test)
-    elif side == "process":
-        st = compose_proc(subject, gamma, test)
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return decide(st, mode)
+        return root_strategy
+    if side == "process":
+        return root_process
+    raise ValueError(f"unknown side {side!r}")
+
+
+def passes(subject: Process, gamma: int, test: Test, side: str = "game", mode: str = "weak") -> Verdict:
+    root = _root(side)
+    return decide(compose(root(subject, gamma), root(test.proc, test.ctx), test.h), mode)
 
 
 # ----------------------------------------------------------- test sets
@@ -355,12 +338,14 @@ def eq_check(
     mode: str = "weak",
 ) -> EqResult:
     """Run both subjects against the suite; stop at the first test whose
-    verdicts differ."""
+    verdicts differ. Each subject's root is built once per suite, each
+    test's once per test."""
+    root = _root(side)
+    subjects = root(left, gamma), root(right, gamma)
     count = 0
-    for idx, test in enumerate(tests):
-        vl = passes(left, gamma, test, side, mode)
-        vr = passes(right, gamma, test, side, mode)
-        count += 1
+    for count, test in enumerate(tests, 1):
+        env = root(test.proc, test.ctx)
+        vl, vr = (decide(compose(s, env, test.h), mode) for s in subjects)
         if vl.passed != vr.passed:
-            return EqResult(False, count, idx, test, vl, vr)
+            return EqResult(False, count, count - 1, test, vl, vr)
     return EqResult(True, count)

@@ -246,6 +246,18 @@ def test_fair_map_needs_test(capsys, write):
     assert code == 2 and out == "" and "--map" in err
 
 
+def test_suite_options_need_a_suite(capsys, write):
+    f = write("ctx 1. rcv(1).tick.0")
+    t = write("ctx 1. snd(1,1).0", "t1.act")
+    for option in ("--limit", "--seed"):
+        code, out, err = run(capsys, "fair", f, "--test", t, option, "3")
+        assert code == 2 and out == ""
+        assert err == f"error: {option} needs a generated suite: --test runs a single test\n"
+        code, out, err = run(capsys, "eq", f, f, "--bisim", option, "3")
+        assert code == 2 and out == ""
+        assert err == f"error: {option} needs a generated suite: --bisim runs no test suite\n"
+
+
 def test_closed_lts_rejects_enable_link(capsys, write):
     f = write(RELAY)
     code, out, err = run(capsys, "lts", f, "--world", "closed", "--enable-link")
@@ -266,6 +278,15 @@ def test_bad_map(capsys, write):
     assert code == 2 and "handle map" in err
     code, _, err = run(capsys, "fair", subj, "--test", t, "--map", "1,2")
     assert code == 2 and "handle map" in err
+
+
+def test_empty_map_is_checked_for_length(capsys, write):
+    subj = write("ctx 1. rcv(1).0")
+    t = write("ctx 2. 0", "t2.act")
+    for side in ("game", "process"):
+        code, out, err = run(capsys, "fair", subj, "--test", t, "--map", "", "--side", side)
+        assert code == 2 and out == ""
+        assert err == "error: handle map has 0 entries, subject needs 1\n"
 
 
 def test_dot_empty_move(capsys, write):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from actorgame import cli, fairtest
 from actorgame.fairtest import Test as FTest
 from actorgame.fairtest import (
-    compose_game,
-    compose_proc,
+    compose,
     decide,
     eq_check,
     gen_tests,
@@ -18,8 +17,7 @@ from actorgame.fairtest import (
     merge_map,
     passes,
 )
-from actorgame.lts import closed_graph, process_lts, root_strategy, strategy_lts
-from actorgame.strategy import interpret
+from actorgame.lts import closed_graph, process_lts, root_process, root_strategy, strategy_lts
 from actorgame.term import IllTyped, parse
 from gen import terms
 from oracles import brute_in_bot, count_terms
@@ -31,6 +29,11 @@ def term(text):
 
 EMPTY0 = FTest((), 0, term("ctx 0. 0"))
 EMPTY1 = FTest((1,), 1, term("ctx 1. 0"))
+ROOTS = (root_strategy, root_process)
+
+
+def composite(root, subject, gamma, test):
+    return compose(root(subject, gamma), root(test.proc, test.ctx), test.h)
 
 
 # ---------------------------------------------------------- composition
@@ -44,20 +47,22 @@ def test_test_validation():
 
 
 def test_compose_game_shapes():
-    s = interpret(term("ctx 1. rcv(1).0"), 1)
-    g = compose_game(s, FTest((2,), 2, term("ctx 2. snd(2,1).0")))
-    assert g.num_channels == 2
-    assert sorted(p.attach for p in g.actors) == [(1, 2), (2,)]
-    with pytest.raises(ValueError):
-        compose_game(s, FTest((1, 2), 2, term("ctx 2. 0")))
+    # on both sides: the test's actor on the identity, the subject's wired by h
+    for root in ROOTS:
+        s = composite(root, term("ctx 1. rcv(1).0"), 1, FTest((2,), 2, term("ctx 2. snd(2,1).0")))
+        assert s.num_channels == 2
+        assert sorted(a.attach for a in s.actors) == [(1, 2), (2,)]
+        # one message for a wrong-length handle map on both sides
+        with pytest.raises(ValueError, match=r"^subject arity 1 does not match handle map of length 2$"):
+            composite(root, term("ctx 1. rcv(1).0"), 1, FTest((1, 2), 2, term("ctx 2. 0")))
 
 
 def test_compose_proc_mirrors_game():
     subject = term("ctx 1. rcv(1).0")
     test = FTest((2,), 2, term("ctx 2. snd(2,1).0"))
-    s = compose_proc(subject, 1, test)
-    assert s.num_channels == 2
-    assert sorted(t.attach for t in s.actors) == [(1, 2), (2,)]
+    game, proc = (composite(root, subject, 1, test) for root in ROOTS)
+    assert game.num_channels == proc.num_channels
+    assert sorted(p.attach for p in game.actors) == sorted(t.attach for t in proc.actors)
 
 
 # ---------------------------------------------------------------- in_bot
@@ -121,7 +126,7 @@ def test_bot_agrees_with_brute_oracle(small_corpus):
         suite = list(itertools.islice(gen_tests(gamma, 1), 6))
         for subject in terms[:8]:
             for t in suite:
-                g = closed_graph(compose_game(interpret(subject, gamma), t))
+                g = closed_graph(composite(root_strategy, subject, gamma, t))
                 assert in_bot(g).passed == brute_in_bot(g), (gamma, subject, t)
 
 
@@ -188,9 +193,7 @@ def composites(draw):
     h = draw(st.tuples(*[st.integers(1, ctx)] * gamma))
     subject = draw(terms(gamma))
     test = FTest(h, ctx, draw(terms(ctx)))
-    if draw(st.sampled_from(["game", "process"])) == "game":
-        return compose_game(interpret(subject, gamma), test)
-    return compose_proc(subject, gamma, test)
+    return composite(draw(st.sampled_from(ROOTS)), subject, gamma, test)
 
 
 @settings(max_examples=150, deadline=None)
@@ -211,12 +214,12 @@ def test_search_matches_full_graph_verdict(root):
 
 def test_search_counts_forms_and_witness_states():
     # root, forked and ticking: three forms, no witness
-    relay = compose_proc(term("ctx 1. snd(2,2).0 | rcv(2).tick.0"), 1, EMPTY1)
+    relay = composite(root_process, term("ctx 1. snd(2,2).0 | rcv(2).tick.0"), 1, EMPTY1)
     assert decide(relay, max_states=3).passed
     with pytest.raises(RuntimeError, match="state space exceeds 2 states"):
         decide(relay, max_states=2)
     # root, forked and deadlocked forms, then two witness states
-    late = compose_proc(term("ctx 1. snd(2,2).0 | rcv(2).0 + tick.0"), 1, EMPTY1)
+    late = composite(root_process, term("ctx 1. snd(2,2).0 | rcv(2).0 + tick.0"), 1, EMPTY1)
     assert not decide(late, max_states=5).passed
     with pytest.raises(RuntimeError, match="state space exceeds 4 states"):
         decide(late, max_states=4)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actorgame.arena import Fork, ForkL, ForkR, Heartbeat, Input, Output, Sync
-from actorgame.fairtest import compose_game, compose_proc, gen_tests
+from actorgame.fairtest import compose, gen_tests
 from actorgame.lts import (
     ALab,
     PlayerState,
@@ -16,6 +16,8 @@ from actorgame.lts import (
     Thread,
     closed_graph,
     process_lts,
+    root_process,
+    root_strategy,
     strategy_lts,
 )
 from actorgame.strategy import interpret
@@ -99,9 +101,8 @@ def test_native_orders_match_keys_on_corpus(small_corpus):
         tests = list(itertools.islice(gen_tests(gamma, 2), 0, 200, 20))
         for t in ts:
             for test in tests:
-                game = compose_game(interpret(t, gamma), test)
-                for root, key in ((compose_proc(t, gamma, test), thread_key), (game, player_key)):
-                    g = closed_graph(root)
+                for root, key in ((root_process, thread_key), (root_strategy, player_key)):
+                    g = closed_graph(compose(root(t, gamma), root(test.proc, test.ctx), test.h))
                     found[key].update(a for s in g.states for a in s.actors)
                     found[step_label_key].update(label for out in g.edges for label, _ in out)
             for g in (process_lts(t, gamma, enable_link=True), strategy_lts(t, gamma)):
