@@ -61,8 +61,8 @@ def test_compose_proc_mirrors_game():
     subject = term("ctx 1. rcv(1).0")
     test = FTest((2,), 2, term("ctx 2. snd(2,1).0"))
     game, proc = (composite(root, subject, 1, test) for root in ROOTS)
-    assert game.num_channels == proc.num_channels
-    assert sorted(p.attach for p in game.actors) == sorted(t.attach for t in proc.actors)
+    assert game.num_channels == proc.num_channels == 2
+    assert sorted(p.attach for p in game.actors) == sorted(t.attach for t in proc.actors) == [(1, 2), (2,)]
 
 
 # ---------------------------------------------------------------- in_bot
