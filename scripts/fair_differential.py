@@ -12,15 +12,15 @@ verdicts must agree on pass or fail and on the failure witness.
 
     PYTHONPATH=src python3 scripts/fair_differential.py
 
-Takes a few minutes; prints the composites and verdicts checked, each
-mismatch, and the time.
+Takes about 40 s on a 2-vCPU host; prints the composites and verdicts
+checked, each mismatch, and the time. Exits 1 on any mismatch.
 """
 
 import sys
 import time
 
 from actorgame.fairtest import compose, decide, gen_tests, in_bot
-from actorgame.lts import closed_graph, root_process, root_strategy
+from actorgame.lts import ROOTS, closed_graph
 from actorgame.term import parse
 
 SUBJECTS = {
@@ -41,28 +41,30 @@ FAIL_TEST = (
 )
 
 
+SIDE_NAMES = ("game", "process")
+
+
 def term(text):
     return parse(text)[0]
-
-
-SIDES = (("game", root_strategy), ("process", root_process))
 
 
 def composites():
     """(name, root) pairs: the suite composites, then the closed ones."""
     suite = list(gen_tests(1, 2))
     for name, text in SUBJECTS.items():
-        subjects = [(side, root, root(term(text), 1)) for side, root in SIDES]
+        subjects = [(side, ROOTS[side](term(text), 1)) for side in SIDE_NAMES]
         for k, test in enumerate(suite):
-            for side, root, subject in subjects:
-                yield f"{name} test#{k} {side}", compose(subject, root(test.proc, test.ctx), test.h)
-    for side, root in SIDES:
-        yield f"BIG {side}", root(term(BIG), 1)
+            for side, subject in subjects:
+                env = ROOTS[side](test.proc, test.ctx)
+                yield f"{name} test#{k} {side}", compose(subject, env, test.h)
+    for side in SIDE_NAMES:
+        yield f"BIG {side}", ROOTS[side](term(BIG), 1)
     for name, subject, test in (
         ("PASS", PASS_SUBJECT, BIG),
         ("FAIL", FAIL_SUBJECT, FAIL_TEST),
     ):
-        for side, root in SIDES:
+        for side in SIDE_NAMES:
+            root = ROOTS[side]
             yield f"{name} {side}", compose(root(term(subject), 1), root(term(test), 1), (1,))
 
 

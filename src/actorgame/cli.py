@@ -22,17 +22,15 @@ import itertools
 import random
 import sys
 
-from . import fairtest
 from .arena import to_dot
-from .fairtest import Test, compose, eq_check, gen_tests, identity_test, passes
+from .fairtest import Test, eq_check, gen_tests, identity_test, passes, verdicts
 from .lts import (
+    ROOTS,
     arena_position,
     arena_trace,
     closed_graph,
-    process_lts,
-    root_process,
+    interface_graph,
     root_strategy,
-    strategy_lts,
     weak_bisim,
 )
 from .strategy import dump, interpret
@@ -40,12 +38,13 @@ from .term import IllTyped, ParseError, parse, typecheck, unparse
 
 
 def _suite(args: argparse.Namespace, gamma: int) -> list[Test]:
-    """The generated suite: depth ``--gen``, cut at ``--limit``, shuffled
-    by ``--seed``."""
+    """The generated suite: depth ``--gen`` and width ``--width``, 2 unless
+    given, cut at ``--limit``, shuffled by ``--seed``."""
     for option, value in (("--gen", args.gen), ("--width", args.width), ("--limit", args.limit)):
         if value is not None and value < 0:
             raise ValueError(f"{option} must be at least 0, got {value}")
-    stream = gen_tests(gamma, args.gen, args.width)
+    depth = 2 if args.gen is None else args.gen
+    stream = gen_tests(gamma, depth, 2 if args.width is None else args.width)
     if args.limit is not None:
         stream = itertools.islice(stream, args.limit)
     tests = list(stream)
@@ -54,10 +53,11 @@ def _suite(args: argparse.Namespace, gamma: int) -> list[Test]:
     return tests
 
 
-def _refuse_suite_options(args: argparse.Namespace, why: str) -> None:
-    for option, value in (("--limit", args.limit), ("--seed", args.seed)):
-        if value is not None:
-            raise ValueError(f"{option} needs a generated suite: {why}")
+def _refuse(args: argparse.Namespace, why: str, *options: str) -> None:
+    """Refuse each of ``options`` that is given: it ``why``."""
+    for option in options:
+        if getattr(args, option[2:]) is not None:
+            raise ValueError(f"{option} {why}")
 
 
 def _read_term(path: str):
@@ -93,15 +93,9 @@ def cmd_lts(args: argparse.Namespace) -> int:
     if args.world == "closed":
         if args.enable_link:
             raise ValueError("--enable-link needs --world interface: a closed world has no links")
-        root = (
-            root_strategy(proc, gamma)
-            if args.side == "strategy"
-            else root_process(proc, gamma)
-        )
-        graph = closed_graph(root)
+        graph = closed_graph(ROOTS[args.side](proc, gamma))
     else:
-        build = strategy_lts if args.side == "strategy" else process_lts
-        graph = build(proc, gamma, enable_link=args.enable_link)
+        graph = interface_graph(ROOTS[args.side](proc, gamma), enable_link=args.enable_link)
     sys.stdout.write(graph.dump())
     return 0
 
@@ -120,10 +114,11 @@ def cmd_fair(args: argparse.Namespace) -> int:
     subject, gamma = _read_term(args.file)
     if (args.test is None) == (args.gen is None):
         raise ValueError("fair needs exactly one of --test FILE or --gen DEPTH")
-    if args.map is not None and args.test is None:
-        raise ValueError("--map needs --test: generated tests carry their own handle maps")
-    if args.test is not None:
-        _refuse_suite_options(args, "--test runs a single test")
+    if args.test is None:
+        _refuse(args, "needs --test: generated tests carry their own handle maps", "--map")
+    else:
+        why = "needs a generated suite: --test runs a single test"
+        _refuse(args, why, "--width", "--limit", "--seed")
         tproc, tctx = _read_term(args.test)
         if args.map is not None:
             test = Test(_parse_map(args.map, gamma), tctx, tproc)
@@ -138,12 +133,8 @@ def cmd_fair(args: argparse.Namespace) -> int:
         print(f"RESULT {verdict.render()}")
         return 0 if verdict.passed else 1
     tests = _suite(args, gamma)
-    root = fairtest._root(args.side)
-    subject_root = root(subject, gamma)
     failures = 0
-    for k, test in enumerate(tests):
-        env = root(test.proc, test.ctx)
-        verdict = fairtest.decide(compose(subject_root, env, test.h), args.bot)
+    for k, (_, (verdict,)) in enumerate(verdicts([subject], gamma, tests, args.side, args.bot)):
         if not verdict.passed:
             failures += 1
         print(f"test#{k} {verdict.render()}")
@@ -157,9 +148,11 @@ def cmd_eq(args: argparse.Namespace) -> int:
     if gl != gr:
         raise ValueError(f"subjects have different contexts: {gl} and {gr}")
     if args.bisim:
-        _refuse_suite_options(args, "--bisim runs no test suite")
-        build = strategy_lts if args.side == "game" else process_lts
-        res = weak_bisim(build(left, gl), build(right, gr))
+        why = "needs a generated suite: --bisim runs no test suite"
+        _refuse(args, why, "--gen", "--width", "--limit", "--seed")
+        _refuse(args, "needs a fair test: --bisim runs none", "--bot")
+        root = ROOTS[args.side]
+        res = weak_bisim(interface_graph(root(left, gl)), interface_graph(root(right, gr)))
         if res.equivalent:
             print("RESULT equivalent")
             return 0
@@ -167,7 +160,7 @@ def cmd_eq(args: argparse.Namespace) -> int:
             print("witness: " + ";".join(res.witness))
         print("RESULT distinguished")
         return 1
-    res = eq_check(left, right, gl, _suite(args, gl), args.side, args.bot)
+    res = eq_check(left, right, gl, _suite(args, gl), args.side, args.bot or "weak")
     if res.equivalent:
         print(f"checked {res.checked} tests")
         print("RESULT equivalent-on-suite")
@@ -184,14 +177,17 @@ def cmd_dot(args: argparse.Namespace) -> int:
     proc, gamma = _read_term(args.file)
     root = root_strategy(proc, gamma)
     if args.what == "position":
+        _refuse(args, "needs --what move or play", "--trace", "--index")
         sys.stdout.write(to_dot(arena_position(root)))
         return 0
+    if args.what == "play" or args.trace is not None:
+        _refuse(args, "needs --what move without --trace", "--index")
     try:
         indices = [int(x) for x in args.trace.split(",")] if args.trace else []
     except ValueError:
         raise ValueError(f"bad --trace {args.trace!r}: expected comma separated step indices")
     if args.what == "move":
-        play = arena_trace(root, indices or [args.index])
+        play = arena_trace(root, indices or [args.index or 0])
         if not play.moves:
             raise ValueError("no move selected")
         sys.stdout.write(to_dot(play.moves[-1]))
@@ -235,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", help="test term file")
     p.add_argument("--map", help="handle map, comma separated test channels")
     p.add_argument("--gen", type=int, help="generate a suite up to this depth")
-    p.add_argument("--width", type=int, default=2)
+    p.add_argument("--width", type=int)
     p.add_argument("--limit", type=int)
     p.add_argument("--seed", type=int, help="shuffle the generated suite")
     p.add_argument("--side", choices=["game", "process"], default="game")
@@ -244,12 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eq", help="compare two subjects")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--gen", type=int, default=2, help="suite depth")
-    p.add_argument("--width", type=int, default=2)
+    p.add_argument("--gen", type=int, help="suite depth")
+    p.add_argument("--width", type=int)
     p.add_argument("--limit", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--side", choices=["game", "process"], default="game")
-    p.add_argument("--bot", choices=["weak", "strict"], default="weak")
+    p.add_argument("--bot", choices=["weak", "strict"])
     p.add_argument(
         "--bisim",
         action="store_true",
@@ -259,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dot", help="render arena objects as Graphviz")
     p.add_argument("file")
     p.add_argument("--what", choices=["position", "move", "play"], default="position")
-    p.add_argument("--index", type=int, default=0, help="move: raw step index")
+    p.add_argument("--index", type=int, help="move: raw step index")
     p.add_argument("--trace", help="play: comma separated raw step indices")
     return ap
 

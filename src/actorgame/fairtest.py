@@ -30,20 +30,17 @@ witness ``in_bot`` would give.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from collections import deque
 
 from .lts import (
-    GameState,
+    ROOTS,
     LtsGraph,
-    ProcState,
     State,
     StepLabel,
     channel_normal_form,
     closed_world_steps,
-    root_process,
-    root_strategy,
     tick_free_steps,
 )
 from .term import Process, enumerate_terms, typecheck
@@ -74,14 +71,13 @@ def compose(subject: State, env: State, h: tuple[int, ...]) -> State:
     """The closed world of ``subject`` run against the test ``env``: the
     subject's one actor, interface channel i wired to env channel
     h[i-1], beside env's actors over env's channels. Both are one-actor
-    roots of the same side, as ``root_strategy`` or ``root_process``
-    build them."""
+    roots of the same side, as a builder in ``lts.ROOTS`` makes them."""
     (actor,) = subject.actors
     if len(actor.attach) != len(h):
         raise ValueError(
             f"subject arity {len(actor.attach)} does not match handle map of length {len(h)}"
         )
-    return env.successor(0, [replace(actor, attach=h), *env.actors])
+    return State.of(env.num_channels, [replace(actor, attach=h), *env.actors])
 
 
 # perfbench/tracing.py still hooks these two names (ROADMAP item 1)
@@ -105,11 +101,6 @@ class Verdict:
         return "fail"
 
 
-def _check_closed(g: LtsGraph) -> None:
-    if not isinstance(g.states[g.root], (GameState, ProcState)):
-        raise TypeError("fair testing needs a closed-world graph")
-
-
 def in_bot(g: LtsGraph, mode: str = "weak") -> Verdict:
     """Does the composite pass the empty observer?
 
@@ -117,7 +108,8 @@ def in_bot(g: LtsGraph, mode: str = "weak") -> Verdict:
     tick-free-reachable. strict: every immediate successor of the root
     must itself have a direct tick.
     """
-    _check_closed(g)
+    if not isinstance(g.states[g.root], State):
+        raise TypeError("fair testing needs a closed-world graph")
     if mode == "strict":
         for label, dst in g.edges[g.root]:
             if not any(l2.is_tick for l2, _ in g.edges[dst]):
@@ -281,18 +273,27 @@ def decide(state: State, mode: str = "weak", max_states: int = 200000) -> Verdic
     return Verdict(False, mode, search.witness(state, int(top)))
 
 
-def _root(side: str) -> Callable[[Process, int], State]:
-    """The root builder of a side: one actor on the identity attachment."""
-    if side == "game":
-        return root_strategy
-    if side == "process":
-        return root_process
-    raise ValueError(f"unknown side {side!r}")
+def verdicts(
+    subjects: Sequence[Process],
+    gamma: int,
+    tests: Iterable[Test],
+    side: str = "game",
+    mode: str = "weak",
+) -> Iterator[tuple[Test, tuple[Verdict, ...]]]:
+    """Each test, drawn when asked for, with every subject's verdict on it.
+    Each subject's root is built once per suite, each test's once."""
+    if side not in ROOTS:
+        raise ValueError(f"unknown side {side!r}")
+    root = ROOTS[side]
+    roots = [root(s, gamma) for s in subjects]
+    for test in tests:
+        env = root(test.proc, test.ctx)
+        yield test, tuple(decide(compose(s, env, test.h), mode) for s in roots)
 
 
 def passes(subject: Process, gamma: int, test: Test, side: str = "game", mode: str = "weak") -> Verdict:
-    root = _root(side)
-    return decide(compose(root(subject, gamma), root(test.proc, test.ctx), test.h), mode)
+    [(_, (verdict,))] = verdicts([subject], gamma, [test], side, mode)
+    return verdict
 
 
 # ----------------------------------------------------------- test sets
@@ -338,14 +339,9 @@ def eq_check(
     mode: str = "weak",
 ) -> EqResult:
     """Run both subjects against the suite; stop at the first test whose
-    verdicts differ. Each subject's root is built once per suite, each
-    test's once per test."""
-    root = _root(side)
-    subjects = root(left, gamma), root(right, gamma)
+    verdicts differ, drawing no test after it."""
     count = 0
-    for count, test in enumerate(tests, 1):
-        env = root(test.proc, test.ctx)
-        vl, vr = (decide(compose(s, env, test.h), mode) for s in subjects)
+    for count, (test, (vl, vr)) in enumerate(verdicts((left, right), gamma, tests, side, mode), 1):
         if vl.passed != vr.passed:
             return EqResult(False, count, count - 1, test, vl, vr)
     return EqResult(True, count)

@@ -25,22 +25,23 @@ The optional link rule lets the environment feed a receiver a fresh
 channel while naming a second handle it got it from; it is off by
 default and never changes h.
 
-One step engine serves both sides. An actor, a strategy player or a
-process thread, has an ``attach`` field (the global channel of each
-local slot), ``offers()`` and ``avatar(attach, cont)``, the actor that
-carries on as ``cont``; a state has a sorted ``actors`` field and builds
-a ``successor``. Offers are (seed key, ((choice, continuation), ...))
-groups in enumeration order: a player reads them off its strategy
-table, a thread off its own syntax. A step's choice is the
-concatenation of its actors' choices, so closed labels read ``#i,j``
-on the strategy side and carry branch indices, or nothing for a fork,
-on the process side.
+One state type and one step engine serve both sides; the side is the
+type of the state's actors. An actor, a strategy player or a process
+thread, has an ``attach`` field (the global channel of each local
+slot), ``offers()``, ``avatar(attach, cont)`` (the actor that carries
+on as ``cont``) and ``live_by_body``, a state's movable actors in an
+order that ignores channels. Offers are (seed key, ((choice,
+continuation), ...)) groups in enumeration order: a player reads them
+off its strategy table, a thread off its own syntax. A step's choice
+concatenates its actors' choices, so closed labels read ``#i,j`` on the
+strategy side and carry branch indices, or nothing for a fork, on the
+process side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import arena
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
@@ -58,6 +59,18 @@ class PlayerState:
 
     attach: tuple[int, ...]
     strat: Definite
+
+    def __post_init__(self) -> None:
+        if len(self.attach) != self.strat.arity:
+            raise ValueError(
+                f"player attached to {len(self.attach)} channels runs a strategy "
+                f"of arity {self.strat.arity}"
+            )
+
+    @staticmethod
+    def live_by_body(players: Iterable[PlayerState]) -> list[tuple[Definite, PlayerState]]:
+        """The players that can move, with their strategies, by strategy."""
+        return sorted(((p.strat, p) for p in players if p.strat.table), key=lambda q: q[0])
 
     def offers(self) -> list[Offer]:
         """The strategy table: one group per entry, choice (i,) for the
@@ -77,33 +90,15 @@ class PlayerState:
         return (len(a), a) < (len(b), b)
 
 
-@dataclass(frozen=True)
-class GameState:
-    num_channels: int
-    actors: tuple[PlayerState, ...]
-
-    def successor(self, created: int, players: list[PlayerState]) -> GameState:
-        return game_state(self.num_channels + created, players)
-
-
-def game_state(num_channels: int, players: Iterable[PlayerState]) -> GameState:
-    ps = sorted(players)
-    for p in ps:
-        if len(p.attach) != p.strat.arity:
-            raise ValueError(
-                f"player attached to {len(p.attach)} channels runs a strategy "
-                f"of arity {p.strat.arity}"
-            )
-        for c in p.attach:
-            if not 1 <= c <= num_channels:
-                raise ValueError(f"attachment {c} outside 1..{num_channels}")
-    return GameState(num_channels, tuple(ps))
-
-
 @dataclass(frozen=True, order=True)
 class Thread:
     proc: Process
     attach: tuple[int, ...]
+
+    @staticmethod
+    def live_by_body(threads: Iterable[Thread]) -> list[tuple[Process, Thread]]:
+        """The threads that can move, with their terms, which they already order by."""
+        return [(t.proc, t) for t in threads if isinstance(t.proc, Par) or t.proc.branches]
 
     def offers(self) -> list[Offer]:
         """The operational rules read off the syntax: a parallel offers
@@ -122,35 +117,36 @@ class Thread:
 
 
 @dataclass(frozen=True)
-class ProcState:
+class State:
+    """A closed world: channels 1..num_channels and the actors attached to them."""
+
     num_channels: int
-    actors: tuple[Thread, ...]
+    actors: tuple
 
-    def successor(self, created: int, threads: list[Thread]) -> ProcState:
-        return proc_state(self.num_channels + created, threads)
-
-
-def proc_state(num_channels: int, threads: Iterable[Thread]) -> ProcState:
-    ts = sorted(threads)
-    for t in ts:
-        for c in t.attach:
-            if not 1 <= c <= num_channels:
-                raise ValueError(f"environment entry {c} outside 1..{num_channels}")
-    return ProcState(num_channels, tuple(ts))
+    @classmethod
+    def of(cls, num_channels: int, actors: Iterable) -> State:
+        """The state of ``actors``, sorted, each attached within 1..num_channels."""
+        ordered = tuple(sorted(actors))
+        for a in ordered:
+            for c in a.attach:
+                if not 1 <= c <= num_channels:
+                    raise ValueError(f"attachment {c} outside 1..{num_channels}")
+        return cls(num_channels, ordered)
 
 
-State = Union[GameState, ProcState]
-
-
-def root_strategy(p: Process, gamma: int) -> GameState:
+def root_strategy(p: Process, gamma: int) -> State:
     """One player running the strategy of ``p``, attached to 1..gamma."""
-    return game_state(gamma, [PlayerState(tuple(range(1, gamma + 1)), interpret(p, gamma))])
+    return State.of(gamma, [PlayerState(tuple(range(1, gamma + 1)), interpret(p, gamma))])
 
 
-def root_process(p: Process, gamma: int) -> ProcState:
+def root_process(p: Process, gamma: int) -> State:
     """One thread running ``p`` with the identity environment."""
     typecheck(p, gamma)
-    return proc_state(gamma, [Thread(p, tuple(range(1, gamma + 1)))])
+    return State.of(gamma, [Thread(p, tuple(range(1, gamma + 1)))])
+
+
+# the root builder of each side, under its command-line names
+ROOTS = {"game": root_strategy, "strategy": root_strategy, "process": root_process}
 
 
 # ------------------------------------------------------------- labels
@@ -224,19 +220,19 @@ class AState:
 
 
 def _replace(state: State, created: int, moved: dict[int, tuple]) -> State:
-    """The successor in which actor i became the avatars moved[i]. The
-    state constructors sort actors, so their order here is immaterial."""
+    """The successor in which actor i became the avatars moved[i].
+    ``State.of`` sorts actors, so their order here is immaterial."""
     actors = [a for i, a in enumerate(state.actors) if i not in moved]
     for avatars in moved.values():
         actors.extend(avatars)
-    return state.successor(created, actors)
+    return State.of(state.num_channels + created, actors)
 
 
 def channel_normal_form(state: State) -> State:
     """A channel renaming of ``state`` without its inert actors.
 
-    The live actors are taken in an order that ignores channels (by
-    strategy, or by term), channels are renumbered 1, 2, ... by first
+    The live actors are taken in the channel-free order of
+    ``live_by_body``, channels are renumbered 1, 2, ... by first
     occurrence in that order, and channels no actor holds are dropped,
     so the next fresh channel is still ``num_channels + 1``. Every step
     rule is equivariant under channel bijections and an inert actor
@@ -244,24 +240,14 @@ def channel_normal_form(state: State) -> State:
     renaming and to actor indices. It is *a* renaming, not a canonical
     one: equal actors keep their order in ``state``.
     """
-    if isinstance(state, GameState):
-        live = sorted((a for a in state.actors if a.strat.table), key=lambda a: a.strat)
-        bodies = [a.strat for a in live]
-    else:
-        # threads are already sorted by term first
-        live = [t for t in state.actors if isinstance(t.proc, Par) or t.proc.branches]
-        bodies = [t.proc for t in live]
+    live = state.actors[0].live_by_body(state.actors) if state.actors else []
     names: dict[int, int] = {}
-    for a in live:
+    for _, a in live:
         for c in a.attach:
             if c not in names:
                 names[c] = len(names) + 1
-    return type(state)(
-        len(names),
-        tuple(
-            a.avatar(tuple(names[c] for c in a.attach), body)
-            for a, body in zip(live, bodies)
-        ),
+    return State(
+        len(names), tuple(a.avatar(tuple(names[c] for c in a.attach), b) for b, a in live)
     )
 
 
@@ -455,14 +441,18 @@ def closed_graph(state: State, max_states: int = 200000) -> LtsGraph:
     return build_graph(state, closed_world_steps, max_states)
 
 
+def interface_graph(root: State, enable_link: bool = False, max_states: int = 200000) -> LtsGraph:
+    """The interface graph of a root whose every channel the environment knows."""
+    start = AState(tuple(range(1, root.num_channels + 1)), root)
+    return build_graph(start, lambda a: interface_steps(a, enable_link), max_states)
+
+
 def strategy_lts(p: Process, gamma: int, enable_link: bool = False, max_states: int = 200000) -> LtsGraph:
-    root = AState(tuple(range(1, gamma + 1)), root_strategy(p, gamma))
-    return build_graph(root, lambda a: interface_steps(a, enable_link), max_states)
+    return interface_graph(root_strategy(p, gamma), enable_link, max_states)
 
 
 def process_lts(p: Process, gamma: int, enable_link: bool = False, max_states: int = 200000) -> LtsGraph:
-    root = AState(tuple(range(1, gamma + 1)), root_process(p, gamma))
-    return build_graph(root, lambda a: interface_steps(a, enable_link), max_states)
+    return interface_graph(root_process(p, gamma), enable_link, max_states)
 
 
 # ---------------------------------------------------------- weak bisim
@@ -657,7 +647,7 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
 # -------------------------------------------------------- arena bridge
 
 
-def _position(state: GameState, chan_ids: dict[int, int], pids: Sequence[int]) -> arena.Position:
+def _position(state: State, chan_ids: dict[int, int], pids: Sequence[int]) -> arena.Position:
     """The arena position of ``state``: global channel c is ``chan_ids[c]``
     and the i-th player is ``pids[i]``."""
     return arena.Position(
@@ -669,13 +659,12 @@ def _position(state: GameState, chan_ids: dict[int, int], pids: Sequence[int]) -
     )
 
 
-def arena_position(g: GameState) -> arena.Position:
+def arena_position(g: State) -> arena.Position:
     """The current strategy-side state as a string-diagram position."""
-    chan_ids = {c: arena.new_id() for c in range(1, g.num_channels + 1)}
-    return _position(g, chan_ids, [arena.new_id() for _ in g.actors])
+    return arena_trace(g, []).initial
 
 
-def arena_trace(g0: GameState, indices: Sequence[int]) -> arena.Play:
+def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
     """Replay closed steps chosen by index as an arena play.
 
     Index k selects the k-th step of ``raw_closed_steps``: ticks by
@@ -684,11 +673,10 @@ def arena_trace(g0: GameState, indices: Sequence[int]) -> arena.Play:
     Channel and player traces are exact identity embeddings, so the
     resulting moves compose on the nose.
     """
-    chan_ids = {c: arena.new_id() for c in range(1, g0.num_channels + 1)}
-    pids = [arena.new_id() for _ in g0.actors]
-    pos = _position(g0, chan_ids, pids)
+    chan_ids = {c: arena.new_id() for c in range(1, state.num_channels + 1)}
+    pids = [arena.new_id() for _ in state.actors]
+    pos = _position(state, chan_ids, pids)
     play = arena.identity_play(pos)
-    state = g0
     for idx in indices:
         raws = raw_closed_steps(state)
         if not 0 <= idx < len(raws):

@@ -31,9 +31,9 @@ from actorgame.fairtest import eq_check, gen_tests, in_bot, passes
 from actorgame.lts import (
     AState,
     PlayerState,
+    State,
     build_graph,
     closed_graph,
-    game_state,
     interface_steps,
     process_lts,
     strategy_lts,
@@ -123,7 +123,7 @@ def test_criterion_2_verdict_coherence(corpus):
 
 def _strategy_graph(s):
     h = tuple(range(1, s.arity + 1))
-    root = AState(h, game_state(s.arity, [PlayerState(h, s)]))
+    root = AState(h, State.of(s.arity, [PlayerState(h, s)]))
     return build_graph(root, interface_steps)
 
 

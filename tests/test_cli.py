@@ -258,6 +258,73 @@ def test_suite_options_need_a_suite(capsys, write):
         assert err == f"error: {option} needs a generated suite: --bisim runs no test suite\n"
 
 
+SUITE_FOR_BISIM = "needs a generated suite: --bisim runs no test suite"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["eq", "S", "S", "--bisim", "--gen", "1"],
+            f"--gen {SUITE_FOR_BISIM}",
+            id="eq-bisim-gen",
+        ),
+        pytest.param(
+            ["eq", "S", "S", "--bisim", "--width", "1"],
+            f"--width {SUITE_FOR_BISIM}",
+            id="eq-bisim-width",
+        ),
+        pytest.param(
+            ["eq", "S", "S", "--bisim", "--bot", "weak"],
+            "--bot needs a fair test: --bisim runs none",
+            id="eq-bisim-bot",
+        ),
+        pytest.param(
+            ["fair", "S", "--test", "S", "--width", "3"],
+            "--width needs a generated suite: --test runs a single test",
+            id="fair-test-width",
+        ),
+        pytest.param(
+            ["dot", "S", "--what", "position", "--trace", "0"],
+            "--trace needs --what move or play",
+            id="dot-position-trace",
+        ),
+        pytest.param(
+            ["dot", "S", "--what", "position", "--index", "0"],
+            "--index needs --what move or play",
+            id="dot-position-index",
+        ),
+        pytest.param(
+            ["dot", "S", "--what", "play", "--index", "0"],
+            "--index needs --what move without --trace",
+            id="dot-play-index",
+        ),
+        pytest.param(
+            ["dot", "S", "--what", "move", "--trace", "0", "--index", "0"],
+            "--index needs --what move without --trace",
+            id="dot-move-trace-index",
+        ),
+    ],
+)
+def test_ignored_option_is_refused(capsys, write, argv, message):
+    f = write(RELAY)
+    code, out, err = run(capsys, *(f if a == "S" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_omitted_options_take_their_defaults(capsys, write):
+    f = write(RELAY)
+    t = write("ctx 1. rcv(1).0 + snd(1,1).0", "t1.act")
+    for short, full in (
+        (["fair", f, "--gen", "1"], ["--width", "2", "--bot", "weak"]),
+        (["fair", f, "--test", t], ["--bot", "weak"]),
+        (["eq", f, t, "--limit", "40"], ["--gen", "2", "--width", "2", "--bot", "weak"]),
+        (["dot", f, "--what", "move"], ["--index", "0"]),
+    ):
+        assert run(capsys, *short) == run(capsys, *short, *full)
+
+
 def test_closed_lts_rejects_enable_link(capsys, write):
     f = write(RELAY)
     code, out, err = run(capsys, "lts", f, "--world", "closed", "--enable-link")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actorgame import cli, fairtest
+from actorgame import cli, fairtest, lts
 from actorgame.fairtest import Test as FTest
 from actorgame.fairtest import (
     compose,
@@ -16,6 +16,7 @@ from actorgame.fairtest import (
     in_bot,
     merge_map,
     passes,
+    verdicts,
 )
 from actorgame.lts import closed_graph, process_lts, root_process, root_strategy, strategy_lts
 from actorgame.term import IllTyped, parse
@@ -307,6 +308,28 @@ def test_eq_check_reports_first_difference_in_suite_order():
         va = passes(a, 1, suite[k])
         vb = passes(b, 1, suite[k])
         assert va.passed == vb.passed
+
+
+def test_suite_builds_each_root_once_and_draws_tests_lazily(monkeypatch):
+    a = term("ctx 1. rcv(1).tick.0")
+    b = term("ctx 1. rcv(1).tick.0 + rcv(1).0")
+    built, drawn = [], []
+
+    def root(p, gamma):
+        built.append(p)
+        return root_process(p, gamma)
+
+    def tests():
+        for t in gen_tests(1, 2):
+            drawn.append(t)
+            yield t
+
+    monkeypatch.setitem(lts.ROOTS, "process", root)
+    res = eq_check(a, b, 1, tests(), side="process")
+    assert not res.equivalent and len(drawn) == res.checked == res.index + 1
+    assert built == [a, b] + [t.proc for t in drawn]
+    for test, pair in verdicts([a, b], 1, drawn, side="process"):
+        assert pair == (passes(a, 1, test, "process"), passes(b, 1, test, "process"))
 
 
 def test_eq_check_equivalent_on_suite():

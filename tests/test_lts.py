@@ -9,25 +9,24 @@ from actorgame.arena import Fork, Heartbeat, Sync, positions_isomorphic
 from actorgame.lts import (
     ALab,
     AState,
-    GameState,
     LtsGraph,
     PlayerState,
-    ProcState,
+    State,
     StepLabel,
     Thread,
     arena_position,
     arena_trace,
     build_graph,
+    channel_normal_form,
     closed_graph,
     closed_world_steps,
-    game_state,
     interface_steps,
-    proc_state,
     process_lts,
     raw_closed_steps,
     root_process,
     root_strategy,
     strategy_lts,
+    tick_free_steps,
     weak_bisim,
 )
 from actorgame.strategy import Definite, interpret
@@ -50,21 +49,22 @@ def test_game_state_sorts_players():
     s = interpret(parse("ctx 1. tick.0")[0], 1)
     a = PlayerState((1,), s)
     b = PlayerState((1,), Definite(1))
-    g1 = game_state(1, [a, b])
-    g2 = game_state(1, [b, a])
-    assert g1 == g2
+    g1 = State.of(1, [a, b])
+    g2 = State.of(1, [b, a])
+    assert g1 == g2 and g1.actors == (b, a)
 
 
 def test_game_state_rejects_arity_mismatch():
-    with pytest.raises(ValueError):
-        game_state(2, [PlayerState((1, 2), Definite(1))])
-    with pytest.raises(ValueError):
-        game_state(1, [PlayerState((2,), Definite(1))])
+    arity = r"^player attached to 2 channels runs a strategy of arity 1$"
+    with pytest.raises(ValueError, match=arity):
+        State.of(2, [PlayerState((1, 2), Definite(1))])
+    with pytest.raises(ValueError, match=r"^attachment 2 outside 1\.\.1$"):
+        State.of(1, [PlayerState((2,), Definite(1))])
 
 
 def test_proc_state_rejects_bad_env():
-    with pytest.raises(ValueError):
-        proc_state(1, [Thread(parse("ctx 0. 0")[0], (2,))])
+    with pytest.raises(ValueError, match=r"^attachment 2 outside 1\.\.1$"):
+        State.of(1, [Thread(parse("ctx 0. 0")[0], (2,))])
 
 
 def test_root_states():
@@ -180,6 +180,53 @@ def test_random_terms_give_acyclic_graphs(tg):
     assert_acyclic(process_lts(t, gamma))
     assert_acyclic(closed_graph(root_strategy(t, gamma)))
     assert_acyclic(closed_graph(root_process(t, gamma)))
+
+
+# -------------------------------------------------- channel normal form
+
+
+def fork_successors(state):
+    return [nxt for label, nxt in closed_world_steps(state) if isinstance(label.kind, Fork)]
+
+
+def test_normal_form_drops_inert_actors():
+    for root in roots("ctx 1. 0 | tick.0"):
+        (_, state), = closed_world_steps(root)
+        form = channel_normal_form(state)
+        assert len(state.actors) == 2
+        (live,) = form.actors
+        assert [key for key, _ in live.offers()] == [("heart",)]
+
+
+def test_normal_form_renumbers_held_channels_by_first_occurrence():
+    # p orders before q on both sides, so its (4, 5) are read first and
+    # become (1, 2), then q's 2 becomes 3; no actor holds 1, 3 or 6
+    p, q = parse("ctx 2. rcv(1).0")[0], parse("ctx 2. snd(1,2).0")[0]
+    for actor in (lambda t, a: PlayerState(a, interpret(t, 2)), lambda t, a: Thread(t, a)):
+        state = State.of(6, [actor(q, (5, 2)), actor(p, (4, 5))])
+        assert channel_normal_form(state) == State(3, (actor(p, (1, 2)), actor(q, (2, 3))))
+
+
+def test_fork_interleavings_share_a_normal_form():
+    # forking A then B or B then A gives A's halves and B's halves the
+    # fresh channels 2 and 3 the other way round
+    text = "ctx 0. (tick.0 | tick.tick.0) | (tick.tick.tick.0 | tick.tick.tick.tick.0)"
+    for root in roots(text):
+        (both,) = fork_successors(root)
+        a_first, b_first = fork_successors(both)
+        ((ab,), (ba,)) = fork_successors(a_first), fork_successors(b_first)
+        assert ab != ba
+        assert channel_normal_form(ab) == channel_normal_form(ba)
+
+
+def test_normal_form_keeps_tick_flag_and_step_count(small_corpus):
+    for gamma, terms in small_corpus.items():
+        for t in terms[:12]:
+            for root in (root_strategy(t, gamma), root_process(t, gamma)):
+                for state in closed_graph(root).states:
+                    can_tick, steps = tick_free_steps(state)
+                    form_tick, form_steps = tick_free_steps(channel_normal_form(state))
+                    assert (can_tick, len(steps)) == (form_tick, len(form_steps))
 
 
 # ------------------------------------------------------------ interface
