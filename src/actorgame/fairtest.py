@@ -24,15 +24,15 @@ the step rules are equivariant under channel renaming, so a form's
 ticks, deadlocks and distances are those of every state it stands for.
 On a failure, a breadth-first search over concrete states that keeps
 only successors on shortest paths to a failing form rebuilds the
-witness ``in_bot`` would give.
+witness ``in_bot`` would give, the first time the witness is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
-
+import functools
 from collections import deque
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .lts import (
     ROOTS,
@@ -87,11 +87,44 @@ compose_game = compose_proc = compose
 # ------------------------------------------------------------ verdicts
 
 
-@dataclass(frozen=True)
 class Verdict:
-    passed: bool
-    mode: str
-    witness: tuple[str, ...] = ()
+    """Whether a composite passed, in which mode, and on a failure the
+    witness: the step labels of a shortest tick-free path to a state that
+    cannot reach a tick, or the one root step without a direct tick. The
+    witness may be given as a function that builds it; it is then built
+    the first time it is read, by ``witness``, ``render()`` or ``==``."""
+
+    __slots__ = ("passed", "mode", "_witness")
+
+    def __init__(
+        self,
+        passed: bool,
+        mode: str,
+        witness: tuple[str, ...] | Callable[[], tuple[str, ...]] = (),
+    ):
+        self.passed = passed
+        self.mode = mode
+        self._witness = witness
+
+    @property
+    def witness(self) -> tuple[str, ...]:
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
+
+    def _fields(self) -> tuple:
+        return self.passed, self.mode, self.witness
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Verdict):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "Verdict(passed={!r}, mode={!r}, witness={!r})".format(*self._fields())
 
     def render(self) -> str:
         if self.passed:
@@ -258,6 +291,11 @@ def decide(state: State, mode: str = "weak", max_states: int = 200000) -> Verdic
     nearest state that cannot reach a tick is that of every state it
     stands for. strict: the root's steps in label order, each checked
     for a direct tick.
+
+    A weak failure's witness is searched for the first time it is read,
+    so a caller that reads only ``passed`` pays for no witness. Its
+    states count against ``max_states`` along with the decision's forms,
+    and exceeding it raises the ``RuntimeError`` where the witness is read.
     """
     if mode == "strict":
         for label, nxt in sorted(closed_world_steps(state), key=lambda step: step[0]):
@@ -270,7 +308,7 @@ def decide(state: State, mode: str = "weak", max_states: int = 200000) -> Verdic
     top = search.distance(state)
     if top == UNBOUNDED:
         return Verdict(True, mode)
-    return Verdict(False, mode, search.witness(state, int(top)))
+    return Verdict(False, mode, functools.partial(search.witness, state, int(top)))
 
 
 def verdicts(

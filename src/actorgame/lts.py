@@ -53,7 +53,7 @@ from .term import Par, Process, typecheck
 Offer = tuple[SeedKey, tuple[tuple[tuple[int, ...], object], ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlayerState:
     """A strategy player; players order by arity, attachment, strategy."""
 
@@ -90,7 +90,7 @@ class PlayerState:
         return (len(a), a) < (len(b), b)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Thread:
     proc: Process
     attach: tuple[int, ...]
@@ -116,7 +116,7 @@ class Thread:
         return Thread(cont, attach)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """A closed world: channels 1..num_channels and the actors attached to them."""
 
@@ -125,13 +125,20 @@ class State:
 
     @classmethod
     def of(cls, num_channels: int, actors: Iterable) -> State:
-        """The state of ``actors``, sorted, each attached within 1..num_channels."""
-        ordered = tuple(sorted(actors))
-        for a in ordered:
+        """The state of ``actors``, all of one side, sorted, each attached
+        within 1..num_channels."""
+        actors = list(actors)
+        side = type(actors[0]) if actors else None
+        for a in actors:
+            if type(a) is not side:
+                raise ValueError(
+                    f"actors of two sides in one state: {side.__name__} and {type(a).__name__}"
+                )
             for c in a.attach:
                 if not 1 <= c <= num_channels:
                     raise ValueError(f"attachment {c} outside 1..{num_channels}")
-        return cls(num_channels, ordered)
+        actors.sort()
+        return cls(num_channels, tuple(actors))
 
 
 def root_strategy(p: Process, gamma: int) -> State:
@@ -155,7 +162,7 @@ ROOTS = {"game": root_strategy, "strategy": root_strategy, "process": root_proce
 _CLOSED_TAG = {"Heartbeat": "tick", "Fork": "fork", "Sync": "sync"}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class StepLabel:
     """Closed-world edge label: the move kind, the indices of the actors
     in the source state, and the summand or branch indices chosen."""
@@ -182,7 +189,7 @@ class StepLabel:
         return f"{kind_label(self.kind)}@{a}#{ch}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ALab:
     """Interface edge label. Observable tags: tick, in, out, forkL,
     forkR, link; silent tags: sync, fork. Arguments are global channel
@@ -208,7 +215,7 @@ class ALab:
 SILENT_TAGS = frozenset({"sync", "fork"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AState:
     """Interface state: handle map of the environment plus the subject."""
 

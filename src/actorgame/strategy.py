@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 from .term import (
+    HashOnce,
     Par,
     Process,
     Recv,
@@ -35,6 +36,7 @@ from .term import (
     Sum,
     Tick,
     canonical,
+    hash_once,
     typecheck,
 )
 
@@ -75,16 +77,18 @@ def check_key(key: SeedKey, n: int) -> None:
         raise ValueError(f"unknown seed key tag {tag!r}")
 
 
-@dataclass(frozen=True, order=True)
-class Plain:
+@hash_once
+@dataclass(frozen=True, order=True, slots=True)
+class Plain(HashOnce):
     """A formal sum of definite strategies of one arity."""
 
     arity: int
     summands: tuple["Definite", ...] = ()
 
 
-@dataclass(frozen=True, order=True)
-class Definite:
+@hash_once
+@dataclass(frozen=True, order=True, slots=True)
+class Definite(HashOnce):
     """A strategy table: seed key to plain strategy for the avatar.
     Strategies order by arity, then table entry by entry, key first."""
 

@@ -19,7 +19,33 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 
-@dataclass(frozen=True)
+class HashOnce:
+    """Base of the value classes whose hash covers a whole tree: the slot
+    in which ``hash_once`` keeps the hash after its first use, so a value
+    that holds one hashes in time independent of its size."""
+
+    __slots__ = ("_hash",)
+
+
+def hash_once(cls: type) -> type:
+    """Class decorator over ``@dataclass(frozen=True, slots=True)`` on a
+    ``HashOnce`` subclass: its dataclass hash, that of the tuple of its
+    compared fields, is computed on first use and kept."""
+    compute = cls.__hash__
+
+    def __hash__(self: HashOnce) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = compute(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@dataclass(frozen=True, slots=True)
 class Send:
     """Emit channel ``obj`` on mailbox ``subject``. Binds nothing."""
 
@@ -32,7 +58,7 @@ class Send:
         return isinstance(other, Tick)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Recv:
     """Consume one message from mailbox ``subject``, binding one new index."""
 
@@ -44,7 +70,7 @@ class Recv:
         return isinstance(other, (Send, Tick))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tick:
     """Success beacon; the observable that fair testing counts."""
 
@@ -55,8 +81,9 @@ class Tick:
 Prefix = Union[Send, Recv, Tick]
 
 
-@dataclass(frozen=True)
-class Sum:
+@hash_once
+@dataclass(frozen=True, slots=True)
+class Sum(HashOnce):
     """Guarded choice. The empty choice is the inert process."""
 
     branches: tuple["Branch", ...] = ()
@@ -67,8 +94,9 @@ class Sum:
         return isinstance(other, Par)
 
 
-@dataclass(frozen=True)
-class Par:
+@hash_once
+@dataclass(frozen=True, slots=True)
+class Par(HashOnce):
     """Parallel composition; the two sides share one fresh mailbox."""
 
     left: "Process"
@@ -103,7 +131,14 @@ def ctx_after(prefix: Prefix, gamma: int) -> int:
 
 
 def typecheck(p: Process, gamma: int) -> None:
-    """Raise IllTyped unless ``p`` is well formed in a context of size ``gamma``."""
+    """Raise IllTyped unless ``p`` is well formed in a context of size
+    ``gamma``. A success is remembered, so checking a term again costs
+    one hash; a failure is not, and raises every time."""
+    _checked(p, gamma)
+
+
+@functools.lru_cache(maxsize=None)
+def _checked(p: Process, gamma: int) -> None:
     if gamma < 0:
         raise IllTyped("context size must be nonnegative", (), gamma)
     _check(p, gamma, ())

@@ -66,6 +66,14 @@ def test_compose_proc_mirrors_game():
     assert sorted(p.attach for p in game.actors) == sorted(t.attach for t in proc.actors) == [(1, 2), (2,)]
 
 
+def test_compose_rejects_roots_of_two_sides():
+    p = term("ctx 1. rcv(1).0")
+    with pytest.raises(ValueError, match=r"^actors of two sides in one state: PlayerState and Thread$"):
+        compose(root_strategy(p, 1), root_process(p, 1), (1,))
+    with pytest.raises(ValueError, match=r"^actors of two sides in one state: Thread and PlayerState$"):
+        compose(root_process(p, 1), root_strategy(p, 1), (1,))
+
+
 # ---------------------------------------------------------------- in_bot
 
 
@@ -221,9 +229,13 @@ def test_search_counts_forms_and_witness_states():
         decide(relay, max_states=2)
     # root, forked and deadlocked forms, then two witness states
     late = composite(root_process, term("ctx 1. snd(2,2).0 | rcv(2).0 + tick.0"), 1, EMPTY1)
-    assert not decide(late, max_states=5).passed
+    verdict = decide(late, max_states=5)
+    assert not verdict.passed and len(verdict.witness) == 2
+    # the witness is searched for when it is read, so the bound bites there
+    bounded = decide(late, max_states=4)
+    assert not bounded.passed
     with pytest.raises(RuntimeError, match="state space exceeds 4 states"):
-        decide(late, max_states=4)
+        bounded.witness
 
 
 def test_state_bound_is_an_input_error(tmp_path, monkeypatch, capsys):
@@ -330,6 +342,43 @@ def test_suite_builds_each_root_once_and_draws_tests_lazily(monkeypatch):
     assert built == [a, b] + [t.proc for t in drawn]
     for test, pair in verdicts([a, b], 1, drawn, side="process"):
         assert pair == (passes(a, 1, test, "process"), passes(b, 1, test, "process"))
+
+
+def test_eq_check_searches_for_no_witness(monkeypatch):
+    # C and D of criterion 6 fail alike on many tests; eq_check reads
+    # only whether each composite passed
+    c = term("ctx 1. rcv(1).0 + rcv(1).0")
+    d = term("ctx 1. rcv(1).0")
+    searched, failed = [], []
+    search_witness, orig_decide = fairtest._Search.witness, fairtest.decide
+
+    def counting_witness(self, *args):
+        searched.append(args)
+        return search_witness(self, *args)
+
+    def counting_decide(state, mode):
+        verdict = orig_decide(state, mode)
+        failed.append(not verdict.passed)
+        return verdict
+
+    monkeypatch.setattr(fairtest._Search, "witness", counting_witness)
+    monkeypatch.setattr(fairtest, "decide", counting_decide)
+    suite = list(itertools.islice(gen_tests(1, 2), 0, None, 20))
+    for side in ("game", "process"):
+        assert eq_check(c, d, 1, suite, side).equivalent
+    assert sum(failed) > 100 and searched == []
+
+
+def test_distinguishing_verdicts_carry_their_witnesses():
+    a = term("ctx 1. rcv(1).tick.0")
+    b = term("ctx 1. rcv(1).tick.0 + rcv(1).0")
+    for side in ("game", "process"):
+        res = eq_check(a, b, 1, gen_tests(1, 2), side)
+        assert not res.equivalent
+        for subject, verdict in ((a, res.verdict_left), (b, res.verdict_right)):
+            full = in_bot(closed_graph(composite(lts.ROOTS[side], subject, 1, res.test)))
+            assert verdict == passes(subject, 1, res.test, side) == full
+            assert verdict.render() == full.render()
 
 
 def test_eq_check_equivalent_on_suite():

@@ -1,0 +1,111 @@
+"""Every value hashes as its dataclass would, to ``hash`` of the tuple of
+its compared fields, whether or not it keeps its hash after the first
+use; equal values built apart hash equal, and no value has a
+``__dict__``."""
+
+import dataclasses
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from actorgame.fairtest import compose
+from actorgame.lts import (
+    ALab,
+    AState,
+    PlayerState,
+    State,
+    StepLabel,
+    Thread,
+    closed_world_steps,
+    interface_steps,
+    root_process,
+    root_strategy,
+)
+from actorgame.strategy import Definite, Plain
+from actorgame.term import Par, Recv, Send, Sum, Tick, parse
+from gen import terms
+
+SLOTTED = (Send, Recv, Tick, Sum, Par, Plain, Definite, PlayerState, Thread, State, StepLabel, ALab, AState)
+
+
+def compared(x):
+    return tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare)
+
+
+def as_tuples(x):
+    """``x`` with every value of a slotted class replaced, all the way
+    down, by the tuple of its compared fields: it hashes as ``x`` would
+    under the dataclass's own hash, and keeps no hash anywhere."""
+    if isinstance(x, SLOTTED):
+        return tuple(as_tuples(v) for v in compared(x))
+    if isinstance(x, tuple):
+        return tuple(as_tuples(v) for v in x)
+    return x
+
+
+def rebuild(x):
+    """An equal copy of ``x`` in which every value is built afresh."""
+    if isinstance(x, SLOTTED):
+        return type(x)(*(rebuild(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, tuple):
+        return tuple(rebuild(v) for v in x)
+    return x
+
+
+def values(roots):
+    """The values in the closed and interface steps of ``roots``, and
+    every value of a slotted class inside them."""
+    found, stack = [], []
+    for root in roots:
+        stack.append(root)
+        stack.extend(closed_world_steps(root))
+        stack.extend(interface_steps(AState(tuple(range(1, root.num_channels + 1)), root)))
+    while stack:
+        x = stack.pop()
+        if isinstance(x, SLOTTED):
+            found.append(x)
+            stack.extend(compared(x))
+        elif isinstance(x, tuple):
+            stack.extend(x)
+    return found
+
+
+def check_hash_contract(roots):
+    found = values(roots)
+    for x in found:
+        fresh = rebuild(x)
+        assert fresh == x
+        assert hash(fresh) == hash(as_tuples(x)) == hash(compared(x)) == hash(x) == hash(fresh)
+        assert not hasattr(x, "__dict__")
+    return {type(x) for x in found}
+
+
+@st.composite
+def closed_roots(draw):
+    """A random subject at context 0-2 and a random test at context 0-2
+    under a random handle map, as one-actor roots and composed, on both
+    sides."""
+    gamma = draw(st.integers(0, 2))
+    ctx = draw(st.integers(1 if gamma else 0, 2))
+    h = draw(st.tuples(*[st.integers(1, ctx)] * gamma))
+    subject, test = draw(terms(gamma)), draw(terms(ctx))
+    roots = []
+    for root in (root_strategy, root_process):
+        s, env = root(subject, gamma), root(test, ctx)
+        roots += [s, env, compose(s, env, h)]
+    return roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_roots())
+def test_values_hash_as_their_compared_fields(roots):
+    check_hash_contract(roots)
+
+
+def test_every_value_class_is_slotted_and_keeps_the_contract():
+    subject, gamma = parse("ctx 1. rcv(1).tick.0 + snd(1,1).(0 | tick.0)")
+    test, ctx = parse("ctx 1. snd(1,1).0")
+    roots = []
+    for root in (root_strategy, root_process):
+        roots.append(compose(root(subject, gamma), root(test, ctx), (1,)))
+    assert check_hash_contract(roots) == set(SLOTTED)
