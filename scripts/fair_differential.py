@@ -2,24 +2,27 @@
 """Check the fair verdict search against the verdict read off the full
 closed graph.
 
-Every composite is decided twice, in both modes: by ``decide``, the
-search over channel-normalised states that ``passes`` uses, and by
+Every composite is decided in both modes by ``decide``, the search over
+channel-normalised states that ``passes`` uses, by ``holds``, the same
+search without a failure witness that ``eq_check`` uses, and by
 ``in_bot(closed_graph(root))``. The composites are the four subjects of
 acceptance criterion 6 against every test of the context-1, depth-2
 suite on both sides (86776 composites), and the three large closed
 composites of the benchmark's ``closed`` workload on both sides. The
-verdicts must agree on pass or fail and on the failure witness.
+``decide`` verdicts must agree with the graph's on pass or fail and on
+the failure witness, and the ``holds`` flags on pass or fail.
 
     PYTHONPATH=src python3 scripts/fair_differential.py
 
-Takes about 40 s on a 2-vCPU host; prints the composites and verdicts
-checked, each mismatch, and the time. Exits 1 on any mismatch.
+Takes about 35 s on a 2-vCPU host; prints the composites and verdicts
+checked, the mismatches of each search and each mismatch, and the time.
+Exits 1 on any mismatch.
 """
 
 import sys
 import time
 
-from actorgame.fairtest import compose, decide, gen_tests, in_bot
+from actorgame.fairtest import compose, decide, gen_tests, holds, in_bot
 from actorgame.lts import ROOTS, closed_graph
 from actorgame.term import parse
 
@@ -41,9 +44,6 @@ FAIL_TEST = (
 )
 
 
-SIDE_NAMES = ("game", "process")
-
-
 def term(text):
     return parse(text)[0]
 
@@ -52,25 +52,24 @@ def composites():
     """(name, root) pairs: the suite composites, then the closed ones."""
     suite = list(gen_tests(1, 2))
     for name, text in SUBJECTS.items():
-        subjects = [(side, ROOTS[side](term(text), 1)) for side in SIDE_NAMES]
+        subjects = [(side, root(term(text), 1)) for side, root in ROOTS.items()]
         for k, test in enumerate(suite):
             for side, subject in subjects:
                 env = ROOTS[side](test.proc, test.ctx)
                 yield f"{name} test#{k} {side}", compose(subject, env, test.h)
-    for side in SIDE_NAMES:
-        yield f"BIG {side}", ROOTS[side](term(BIG), 1)
+    for side, root in ROOTS.items():
+        yield f"BIG {side}", root(term(BIG), 1)
     for name, subject, test in (
         ("PASS", PASS_SUBJECT, BIG),
         ("FAIL", FAIL_SUBJECT, FAIL_TEST),
     ):
-        for side in SIDE_NAMES:
-            root = ROOTS[side]
+        for side, root in ROOTS.items():
             yield f"{name} {side}", compose(root(term(subject), 1), root(term(test), 1), (1,))
 
 
 def main() -> int:
     start = time.perf_counter()
-    checked = verdicts = mismatches = 0
+    checked = verdicts = decide_mismatches = holds_mismatches = 0
     for name, root in composites():
         checked += 1
         g = closed_graph(root)
@@ -78,11 +77,17 @@ def main() -> int:
             verdicts += 1
             got, want = decide(root, mode), in_bot(g, mode)
             if got != want:
-                mismatches += 1
+                decide_mismatches += 1
                 print(f"mismatch {name} {mode}: search {got.render()!r}, graph {want.render()!r}")
+            if holds(root, mode) != want.passed:
+                holds_mismatches += 1
+                print(f"mismatch {name} {mode}: holds {not want.passed}, graph {want.render()!r}")
     elapsed = time.perf_counter() - start
-    print(f"composites {checked}, verdicts {verdicts}, mismatches {mismatches}, {elapsed:.1f}s")
-    return 1 if mismatches else 0
+    print(
+        f"composites {checked}, verdicts {verdicts}, mismatches {decide_mismatches} (decide) "
+        f"{holds_mismatches} (holds), {elapsed:.1f}s"
+    )
+    return 1 if decide_mismatches or holds_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import random
 import sys
 
 from .arena import to_dot
-from .fairtest import Test, eq_check, gen_tests, identity_test, passes, verdicts
+from .fairtest import Test, composites, decide, eq_check, gen_tests, identity_test, passes
 from .lts import (
     ROOTS,
     arena_position,
@@ -134,7 +134,8 @@ def cmd_fair(args: argparse.Namespace) -> int:
         return 0 if verdict.passed else 1
     tests = _suite(args, gamma)
     failures = 0
-    for k, (_, (verdict,)) in enumerate(verdicts([subject], gamma, tests, args.side, args.bot)):
+    for k, (_, (state,)) in enumerate(composites([subject], gamma, tests, args.side)):
+        verdict = decide(state, args.bot)
         if not verdict.passed:
             failures += 1
         print(f"test#{k} {verdict.render()}")
@@ -206,6 +207,11 @@ _COMMANDS = {
 }
 
 
+def _side(name: str) -> str:
+    """A ``--side`` value: ``game`` is the old spelling of ``strategy``."""
+    return "strategy" if name == "game" else name
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="actorgame",
@@ -223,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lts", help="print a transition graph")
     p.add_argument("file")
     p.add_argument("--world", choices=["interface", "closed"], default="interface")
-    p.add_argument("--side", choices=["strategy", "process"], default="strategy")
+    p.add_argument("--side", type=_side, choices=list(ROOTS), default="strategy")
     p.add_argument("--enable-link", action="store_true", help="enable the link rule")
 
     p = sub.add_parser("fair", help="fair-test a subject")
@@ -234,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int)
     p.add_argument("--limit", type=int)
     p.add_argument("--seed", type=int, help="shuffle the generated suite")
-    p.add_argument("--side", choices=["game", "process"], default="game")
+    p.add_argument("--side", type=_side, choices=list(ROOTS), default="strategy")
     p.add_argument("--bot", choices=["weak", "strict"], default="weak")
 
     p = sub.add_parser("eq", help="compare two subjects")
@@ -244,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int)
     p.add_argument("--limit", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--side", choices=["game", "process"], default="game")
+    p.add_argument("--side", type=_side, choices=list(ROOTS), default="strategy")
     p.add_argument("--bot", choices=["weak", "strict"])
     p.add_argument(
         "--bisim",
@@ -264,6 +270,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.cmd](args)
-    except (ParseError, IllTyped, ValueError, IndexError, RuntimeError, OSError) as exc:
+    except (ParseError, IllTyped, ValueError, IndexError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,26 +13,26 @@ outgoing tick. The strict verdict asks that every immediate successor
 of the root have a direct tick available; a root with no steps passes
 vacuously.
 
-``in_bot`` reads both verdicts off a built closed graph. ``passes``
-reaches the same verdicts, failure witness included, without building
-one (``decide``). Every graph of this calculus is acyclic, since each
-step consumes a prefix or a parallel node, so a state that cannot
-reach a tick has a tick-free path to a deadlock: the weak verdict is
-deadlock reachability over tick-free steps. The search files each
-state under a channel-normalised form (``lts.channel_normal_form``);
-the step rules are equivariant under channel renaming, so a form's
-ticks, deadlocks and distances are those of every state it stands for.
-On a failure, a breadth-first search over concrete states that keeps
-only successors on shortest paths to a failing form rebuilds the
-witness ``in_bot`` would give, the first time the witness is read.
+``in_bot`` reads both verdicts off a built closed graph. ``decide``
+reaches the same verdict, failure witness included, without building
+one; ``holds`` reaches only whether the composite passed, searching for
+no witness, and ``eq_check`` reads it on every composite. Every graph
+of this calculus is acyclic, since each step consumes a prefix or a
+parallel node, so a state that cannot reach a tick has a tick-free path
+to a deadlock: the weak verdict is deadlock reachability over
+tick-free steps. The search files each state under a channel-normalised
+form (``lts.channel_normal_form``); the step rules are equivariant
+under channel renaming, so a form's ticks, deadlocks and distances are
+those of every state it stands for. On a failure, a breadth-first
+search over concrete states that keeps only successors on shortest
+paths to a failing form rebuilds the witness ``in_bot`` would give.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .lts import (
     ROOTS,
@@ -87,44 +87,15 @@ compose_game = compose_proc = compose
 # ------------------------------------------------------------ verdicts
 
 
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Whether a composite passed, in which mode, and on a failure the
     witness: the step labels of a shortest tick-free path to a state that
-    cannot reach a tick, or the one root step without a direct tick. The
-    witness may be given as a function that builds it; it is then built
-    the first time it is read, by ``witness``, ``render()`` or ``==``."""
+    cannot reach a tick, or the one root step without a direct tick."""
 
-    __slots__ = ("passed", "mode", "_witness")
-
-    def __init__(
-        self,
-        passed: bool,
-        mode: str,
-        witness: tuple[str, ...] | Callable[[], tuple[str, ...]] = (),
-    ):
-        self.passed = passed
-        self.mode = mode
-        self._witness = witness
-
-    @property
-    def witness(self) -> tuple[str, ...]:
-        if callable(self._witness):
-            self._witness = self._witness()
-        return self._witness
-
-    def _fields(self) -> tuple:
-        return self.passed, self.mode, self.witness
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Verdict):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "Verdict(passed={!r}, mode={!r}, witness={!r})".format(*self._fields())
+    passed: bool
+    mode: str
+    witness: tuple[str, ...] = ()
 
     def render(self) -> str:
         if self.passed:
@@ -278,60 +249,65 @@ class _Search:
         return tuple(reversed(labels))
 
 
+def _strict_witness(state: State) -> tuple[str, ...]:
+    """The strict verdict's witness: the first of the root's steps, in
+    label order, after which no tick is directly available, or ()."""
+    for label, nxt in sorted(closed_world_steps(state), key=lambda step: step[0]):
+        if not tick_free_steps(nxt)[0]:
+            return (label.render(),)
+    return ()
+
+
+def holds(state: State, mode: str = "weak", max_states: int = 200000) -> bool:
+    """``decide(state, mode, max_states).passed``, found without searching
+    for a failure witness."""
+    if mode == "strict":
+        return not _strict_witness(state)
+    if mode != "weak":
+        raise ValueError(f"unknown verdict mode {mode!r}")
+    return _Search(max_states).distance(state) == UNBOUNDED
+
+
 def decide(state: State, mode: str = "weak", max_states: int = 200000) -> Verdict:
     """``in_bot(closed_graph(state), mode)``, found without building the
-    graph.
-
-    weak: every graph is acyclic, so a state that cannot reach a tick
-    has a tick-free path to a deadlock, a state with no steps at all,
-    and the composite passes exactly when no deadlock is reachable by
-    tick-free steps. The search follows
-    tick-free steps only, over channel-normalised forms: the step rules
-    are equivariant under channel renaming, so a form's distance to the
-    nearest state that cannot reach a tick is that of every state it
-    stands for. strict: the root's steps in label order, each checked
-    for a direct tick.
-
-    A weak failure's witness is searched for the first time it is read,
-    so a caller that reads only ``passed`` pays for no witness. Its
-    states count against ``max_states`` along with the decision's forms,
-    and exceeding it raises the ``RuntimeError`` where the witness is read.
-    """
+    graph: weak by the search over channel-normalised forms, strict from
+    the root's steps in label order. A weak failure's witness is searched
+    for at once; its states count against ``max_states`` along with the
+    decision's forms, and exceeding it raises ``RuntimeError``."""
     if mode == "strict":
-        for label, nxt in sorted(closed_world_steps(state), key=lambda step: step[0]):
-            if not tick_free_steps(nxt)[0]:
-                return Verdict(False, mode, (label.render(),))
-        return Verdict(True, mode)
+        witness = _strict_witness(state)
+        return Verdict(not witness, mode, witness)
     if mode != "weak":
         raise ValueError(f"unknown verdict mode {mode!r}")
     search = _Search(max_states)
     top = search.distance(state)
     if top == UNBOUNDED:
         return Verdict(True, mode)
-    return Verdict(False, mode, functools.partial(search.witness, state, int(top)))
+    return Verdict(False, mode, search.witness(state, int(top)))
 
 
-def verdicts(
+def composites(
     subjects: Sequence[Process],
     gamma: int,
     tests: Iterable[Test],
-    side: str = "game",
-    mode: str = "weak",
-) -> Iterator[tuple[Test, tuple[Verdict, ...]]]:
-    """Each test, drawn when asked for, with every subject's verdict on it.
-    Each subject's root is built once per suite, each test's once."""
+    side: str = "strategy",
+) -> Iterator[tuple[Test, tuple[State, ...]]]:
+    """Each test, drawn when asked for, with every subject composed with
+    it. Each subject's root is built once per suite, each test's once."""
     if side not in ROOTS:
         raise ValueError(f"unknown side {side!r}")
     root = ROOTS[side]
     roots = [root(s, gamma) for s in subjects]
     for test in tests:
         env = root(test.proc, test.ctx)
-        yield test, tuple(decide(compose(s, env, test.h), mode) for s in roots)
+        yield test, tuple(compose(s, env, test.h) for s in roots)
 
 
-def passes(subject: Process, gamma: int, test: Test, side: str = "game", mode: str = "weak") -> Verdict:
-    [(_, (verdict,))] = verdicts([subject], gamma, [test], side, mode)
-    return verdict
+def passes(
+    subject: Process, gamma: int, test: Test, side: str = "strategy", mode: str = "weak"
+) -> Verdict:
+    [(_, (state,))] = composites([subject], gamma, [test], side)
+    return decide(state, mode)
 
 
 # ----------------------------------------------------------- test sets
@@ -373,13 +349,14 @@ def eq_check(
     right: Process,
     gamma: int,
     tests: Iterable[Test],
-    side: str = "game",
+    side: str = "strategy",
     mode: str = "weak",
 ) -> EqResult:
     """Run both subjects against the suite; stop at the first test whose
-    verdicts differ, drawing no test after it."""
+    verdicts differ, drawing no test after it. Only the two verdicts of
+    that test are searched for failure witnesses."""
     count = 0
-    for count, (test, (vl, vr)) in enumerate(verdicts((left, right), gamma, tests, side, mode), 1):
-        if vl.passed != vr.passed:
-            return EqResult(False, count, count - 1, test, vl, vr)
+    for count, (test, (sl, sr)) in enumerate(composites((left, right), gamma, tests, side), 1):
+        if holds(sl, mode) != holds(sr, mode):
+            return EqResult(False, count, count - 1, test, decide(sl, mode), decide(sr, mode))
     return EqResult(True, count)

@@ -152,8 +152,8 @@ def root_process(p: Process, gamma: int) -> State:
     return State.of(gamma, [Thread(p, tuple(range(1, gamma + 1)))])
 
 
-# the root builder of each side, under its command-line names
-ROOTS = {"game": root_strategy, "strategy": root_strategy, "process": root_process}
+# the root builder of each side
+ROOTS = {"strategy": root_strategy, "process": root_process}
 
 
 # ------------------------------------------------------------- labels

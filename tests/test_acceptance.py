@@ -2,9 +2,11 @@
 
 Seven criteria, one test each, run in definition order. Each prints a
 single PASS or FAIL line (visible under ``pytest -s``) and asserts it.
-The composite roots whose verdicts criteria 2 and 6 search for are
-recorded, and criterion 7 checks each verdict against the one read off
-the full closed graph and against a brute-force oracle.
+The composite roots that criteria 2 and 6 hand to the verdict search
+are recorded with whether they passed there, and criterion 7 checks
+that flag, and the verdict it decides for each root again, failure
+witness included, against the verdict read off the full closed graph
+and against a brute-force oracle.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from actorgame.arena import (
     new_id,
     seed,
 )
-from actorgame.fairtest import eq_check, gen_tests, in_bot, passes
+from actorgame.fairtest import decide, eq_check, gen_tests, in_bot, passes
 from actorgame.lts import (
     AState,
     PlayerState,
@@ -52,25 +54,30 @@ C6_SUITE_SIZE = 10847  # all tests at context 1, depth 2, width 2
 C7_FLOOR_SUBJECTS = 5  # standalone run only, when nothing was recorded
 C7_FLOOR_TESTS = 8
 
-_REGISTRY: dict[tuple, object] = {}
+_REGISTRY: dict[tuple, bool] = {}
 
 
 @contextmanager
 def _recording():
-    """Capture every composite root fed to the verdict search, with the
-    verdict it gave."""
-    orig = fairtest_mod.decide
+    """Capture every composite root, with its mode, that is handed to
+    ``holds`` or ``decide``, and whether it passed there."""
+    orig_holds, orig_decide = fairtest_mod.holds, fairtest_mod.decide
 
-    def recording(state, mode="weak"):
-        verdict = orig(state, mode)
-        _REGISTRY[state, mode] = verdict
+    def holds(state, mode="weak"):
+        passed = orig_holds(state, mode)
+        _REGISTRY.setdefault((state, mode), passed)
+        return passed
+
+    def decide(state, mode="weak"):
+        verdict = orig_decide(state, mode)
+        _REGISTRY.setdefault((state, mode), verdict.passed)
         return verdict
 
-    fairtest_mod.decide = recording
+    fairtest_mod.holds, fairtest_mod.decide = holds, decide
     try:
         yield
     finally:
-        fairtest_mod.decide = orig
+        fairtest_mod.holds, fairtest_mod.decide = orig_holds, orig_decide
 
 
 def _report(num, ok, detail):
@@ -107,7 +114,7 @@ def test_criterion_2_verdict_coherence(corpus):
             for subject in terms[:C2_SUBJECTS]:
                 for t in suite:
                     checked += 1
-                    vg = passes(subject, gamma, t, "game")
+                    vg = passes(subject, gamma, t, "strategy")
                     vp = passes(subject, gamma, t, "process")
                     if vg.passed != vp.passed:
                         failed += 1
@@ -116,7 +123,7 @@ def test_criterion_2_verdict_coherence(corpus):
     _report(
         2,
         ok,
-        f"game and process verdicts agree on {checked - failed}/{checked} "
+        f"strategy and process verdicts agree on {checked - failed}/{checked} "
         f"subject/test pairs in {elapsed:.1f}s",
     )
 
@@ -320,14 +327,18 @@ def test_criterion_7_verdicts_against_oracle():
                 tests = list(itertools.islice(gen_tests(gamma, 1), C7_FLOOR_TESTS))
                 for subject in subjects:
                     for t in tests:
-                        passes(subject, gamma, t, "game")
+                        passes(subject, gamma, t, "strategy")
                         passes(subject, gamma, t, "process")
     checked = failed = 0
-    for (root, mode), verdict in _REGISTRY.items():
+    for (root, mode), passed in _REGISTRY.items():
         checked += 1
         g = closed_graph(root)
         reference = in_bot(g, mode)
-        if verdict != reference or (mode == "weak" and reference.passed != brute_in_bot(g)):
+        if (
+            passed != reference.passed
+            or decide(root, mode) != reference
+            or (mode == "weak" and reference.passed != brute_in_bot(g))
+        ):
             failed += 1
     ok = failed == 0 and checked > 0
     _report(

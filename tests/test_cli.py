@@ -193,26 +193,62 @@ def test_dot_outputs(capsys, write):
 # --------------------------------------------------------------- errors
 
 
-def test_module_entry_point():
-    # python -m actorgame runs __main__.py, which exits with main()'s code
+def run_module(*argv, stdin=None):
+    """``python -m actorgame ARGV`` in a fresh process."""
     paths = [os.path.dirname(os.path.dirname(actorgame.__file__))]
     paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, "-m", "actorgame", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
 
-    def go(text):
-        return subprocess.run(
-            [sys.executable, "-m", "actorgame", "parse", "-"],
-            input=text,
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
 
-    ok = go("ctx 0. tick.0")
+def test_module_entry_point():
+    # python -m actorgame runs __main__.py, which exits with main()'s code
+    ok = run_module("parse", "-", stdin="ctx 0. tick.0")
     assert ok.returncode == 0 and ok.stdout == "ctx 0. tick.0\n"
-    bad = go("ctx 0. rcv(1).0")
+    bad = run_module("parse", "-", stdin="ctx 0. rcv(1).0")
     assert bad.returncode == 2 and bad.stdout == "" and bad.stderr.startswith("error:")
+
+
+# The longest `ctx 0.` chain of `tick.` prefixes each command answers in
+# a fresh Python 3.11 process; one prefix more and the interpreter's
+# recursion limit stops it. A warm process answers deeper chains, since
+# typing and interpretation remember the terms they have seen, so each
+# command runs in a process of its own.
+DEEP_LIMITS = [
+    (247, "parse {f}"),
+    (165, "interp {f}"),
+    (163, "lts {f} --side strategy"),
+    (163, "fair {f} --test {f} --side strategy"),
+    (196, "fair {f} --test {f} --side process"),
+]
+
+
+def run_on_chain(write, length, command):
+    f = write("ctx 0. " + "tick." * length + "0")
+    return run_module(*[arg.format(f=f) for arg in command.split()])
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the limit is the interpreter's")
+@pytest.mark.parametrize("length, command", DEEP_LIMITS)
+def test_deep_chains_within_the_limit_answer(write, length, command):
+    res = run_on_chain(write, length, command)
+    assert res.returncode in (0, 1), res.stderr
+
+
+@pytest.mark.parametrize("command", [command for _, command in DEEP_LIMITS])
+def test_very_deep_chains_answer_or_fail_cleanly(write, command):
+    res = run_on_chain(write, 3000, command)
+    assert "Traceback" not in res.stderr
+    if res.returncode not in (0, 1):
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 def test_missing_file(capsys):
@@ -356,6 +392,14 @@ def test_empty_map_is_checked_for_length(capsys, write):
         assert err == "error: handle map has 0 entries, subject needs 1\n"
 
 
+def test_huge_context_is_an_input_error(capsys, write):
+    f = write("ctx 100000000000000000000. 0")
+    for argv in (["lts", f], ["fair", f, "--test", f]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_dot_empty_move(capsys, write):
     code, _, err = run(capsys, "dot", write("ctx 0. 0"), "--what", "move")
     assert code == 2 and "error:" in err
@@ -371,6 +415,20 @@ def test_bad_numeric_options_name_the_option(capsys, write):
     assert err == "error: --limit must be at least 0, got -1\n"
     code, _, err = run(capsys, "fair", f, "--gen", "1", "--width", "-2")
     assert code == 2 and err == "error: --width must be at least 0, got -2\n"
+
+
+def test_game_is_the_old_name_of_the_strategy_side(capsys, write):
+    f = write(RELAY)
+    for argv in (
+        ["lts", f],
+        ["fair", f, "--gen", "1", "--limit", "4"],
+        ["eq", f, f, "--gen", "1", "--limit", "4"],
+        ["eq", f, f, "--bisim"],
+    ):
+        default = run(capsys, *argv)
+        assert default[0] in (0, 1)
+        for side in ("strategy", "game"):
+            assert run(capsys, *argv, "--side", side) == default
 
 
 # ---------------------------------------------------------- determinism

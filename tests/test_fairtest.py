@@ -10,13 +10,14 @@ from actorgame import cli, fairtest, lts
 from actorgame.fairtest import Test as FTest
 from actorgame.fairtest import (
     compose,
+    composites,
     decide,
     eq_check,
     gen_tests,
+    holds,
     in_bot,
     merge_map,
     passes,
-    verdicts,
 )
 from actorgame.lts import closed_graph, process_lts, root_process, root_strategy, strategy_lts
 from actorgame.term import IllTyped, parse
@@ -144,7 +145,7 @@ def test_game_and_process_verdicts_agree_samples(small_corpus):
         suite = list(itertools.islice(gen_tests(gamma, 2), 10))
         for subject in terms[:8]:
             for t in suite:
-                vg = passes(subject, gamma, t, "game")
+                vg = passes(subject, gamma, t, "strategy")
                 vp = passes(subject, gamma, t, "process")
                 assert vg.passed == vp.passed, (gamma, subject, t)
 
@@ -165,7 +166,7 @@ def test_verdicts_match_golden_digest():
     for text in ("ctx 1. rcv(1).tick.0", "ctx 1. rcv(1).tick.0 + rcv(1).0"):
         subject = term(text)
         for t in suite:
-            for side in ("game", "process"):
+            for side in ("strategy", "process"):
                 for mode in ("weak", "strict"):
                     h.update(passes(subject, 1, t, side, mode).render().encode() + b"\n")
     assert h.hexdigest() == GOLDEN_VERDICTS
@@ -183,7 +184,7 @@ def test_large_composite_fail_witnesses():
             "| ((rcv(2).0 | snd(2,2).0) | (snd(1,1).0 | rcv(3).0))"
         ),
     )
-    assert passes(subject, 1, test, "game").render() == (
+    assert passes(subject, 1, test, "strategy").render() == (
         "fail witness: fork(1)@0#0,0;fork(2)@1#0,0;fork(2)@1#0,0;fork(3)@1#0,0;"
         "fork(3)@3#0,0;sync(1;1|4;1,1)@6,0#0,0;sync(4;1|2;1,1)@0,3#0,0"
     )
@@ -194,7 +195,7 @@ def test_large_composite_fail_witnesses():
 
 
 @st.composite
-def composites(draw):
+def random_composites(draw):
     """A random subject at context 0-2 composed, on a random side, with a
     random test at context 0-2 under a random handle map."""
     gamma = draw(st.integers(0, 2))
@@ -206,11 +207,12 @@ def composites(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(composites())
+@given(random_composites())
 def test_search_matches_full_graph_verdict(root):
     g = closed_graph(root)
     for mode in ("weak", "strict"):
         assert decide(root, mode) == in_bot(g, mode)
+        assert holds(root, mode) == in_bot(g, mode).passed
     # the weak verdict is deadlock reachability: every graph is acyclic
     reached, stack = {g.root}, [g.root]
     while stack:
@@ -231,11 +233,10 @@ def test_search_counts_forms_and_witness_states():
     late = composite(root_process, term("ctx 1. snd(2,2).0 | rcv(2).0 + tick.0"), 1, EMPTY1)
     verdict = decide(late, max_states=5)
     assert not verdict.passed and len(verdict.witness) == 2
-    # the witness is searched for when it is read, so the bound bites there
-    bounded = decide(late, max_states=4)
-    assert not bounded.passed
+    # the flag alone needs only the three forms
+    assert not holds(late, max_states=3)
     with pytest.raises(RuntimeError, match="state space exceeds 4 states"):
-        bounded.witness
+        decide(late, max_states=4)
 
 
 def test_state_bound_is_an_input_error(tmp_path, monkeypatch, capsys):
@@ -340,39 +341,52 @@ def test_suite_builds_each_root_once_and_draws_tests_lazily(monkeypatch):
     res = eq_check(a, b, 1, tests(), side="process")
     assert not res.equivalent and len(drawn) == res.checked == res.index + 1
     assert built == [a, b] + [t.proc for t in drawn]
-    for test, pair in verdicts([a, b], 1, drawn, side="process"):
-        assert pair == (passes(a, 1, test, "process"), passes(b, 1, test, "process"))
+    for test, pair in composites([a, b], 1, drawn, side="process"):
+        assert tuple(map(decide, pair)) == (
+            passes(a, 1, test, "process"),
+            passes(b, 1, test, "process"),
+        )
 
 
 def test_eq_check_searches_for_no_witness(monkeypatch):
     # C and D of criterion 6 fail alike on many tests; eq_check reads
-    # only whether each composite passed
+    # only whether each composite passed, and decides with a witness
+    # only the two composites of the test that tells A from B
+    a = term("ctx 1. rcv(1).tick.0")
+    b = term("ctx 1. rcv(1).tick.0 + rcv(1).0")
     c = term("ctx 1. rcv(1).0 + rcv(1).0")
     d = term("ctx 1. rcv(1).0")
-    searched, failed = [], []
-    search_witness, orig_decide = fairtest._Search.witness, fairtest.decide
+    failed, decided = [], []
+    orig_holds, orig_decide = fairtest.holds, fairtest.decide
 
-    def counting_witness(self, *args):
-        searched.append(args)
-        return search_witness(self, *args)
+    def counting_holds(state, mode):
+        passed = orig_holds(state, mode)
+        failed.append(not passed)
+        return passed
 
     def counting_decide(state, mode):
-        verdict = orig_decide(state, mode)
-        failed.append(not verdict.passed)
-        return verdict
+        decided.append(state)
+        return orig_decide(state, mode)
 
-    monkeypatch.setattr(fairtest._Search, "witness", counting_witness)
+    monkeypatch.setattr(fairtest, "holds", counting_holds)
     monkeypatch.setattr(fairtest, "decide", counting_decide)
     suite = list(itertools.islice(gen_tests(1, 2), 0, None, 20))
-    for side in ("game", "process"):
+    for side in ("strategy", "process"):
         assert eq_check(c, d, 1, suite, side).equivalent
-    assert sum(failed) > 100 and searched == []
+    assert sum(failed) > 100 and decided == []
+    for side in ("strategy", "process"):
+        res = eq_check(a, b, 1, suite, side)
+        assert not res.equivalent
+        assert decided == [
+            composite(lts.ROOTS[side], subject, 1, res.test) for subject in (a, b)
+        ]
+        decided.clear()
 
 
 def test_distinguishing_verdicts_carry_their_witnesses():
     a = term("ctx 1. rcv(1).tick.0")
     b = term("ctx 1. rcv(1).tick.0 + rcv(1).0")
-    for side in ("game", "process"):
+    for side in ("strategy", "process"):
         res = eq_check(a, b, 1, gen_tests(1, 2), side)
         assert not res.equivalent
         for subject, verdict in ((a, res.verdict_left), (b, res.verdict_right)):
