@@ -16,7 +16,8 @@ vacuously.
 ``in_bot`` reads both verdicts off a built closed graph. ``decide``
 reaches the same verdict, failure witness included, without building
 one; ``holds`` reaches only whether the composite passed, searching for
-no witness, and ``eq_check`` reads it on every composite. Every graph
+no witness, and ``eq_check`` reads it on the composites of every
+distinct test (see ``composites``). Every graph
 of this calculus is acyclic, since each step consumes a prefix or a
 parallel node, so a state that cannot reach a tick has a tick-free path
 to a deadlock: the weak verdict is deadlock reachability over
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .lts import (
     ROOTS,
@@ -43,7 +44,7 @@ from .lts import (
     closed_world_steps,
     tick_free_steps,
 )
-from .term import Process, enumerate_terms, typecheck
+from .term import Process, canonical, enumerate_terms, typecheck
 
 
 @dataclass(frozen=True)
@@ -291,22 +292,36 @@ def composites(
     gamma: int,
     tests: Iterable[Test],
     side: str = "strategy",
-) -> Iterator[tuple[Test, tuple[State, ...]]]:
-    """Each test, drawn when asked for, with every subject composed with
-    it. Each subject's root is built once per suite, each test's once."""
+    settled: Container[tuple] = frozenset(),
+) -> Iterator[tuple[Test, tuple, Optional[tuple[State, ...]]]]:
+    """Each test, drawn when asked for, with its key and every subject
+    composed with it. Each subject's root is built once per suite, each
+    test's once; a test whose key the caller has put in ``settled``
+    comes with no composites, and its root is not built.
+
+    A test's key is its term with every choice's summands in canonical
+    order, its context and its handle map. Tests with one key pass or
+    fail alike against any subject: the closed step rules treat the
+    summands of a choice symmetrically, so permuting them changes only
+    the choice indices in step labels, which no verdict reads. Only a
+    failure witness, which prints labels, can tell them apart."""
     if side not in ROOTS:
         raise ValueError(f"unknown side {side!r}")
     root = ROOTS[side]
     roots = [root(s, gamma) for s in subjects]
     for test in tests:
-        env = root(test.proc, test.ctx)
-        yield test, tuple(compose(s, env, test.h) for s in roots)
+        key = (canonical(test.proc), test.ctx, test.h)
+        if key in settled:
+            yield test, key, None
+        else:
+            env = root(test.proc, test.ctx)
+            yield test, key, tuple(compose(s, env, test.h) for s in roots)
 
 
 def passes(
     subject: Process, gamma: int, test: Test, side: str = "strategy", mode: str = "weak"
 ) -> Verdict:
-    [(_, (state,))] = composites([subject], gamma, [test], side)
+    [(_, _, (state,))] = composites([subject], gamma, [test], side)
     return decide(state, mode)
 
 
@@ -353,10 +368,17 @@ def eq_check(
     mode: str = "weak",
 ) -> EqResult:
     """Run both subjects against the suite; stop at the first test whose
-    verdicts differ, drawing no test after it. Only the two verdicts of
-    that test are searched for failure witnesses."""
-    count = 0
-    for count, (test, (sl, sr)) in enumerate(composites((left, right), gamma, tests, side), 1):
+    verdicts differ, drawing no test after it. A test with the key of an
+    earlier one is counted but not run: its verdicts were found equal.
+    Only the two verdicts of the distinguishing test are searched for
+    failure witnesses."""
+    count, seen = 0, set()
+    suite = composites((left, right), gamma, tests, side, seen)
+    for count, (test, key, pair) in enumerate(suite, 1):
+        if pair is None:
+            continue
+        sl, sr = pair
         if holds(sl, mode) != holds(sr, mode):
             return EqResult(False, count, count - 1, test, decide(sl, mode), decide(sr, mode))
+        seen.add(key)
     return EqResult(True, count)

@@ -169,7 +169,7 @@ def _check(p: Process, gamma: int, path: tuple[str, ...]) -> None:
 # ---------------------------------------------------------------- parsing
 
 # Concrete syntax:
-#   file   := 'ctx' NUM '.' proc
+#   file   := 'ctx' NUM '.' proc         NUM at most MAX_CONTEXT
 #   proc   := sum ('|' sum)*            right associated; pretty always parenthesizes
 #   sum    := '0' | branch ('+' branch)* | '(' proc ')'
 #   branch := prefix '.' cont
@@ -184,6 +184,11 @@ class ParseError(Exception):
         self.line = line
         self.col = col
 
+
+# The largest context a source text may declare: far past any context
+# whose terms can be explored, and small enough that a root, which
+# attaches its actor to every channel of the context, is cheap to build.
+MAX_CONTEXT = 65536
 
 _TOKEN = re.compile(r"[0-9]+|[a-z]+|[().,+|]|\S")
 
@@ -247,6 +252,8 @@ class _Parser:
             raise self.fail(f"expected 'ctx', found {self.peek()[1] or 'end of input'!r}")
         self.next()
         gamma = self.num("context size", 0)
+        if gamma > MAX_CONTEXT:
+            raise self.fail(f"context size must be at most {MAX_CONTEXT}, found {gamma}")
         self.expect(".")
         p = self.proc()
         if self.peek()[0] != "end":
@@ -353,8 +360,11 @@ def unparse(p: Process, gamma: int) -> str:
 # ---------------------------------------------------------------- ordering
 
 
+@functools.lru_cache(maxsize=None)
 def canonical(p: Process) -> Process:
-    """Stable-sort all branch lists by prefix. Branch multiplicity is kept."""
+    """Stable-sort all branch lists by prefix. Branch multiplicity is kept.
+    Like typecheck's successes, the result is remembered per node for
+    the life of the process, so each subterm is sorted once."""
     if isinstance(p, Sum):
         bs = [(a, canonical(c)) for a, c in p.branches]
         bs.sort(key=lambda b: b[0])

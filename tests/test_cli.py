@@ -7,6 +7,8 @@ import pytest
 
 import actorgame
 from actorgame.cli import main
+from actorgame.fairtest import decide
+from actorgame.term import MAX_CONTEXT
 
 RELAY = "ctx 1. snd(2,2).0 | rcv(2).tick.0"
 
@@ -165,6 +167,46 @@ def test_eq_suite_equivalent(capsys, write):
     code, out, _ = run(capsys, "eq", a, b, "--gen", "2", "--limit", "300")
     assert code == 0
     assert out == "checked 300 tests\nRESULT equivalent-on-suite\n"
+
+
+def test_eq_suite_counts_repeated_tests(capsys, write):
+    # the suite's first 53 tests hold three that repeat an earlier one
+    # up to the order of summands (tests 24, 27 and 28): they are not
+    # run, but they count in "checked" and in the test# index
+    a = write("ctx 1. snd(1,1).0", "a.act")
+    b = write("ctx 1. snd(1,1).snd(1,1).0", "b.act")
+    code, out, _ = run(capsys, "eq", a, b, "--gen", "2", "--limit", "52")
+    assert code == 0
+    assert out == "checked 52 tests\nRESULT equivalent-on-suite\n"
+    code, out, _ = run(capsys, "eq", a, b, "--gen", "2", "--limit", "53")
+    assert code == 1
+    assert out == (
+        "test#52 h=(1) ctx 1. rcv(1).(rcv(1).0 + tick.0) left=pass right=fail witness: "
+        "sync(1;1|1;1,1)@1,0#0,0;sync(2;1|1;1,1)@0,1#0,0\n"
+        "RESULT distinguished test#52\n"
+    )
+
+
+def test_fair_suite_decides_each_repeat_that_fails(capsys, write, monkeypatch):
+    # tests 23 and 27 differ only in the order of their summands: a
+    # failing repeat is decided again and prints its own witness, a
+    # passing one is not
+    decided = []
+
+    def counting_decide(state, mode):
+        decided.append(state)
+        return decide(state, mode)
+
+    monkeypatch.setattr(actorgame.cli, "decide", counting_decide)
+    f = write("ctx 1. snd(1,1).0")
+    code, out, _ = run(capsys, "fair", f, "--gen", "2", "--limit", "29", "--side", "process")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 30
+    assert lines[23] == "test#23 fail witness: sync(1;1|1;1,1)@1,0#0,0"
+    assert lines[27] == "test#27 fail witness: sync(1;1|1;1,1)@0,1#0,1"
+    assert lines[28] == "test#28 pass"
+    # of the repeats 24, 27 and 28 only the passing 28 is not decided
+    assert len(decided) == 28
 
 
 def test_eq_bisim(capsys, write):
@@ -393,11 +435,28 @@ def test_empty_map_is_checked_for_length(capsys, write):
 
 
 def test_huge_context_is_an_input_error(capsys, write):
-    f = write("ctx 100000000000000000000. 0")
-    for argv in (["lts", f], ["fair", f, "--test", f]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+    for gamma in (MAX_CONTEXT + 1, 10**20):
+        f = write(f"ctx {gamma}. 0")
+        for argv in (
+            ["parse", f],
+            ["interp", f],
+            ["lts", f],
+            ["fair", f, "--test", f],
+            ["eq", f, f, "--gen", "0"],
+            ["eq", f, f, "--bisim"],
+            ["dot", f],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: context size must be at most {MAX_CONTEXT}, found {gamma} "
+                f"at line 1, column {len(str(gamma)) + 5}\n"
+            )
+
+
+def test_largest_context_is_accepted(capsys, write):
+    code, out, _ = run(capsys, "parse", write(f"ctx {MAX_CONTEXT}. 0"))
+    assert code == 0 and out == f"ctx {MAX_CONTEXT}. 0\n"
 
 
 def test_dot_empty_move(capsys, write):

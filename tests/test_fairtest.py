@@ -20,7 +20,7 @@ from actorgame.fairtest import (
     passes,
 )
 from actorgame.lts import closed_graph, process_lts, root_process, root_strategy, strategy_lts
-from actorgame.term import IllTyped, parse
+from actorgame.term import IllTyped, Par, Sum, canonical, parse
 from gen import terms
 from oracles import brute_in_bot, count_terms
 
@@ -324,8 +324,11 @@ def test_eq_check_reports_first_difference_in_suite_order():
 
 
 def test_suite_builds_each_root_once_and_draws_tests_lazily(monkeypatch):
-    a = term("ctx 1. rcv(1).tick.0")
-    b = term("ctx 1. rcv(1).tick.0 + rcv(1).0")
+    # the first 53 tests hold repeats, such as tests 22 and 24, which
+    # differ only in the order of their summands; a repeat counts but
+    # builds no root
+    a = term("ctx 1. snd(1,1).0")
+    b = term("ctx 1. snd(1,1).snd(1,1).0")
     built, drawn = [], []
 
     def root(p, gamma):
@@ -339,13 +342,53 @@ def test_suite_builds_each_root_once_and_draws_tests_lazily(monkeypatch):
 
     monkeypatch.setitem(lts.ROOTS, "process", root)
     res = eq_check(a, b, 1, tests(), side="process")
-    assert not res.equivalent and len(drawn) == res.checked == res.index + 1
-    assert built == [a, b] + [t.proc for t in drawn]
-    for test, pair in composites([a, b], 1, drawn, side="process"):
-        assert tuple(map(decide, pair)) == (
-            passes(a, 1, test, "process"),
-            passes(b, 1, test, "process"),
-        )
+    assert not res.equivalent and len(drawn) == res.checked == res.index + 1 == 53
+    firsts = {}
+    for t in drawn:
+        firsts.setdefault((canonical(t.proc), t.ctx, t.h), t.proc)
+    assert len(firsts) == 50
+    assert built == [a, b] + list(firsts.values())
+    settled = set()
+    for test, key, pair in composites([a, b], 1, drawn, "process", settled):
+        assert (pair is None) == (key in settled)
+        if pair is not None:
+            assert tuple(map(decide, pair)) == (
+                passes(a, 1, test, "process"),
+                passes(b, 1, test, "process"),
+            )
+            settled.add(key)
+    assert len(settled) == 50
+
+
+CRITERION_6 = [
+    term("ctx 1. rcv(1).tick.0"),
+    term("ctx 1. rcv(1).tick.0 + rcv(1).0"),
+    term("ctx 1. rcv(1).0 + rcv(1).0"),
+    term("ctx 1. rcv(1).0"),
+]
+
+
+def permuted(p, rng):
+    """``p`` with the summands of every choice shuffled by ``rng``."""
+    if isinstance(p, Par):
+        return Par(permuted(p.left, rng), permuted(p.right, rng))
+    branches = [(prefix, permuted(cont, rng)) for prefix, cont in p.branches]
+    rng.shuffle(branches)
+    return Sum(tuple(branches))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms(1, depth=3, width=3), st.randoms(use_true_random=False))
+def test_permuting_summands_keeps_every_verdict(proc, rng):
+    # what lets a suite run one test per key: see fairtest.composites
+    test = FTest((1,), 1, proc)
+    other = FTest((1,), 1, permuted(proc, rng))
+    for root in ROOTS:
+        for subject in CRITERION_6:
+            this, that = (composite(root, subject, 1, t) for t in (test, other))
+            for mode in ("weak", "strict"):
+                assert holds(this, mode) == holds(that, mode)
+                assert decide(this, mode).passed == decide(that, mode).passed == holds(this, mode)
 
 
 def test_eq_check_searches_for_no_witness(monkeypatch):
