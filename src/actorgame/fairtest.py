@@ -175,6 +175,7 @@ class _Search:
     """
 
     def __init__(self, max_states: int):
+        self.filed: dict = {}  # each body's offers, filed once (lts._scan)
         self.index: dict[State, int] = {}
         self.forms: list[State] = []
         self.dist: list[Optional[float]] = []
@@ -197,7 +198,7 @@ class _Search:
         return i
 
     def frame(self, i: int) -> tuple:
-        can_tick, steps = tick_free_steps(self.forms[i])
+        can_tick, steps = tick_free_steps(self.forms[i], self.filed)
         children = [self.form_of(nxt) for _, nxt in steps]
         return i, can_tick, children, iter(children)
 
@@ -234,7 +235,7 @@ class _Search:
         for depth in range(top):
             below, want = [], top - depth - 1
             for u in level:
-                steps = sorted(tick_free_steps(u)[1], key=lambda step: step[0])
+                steps = sorted(tick_free_steps(u, self.filed)[1], key=lambda step: step[0])
                 for label, nxt in steps:
                     if nxt not in seen and self.distance(nxt) == want:
                         self.admit()
@@ -253,8 +254,9 @@ class _Search:
 def _strict_witness(state: State) -> tuple[str, ...]:
     """The strict verdict's witness: the first of the root's steps, in
     label order, after which no tick is directly available, or ()."""
-    for label, nxt in sorted(closed_world_steps(state), key=lambda step: step[0]):
-        if not tick_free_steps(nxt)[0]:
+    filed: dict = {}
+    for label, nxt in sorted(closed_world_steps(state, filed), key=lambda step: step[0]):
+        if not tick_free_steps(nxt, filed)[0]:
             return (label.render(),)
     return ()
 

@@ -28,9 +28,10 @@ default and never changes h.
 One state type and one step engine serve both sides; the side is the
 type of the state's actors. An actor, a strategy player or a process
 thread, has an ``attach`` field (the global channel of each local
-slot), ``offers()``, ``avatar(attach, cont)`` (the actor that carries
-on as ``cont``) and ``live_by_body``, a state's movable actors in an
-order that ignores channels. Offers are (seed key, ((choice,
+slot), a ``body`` (its strategy or term), ``offers()``, which read its
+body alone, ``avatar(attach, cont)`` (the actor that carries on as
+``cont``) and ``live_by_body``, a state's movable actors in an order
+that ignores channels. Offers are (seed key, ((choice,
 continuation), ...)) groups in enumeration order: a player reads them
 off its strategy table, a thread off its own syntax. A step's choice
 concatenates its actors' choices, so closed labels read ``#i,j`` on the
@@ -40,8 +41,10 @@ process side.
 
 from __future__ import annotations
 
+import gc
+from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import arena
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
@@ -58,26 +61,26 @@ class PlayerState:
     """A strategy player; players order by arity, attachment, strategy."""
 
     attach: tuple[int, ...]
-    strat: Definite
+    body: Definite
 
     def __post_init__(self) -> None:
-        if len(self.attach) != self.strat.arity:
+        if len(self.attach) != self.body.arity:
             raise ValueError(
                 f"player attached to {len(self.attach)} channels runs a strategy "
-                f"of arity {self.strat.arity}"
+                f"of arity {self.body.arity}"
             )
 
     @staticmethod
     def live_by_body(players: Iterable[PlayerState]) -> list[tuple[Definite, PlayerState]]:
         """The players that can move, with their strategies, by strategy."""
-        return sorted(((p.strat, p) for p in players if p.strat.table), key=lambda q: q[0])
+        return sorted(((p.body, p) for p in players if p.body.table), key=lambda q: q[0])
 
     def offers(self) -> list[Offer]:
         """The strategy table: one group per entry, choice (i,) for the
         i-th summand."""
         return [
             (key, tuple(((i,), d) for i, d in enumerate(plain.summands)))
-            for key, plain in self.strat.table
+            for key, plain in self.body.table
         ]
 
     def avatar(self, attach: tuple[int, ...], cont: Definite) -> PlayerState:
@@ -86,25 +89,25 @@ class PlayerState:
     def __lt__(self, other: PlayerState) -> bool:
         a, b = self.attach, other.attach
         if a == b:
-            return self.strat < other.strat
+            return self.body < other.body
         return (len(a), a) < (len(b), b)
 
 
 @dataclass(frozen=True, order=True, slots=True)
 class Thread:
-    proc: Process
+    body: Process
     attach: tuple[int, ...]
 
     @staticmethod
     def live_by_body(threads: Iterable[Thread]) -> list[tuple[Process, Thread]]:
         """The threads that can move, with their terms, which they already order by."""
-        return [(t.proc, t) for t in threads if isinstance(t.proc, Par) or t.proc.branches]
+        return [(t.body, t) for t in threads if isinstance(t.body, Par) or t.body.branches]
 
     def offers(self) -> list[Offer]:
         """The operational rules read off the syntax: a parallel offers
         its two halves with no choice, a choice offers each branch under
         its prefix's seed with choice (branch index,)."""
-        p = self.proc
+        p = self.body
         if isinstance(p, Par):
             return [(("forkL",), (((), p.left),)), (("forkR",), (((), p.right),))]
         return [
@@ -227,12 +230,19 @@ class AState:
 
 
 def _replace(state: State, created: int, moved: dict[int, tuple]) -> State:
-    """The successor in which actor i became the avatars moved[i].
-    ``State.of`` sorts actors, so their order here is immaterial."""
+    """The successor in which actor i became the avatars moved[i]: each
+    avatar is checked and inserted among the unmoved actors, already
+    sorted and checked, so the result is the ``State.of`` of the same
+    actors (equal actors are equal values)."""
+    num_channels = state.num_channels + created
     actors = [a for i, a in enumerate(state.actors) if i not in moved]
     for avatars in moved.values():
-        actors.extend(avatars)
-    return State.of(state.num_channels + created, actors)
+        for a in avatars:
+            for c in a.attach:
+                if not 1 <= c <= num_channels:
+                    raise ValueError(f"attachment {c} outside 1..{num_channels}")
+            insort(actors, a)
+    return State(num_channels, tuple(actors))
 
 
 def channel_normal_form(state: State) -> State:
@@ -258,28 +268,53 @@ def channel_normal_form(state: State) -> State:
     )
 
 
-def _scan(state: State) -> tuple[list, ...]:
-    """Read every actor's attachment and offers once, and file each
-    group under the rule that consumes it."""
+def _file_offers(actor) -> tuple:
+    """The actor's body, its offers, and each group filed under the rule
+    that consumes it: tick groups, (slot, group) receives, (channel slot,
+    object slot, group) sends, and the (left, right) fork halves when the
+    body offers both, else None."""
+    offers = actor.offers()
+    ticks, ins, outs = [], [], []
+    left = right = None
+    for key, group in offers:
+        tag = key[0]
+        if tag == "heart":
+            ticks.append(group)
+        elif tag == "in":
+            ins.append((key[1], group))
+        elif tag == "out":
+            outs.append((key[1], key[2], group))
+        elif tag == "forkL":
+            left = group
+        else:
+            right = group
+    return actor.body, offers, ticks, ins, outs, (left, right) if left and right else None
+
+
+def _scan(state: State, filed: Optional[dict]) -> tuple[list, ...]:
+    """Every actor's attachment and offers, each group filed under the
+    rule that consumes it. Offers depend on the actor's body alone, so
+    ``filed`` maps the id of each body met to its filing, which holds the
+    body and so keeps the id; one graph build or verdict search keeps one
+    such dict, and None files afresh."""
+    if filed is None:
+        filed = {}
     views, ticks, forks, outs, ins = [], [], [], [], []
     for p, actor in enumerate(state.actors):
-        attach, offers = actor.attach, actor.offers()
+        attach = actor.attach
+        filing = filed.get(id(actor.body))
+        if filing is None:
+            filing = filed[id(actor.body)] = _file_offers(actor)
+        _, offers, t, i, o, fork = filing
         views.append((p, actor, attach, offers))
-        left = right = None
-        for key, group in offers:
-            tag = key[0]
-            if tag == "heart":
-                ticks.append((p, actor, attach, group))
-            elif tag == "in":
-                ins.append((p, actor, attach, key[1], group))
-            elif tag == "out":
-                outs.append((p, actor, attach, key[1], key[2], group))
-            elif tag == "forkL":
-                left = group
-            else:
-                right = group
-        if left and right:
-            forks.append((p, actor, attach, left, right))
+        for group in t:
+            ticks.append((p, actor, attach, group))
+        for a, group in i:
+            ins.append((p, actor, attach, a, group))
+        for c, d, group in o:
+            outs.append((p, actor, attach, c, d, group))
+        if fork:
+            forks.append((p, actor, attach, *fork))
     return views, ticks, forks, outs, ins
 
 
@@ -310,14 +345,14 @@ def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[tupl
     return steps
 
 
-def raw_closed_steps(state: State) -> list[tuple]:
+def raw_closed_steps(state: State, filed: Optional[dict] = None) -> list[tuple]:
     """Closed steps in enumeration order: ticks by actor, then forks by
     actor, then syncs by sender then receiver, the choices of each step
     innermost. Each is a (label, successor, avatars, created) tuple with
     enough detail to rebuild the arena move: actor ``label.actors[i]``
     became the avatars ``avatars[i]``, and the step created ``created``
-    channels."""
-    _, ticks, forks, outs, ins = _scan(state)
+    channels. ``filed`` is as for ``_scan``."""
+    _, ticks, forks, outs, ins = _scan(state, filed)
     steps: list[tuple] = []
     for p, actor, attach, group in ticks:
         kind = Heartbeat(len(attach))
@@ -335,27 +370,27 @@ def raw_closed_steps(state: State) -> list[tuple]:
     ]
 
 
-def tick_free_steps(state: State) -> tuple[bool, list[tuple[StepLabel, State]]]:
+def tick_free_steps(state: State, filed: Optional[dict] = None) -> tuple[bool, list[tuple[StepLabel, State]]]:
     """Whether ``state`` can tick, and its forks and syncs as (label,
     successor) pairs in the order of ``raw_closed_steps``."""
-    _, ticks, forks, outs, ins = _scan(state)
+    _, ticks, forks, outs, ins = _scan(state, filed)
     return bool(ticks), [
         (StepLabel(kind, actors, choice), _replace(state, created, dict(zip(actors, avatars))))
         for kind, actors, choice, created, avatars in _silent_steps(state, forks, outs, ins)
     ]
 
 
-def closed_world_steps(state: State) -> list[tuple[StepLabel, object]]:
-    return [(label, nxt) for label, nxt, _, _ in raw_closed_steps(state)]
+def closed_world_steps(state: State, filed: Optional[dict] = None) -> list[tuple[StepLabel, object]]:
+    return [(label, nxt) for label, nxt, _, _ in raw_closed_steps(state, filed)]
 
 
-def interface_steps(ast: AState, enable_link: bool = False) -> list[tuple[ALab, AState]]:
+def interface_steps(ast: AState, enable_link: bool = False, filed: Optional[dict] = None) -> list[tuple[ALab, AState]]:
     """Observable steps actor by actor in offer order, each actor's link
     steps after its other steps, then the silent forks and syncs."""
     state, h = ast.subject, ast.h
     known = set(h)
     fresh = state.num_channels + 1
-    views, _, forks, outs, ins = _scan(state)
+    views, _, forks, outs, ins = _scan(state, filed)
     steps: list[tuple[ALab, AState]] = []
     for p, actor, attach, offers in views:
         grown = attach + (fresh,)
@@ -423,35 +458,45 @@ class LtsGraph:
 def build_graph(root, successors: Callable, max_states: int = 200000) -> LtsGraph:
     """BFS the reachable states. Successor lists are deduplicated and
     sorted by label then target, so vertex numbering and edge order are
-    functions of the root alone."""
+    functions of the root alone. The cyclic garbage collector is paused
+    meanwhile, and left as found: states and labels are frozen values
+    that make no reference cycle, so reference counting frees all a
+    build drops, and the collector would only rescan the state table."""
     index = {root: 0}
     states = [root]
     edges: list[tuple] = []
     frontier = 0
-    while frontier < len(states):
-        state = states[frontier]
-        outs: set[tuple] = set()
-        for label, nxt in successors(state):
-            dst = index.get(nxt)
-            if dst is None:
-                if len(states) >= max_states:
-                    raise RuntimeError(f"state space exceeds {max_states} states")
-                dst = index[nxt] = len(states)
-                states.append(nxt)
-            outs.add((label, dst))
-        edges.append(tuple(sorted(outs)))
-        frontier += 1
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while frontier < len(states):
+            state = states[frontier]
+            outs: set[tuple] = set()
+            for label, nxt in successors(state):
+                dst = index.setdefault(nxt, len(states))
+                if dst == len(states):
+                    if dst >= max_states:
+                        raise RuntimeError(f"state space exceeds {max_states} states")
+                    states.append(nxt)
+                outs.add((label, dst))
+            edges.append(tuple(sorted(outs)))
+            frontier += 1
+    finally:
+        if collecting:
+            gc.enable()
     return LtsGraph(states, edges)
 
 
 def closed_graph(state: State, max_states: int = 200000) -> LtsGraph:
-    return build_graph(state, closed_world_steps, max_states)
+    filed: dict = {}
+    return build_graph(state, lambda s: closed_world_steps(s, filed), max_states)
 
 
 def interface_graph(root: State, enable_link: bool = False, max_states: int = 200000) -> LtsGraph:
     """The interface graph of a root whose every channel the environment knows."""
     start = AState(tuple(range(1, root.num_channels + 1)), root)
-    return build_graph(start, lambda a: interface_steps(a, enable_link), max_states)
+    filed: dict = {}
+    return build_graph(start, lambda a: interface_steps(a, enable_link, filed), max_states)
 
 
 def strategy_lts(p: Process, gamma: int, enable_link: bool = False, max_states: int = 200000) -> LtsGraph:

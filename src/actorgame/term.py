@@ -16,7 +16,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 
 class HashOnce:
@@ -190,6 +190,10 @@ class ParseError(Exception):
 # attaches its actor to every channel of the context, is cheap to build.
 MAX_CONTEXT = 65536
 
+# The most significant digits a number may have: as many as int() reads
+# by default.
+MAX_DIGITS = 4300
+
 _TOKEN = re.compile(r"[0-9]+|[a-z]+|[().,+|]|\S")
 
 
@@ -239,21 +243,27 @@ class _Parser:
             raise self.fail(f"expected {kind!r}, found {self.peek()[1] or 'end of input'!r}")
         return self.next()
 
-    def num(self, what: str, minimum: int) -> int:
-        if self.peek()[0] != "num":
-            raise self.fail(f"expected {what}, found {self.peek()[1] or 'end of input'!r}")
-        v = int(self.next()[1])
+    def num(self, what: str, minimum: int, maximum: Optional[int] = None) -> int:
+        """The number at the next token; a range error points at it."""
+        kind, digits, _ = self.peek()
+        if kind != "num":
+            raise self.fail(f"expected {what}, found {digits or 'end of input'!r}")
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > MAX_DIGITS:
+            raise self.fail(f"{what} has {len(digits)} digits, more than {MAX_DIGITS}")
+        v = int(digits)
         if v < minimum:
             raise self.fail(f"{what} must be at least {minimum}, found {v}")
+        if maximum is not None and v > maximum:
+            raise self.fail(f"{what} must be at most {maximum}, found {v}")
+        self.next()
         return v
 
     def file(self) -> tuple[Process, int]:
         if self.peek()[:2] != ("word", "ctx"):
             raise self.fail(f"expected 'ctx', found {self.peek()[1] or 'end of input'!r}")
         self.next()
-        gamma = self.num("context size", 0)
-        if gamma > MAX_CONTEXT:
-            raise self.fail(f"context size must be at most {MAX_CONTEXT}, found {gamma}")
+        gamma = self.num("context size", 0, MAX_CONTEXT)
         self.expect(".")
         p = self.proc()
         if self.peek()[0] != "end":

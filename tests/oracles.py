@@ -145,11 +145,11 @@ def term_key(p) -> tuple:
 
 
 def thread_key(t) -> tuple:
-    return (term_key(t.proc), t.attach)
+    return (term_key(t.body), t.attach)
 
 
 def player_key(ps) -> tuple:
-    return (len(ps.attach), ps.attach, ps.strat)
+    return (len(ps.attach), ps.attach, ps.body)
 
 
 def kind_key(kind) -> tuple:

@@ -8,7 +8,7 @@ import pytest
 import actorgame
 from actorgame.cli import main
 from actorgame.fairtest import decide
-from actorgame.term import MAX_CONTEXT
+from actorgame.term import MAX_CONTEXT, MAX_DIGITS
 
 RELAY = "ctx 1. snd(2,2).0 | rcv(2).tick.0"
 
@@ -450,8 +450,40 @@ def test_huge_context_is_an_input_error(capsys, write):
             assert code == 2 and out == ""
             assert err == (
                 f"error: context size must be at most {MAX_CONTEXT}, found {gamma} "
-                f"at line 1, column {len(str(gamma)) + 5}\n"
+                f"at line 1, column 5\n"
             )
+
+
+def parse_stdin(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, "parse", "-")
+
+
+def test_range_errors_point_at_the_number(capsys, monkeypatch):
+    for text, message in (
+        ("ctx 65537. 0", "context size must be at most 65536, found 65537 at line 1, column 5"),
+        ("ctx 1. snd(0,1).0", "channel index must be at least 1, found 0 at line 1, column 12"),
+        ("ctx 1. snd(1,0).0", "channel index must be at least 1, found 0 at line 1, column 14"),
+        ("ctx 1.\n rcv(0).0", "channel index must be at least 1, found 0 at line 2, column 6"),
+    ):
+        assert parse_stdin(capsys, monkeypatch, text) == (2, "", f"error: {message}\n")
+
+
+def test_numbers_past_the_digit_limit_get_the_parsers_message(capsys, monkeypatch):
+    n = MAX_DIGITS + 700
+    for text, what, col in (
+        (f"ctx {'9' * n}. 0", "context size", 5),
+        (f"ctx 1. snd(1,{'9' * n}).0", "channel index", 14),
+        (f"ctx 1. rcv({'7' * n}).0", "channel index", 12),
+    ):
+        assert parse_stdin(capsys, monkeypatch, text) == (
+            2,
+            "",
+            f"error: {what} has {n} digits, more than {MAX_DIGITS} at line 1, column {col}\n",
+        )
+    # leading zeros are not significant digits
+    code, out, _ = parse_stdin(capsys, monkeypatch, f"ctx {'0' * n}1. rcv({'0' * n}1).0")
+    assert code == 0 and out == "ctx 1. rcv(1).0\n"
 
 
 def test_largest_context_is_accepted(capsys, write):

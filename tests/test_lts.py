@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actorgame.arena import Fork, Heartbeat, Sync, positions_isomorphic
+from actorgame.cli import main
 from actorgame.lts import (
     ALab,
     AState,
@@ -14,12 +16,14 @@ from actorgame.lts import (
     State,
     StepLabel,
     Thread,
+    _file_offers,
     arena_position,
     arena_trace,
     build_graph,
     channel_normal_form,
     closed_graph,
     closed_world_steps,
+    interface_graph,
     interface_steps,
     process_lts,
     raw_closed_steps,
@@ -413,6 +417,76 @@ def test_build_graph_max_states():
     p, gamma = parse(RELAY)
     with pytest.raises(RuntimeError):
         strategy_lts(p, gamma, max_states=3)
+
+
+def test_build_graph_leaves_the_collector_as_it_found_it():
+    p, gamma = parse(RELAY)
+    collecting = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            strategy_lts(p, gamma)
+            assert gc.isenabled() == enabled
+            with pytest.raises(RuntimeError, match="^state space exceeds 3 states$"):
+                process_lts(p, gamma, max_states=3)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if collecting else gc.disable()
+
+
+# The W50K pair of perfbench/workloads.py: 49866 interface states per
+# side, enough to order many actors with equal bodies in one state.
+W50K = (
+    "ctx 0. (snd(1,1).tick.0 + rcv(1).tick.0) | ((snd(2,2).rcv(2).0 + rcv(1).0) "
+    "| ((rcv(1).snd(3,3).tick.0 | snd(1,1).rcv(1).0) | (snd(1,2).0 | rcv(1).snd(1,1).0)))"
+)
+
+W50K_LTS_SHA256 = {
+    "strategy": "802e740afdc92c7d9488b55ca0a1e1f28f3bf0ae93697ed9bd89f3c2e86f21aa",
+    "process": "865fe0d247278058a3fab2df88221159b52da3ae184ab522cd7ddfc095b7bc4a",
+}
+
+
+def test_large_interface_dumps_match_golden_digests(capsys, tmp_path):
+    f = tmp_path / "w50k.act"
+    f.write_text(W50K + "\n")
+    for side, digest in W50K_LTS_SHA256.items():
+        assert main(["lts", str(f), "--side", side]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@settings(max_examples=40, deadline=None)
+@given(typed_terms())
+def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
+    # one dict of filed offers serves every state of both worlds; each
+    # actor's filing equals a fresh filing of its offers, steps equal
+    # those found with a fresh dict, and each successor equals State.of
+    # of its own actors, on the closed side also of the source's unmoved
+    # actors and the avatars
+    t, gamma = tg
+    for root in (root_strategy(t, gamma), root_process(t, gamma)):
+        filed = {}
+
+        def check_filed(state):
+            for actor in state.actors:
+                assert filed[id(actor.body)] == _file_offers(actor)
+
+        for state in closed_graph(root).states:
+            steps = raw_closed_steps(state, filed)
+            check_filed(state)
+            assert steps == raw_closed_steps(state)
+            for label, nxt, avatars, created in steps:
+                kept = [a for i, a in enumerate(state.actors) if i not in label.actors]
+                moved = [a for av in avatars for a in av]
+                assert nxt == State.of(state.num_channels + created, kept + moved)
+        for ast in interface_graph(root, enable_link=True).states:
+            steps = interface_steps(ast, True, filed)
+            check_filed(ast.subject)
+            assert steps == interface_steps(ast, True)
+            for _, nxt in steps:
+                subject = nxt.subject
+                assert subject == State.of(subject.num_channels, reversed(subject.actors))
 
 
 def test_empty_graph_dump():
