@@ -26,6 +26,7 @@ from actorgame.arena import (
     seed,
     to_dot,
 )
+from actorgame.lts import arena_trace, raw_closed_steps, root_strategy
 
 
 def all_kinds(max_n):
@@ -379,3 +380,58 @@ def test_dot_play_has_one_cluster_per_position():
     text = to_dot(play)
     assert text.count("subgraph cluster_") == 2
     assert "0: start" in text and "1: fork(0)" in text
+
+
+# ------------------------------------------------- derived trace facts
+
+
+def _derivable_moves(corpus):
+    """Every move the package builds: seeds, seeds glued among
+    spectators, and the moves of closed runs replayed as plays."""
+    for kind in all_kinds(2):
+        m = seed(kind)
+        yield m, None
+        z, glue = glue_position(m)
+        pool = sorted(z.channels) or [new_id()]
+        ambient = Position(
+            z.channels | set(pool),
+            {new_id(): Player((pool[0],)), new_id(): Player((pool[-1], pool[0]))},
+        )
+        yield extend(m, ambient, glue), None
+    for gamma, terms in corpus.items():
+        for t in terms:
+            root = root_strategy(t, gamma)
+            for pick in range(3):
+                # follow the pick-th step (mod the count) four times
+                state, indices = root, []
+                for _ in range(4):
+                    raws = raw_closed_steps(state)
+                    if not raws:
+                        break
+                    indices.append(pick % len(raws))
+                    state = raws[indices[-1]][1]
+                play = arena_trace(root, indices)
+                for m in play.moves:
+                    yield m, None
+                yield None, play
+
+
+def test_moving_channels_and_play_ends_follow_the_traces(corpus):
+    """A move's moving players are those its trace does not keep, its
+    channel trace is the identity on the initial channels, and a play
+    ends where its last move does."""
+    moves = plays = 0
+    for m, play in _derivable_moves(corpus):
+        if play is not None:
+            plays += 1
+            assert play.final == (play.moves[-1].final if play.moves else play.initial)
+            continue
+        moves += 1
+        assert m.moving == {p for p, avs in m.player_map.items() if avs != (p,)}
+        ics = {c: i for i, c in enumerate(sorted(m.initial.channels))}
+        fcs = {c: i for i, c in enumerate(sorted(m.final.channels))}
+        dotted = sorted(l.strip() for l in to_dot(m).splitlines() if "style=dotted" in l)
+        assert dotted == sorted(
+            f"i_c{ics[c]} -> f_c{fcs[c]} [style=dotted];" for c in m.initial.channels
+        )
+    assert moves > 500 and plays > 500
