@@ -6,13 +6,14 @@ slots 1..n. Channels and players carry globally fresh opaque integer
 identifiers; structural equality of positions is on identifiers, and
 ``positions_isomorphic`` compares up to bijective renaming.
 
-A move is a cospan written here with an initial and a final position
-plus traces saying how channels and players persist. Construction keeps
-traced channel identifiers fixed, so the channel trace is an identity
-embedding and created channels are exactly ``final - initial``. Avatars
+A move is a cospan, stored as its kind, its initial and final
+positions and its player trace. Construction keeps channel identifiers
+fixed, so the channel trace is the identity embedding of the initial
+channels and created channels are exactly ``final - initial``. Avatars
 (players produced by a move) always get fresh identifiers; spectators
-added by ``extend`` keep theirs in both boundaries, which makes play
-composition exact on identifiers.
+added by ``extend`` keep theirs in both boundaries, so the moving
+players are exactly those the trace does not keep, and play
+composition is exact on identifiers.
 
 Seed shapes:
 
@@ -169,9 +170,11 @@ class Move:
     kind: MoveKind
     initial: Position
     final: Position
-    channel_map: dict[int, int]
     player_map: dict[int, tuple[int, ...]]
-    moving: frozenset[int]
+
+    @property
+    def moving(self) -> frozenset[int]:
+        return frozenset(p for p, avs in self.player_map.items() if avs != (p,))
 
     def created_channels(self) -> frozenset[int]:
         return self.final.channels - self.initial.channels
@@ -195,9 +198,7 @@ def seed(kind: MoveKind) -> Move:
             kind,
             Position(frozenset(chans), {p: Player(chans)}),
             Position(frozenset(grown), {a: Player(grown) for a in avatars}),
-            {c: c for c in chans},
             {p: avatars},
-            frozenset({p}),
         )
     # Sync: output player on u_1..u_m, input player sharing u_c as slot a
     out_chans = tuple(new_id() for _ in range(kind.m))
@@ -217,9 +218,7 @@ def seed(kind: MoveKind) -> Move:
                 receiver2: Player(in_attach + (out_chans[kind.d - 1],)),
             },
         ),
-        {c: c for c in all_chans},
         {sender: (sender2,), receiver: (receiver2,)},
-        frozenset({sender, receiver}),
     )
 
 
@@ -266,7 +265,7 @@ def extend(m: Move, z: Position, glue: dict[int, int]) -> Move:
 
     player_map = {pid: (pid,) for pid in z.players}
     player_map.update(m.player_map)
-    return Move(m.kind, initial, final, {c: c for c in z.channels}, player_map, m.moving)
+    return Move(m.kind, initial, final, player_map)
 
 
 # ---------------------------------------------------------------- plays
@@ -275,23 +274,26 @@ def extend(m: Move, z: Position, glue: dict[int, int]) -> Move:
 @dataclass
 class Play:
     initial: Position
-    final: Position
     moves: tuple[Move, ...]
+
+    @property
+    def final(self) -> Position:
+        return self.moves[-1].final if self.moves else self.initial
 
 
 def identity_play(pos: Position) -> Play:
-    return Play(pos, pos, ())
+    return Play(pos, ())
 
 
 def play_of(m: Move) -> Play:
-    return Play(m.initial, m.final, (m,))
+    return Play(m.initial, (m,))
 
 
 def compose(p: Play, q: Play) -> Play:
     """Run ``q`` first, then ``p``; the boundary must match on identifiers."""
     if q.final.channels != p.initial.channels or q.final.players != p.initial.players:
         raise ValueError("plays do not compose: boundary positions differ")
-    return Play(q.initial, p.final, q.moves + p.moves)
+    return Play(q.initial, q.moves + p.moves)
 
 
 # ------------------------------------------------ equality up to renaming
@@ -451,7 +453,10 @@ def to_dot(x: Position | Move | Play) -> str:
             "  rankdir=LR;",
             f'  label="{kind_label(x.kind)}";',
         ]
-        lines.extend(_dot_move_clusters(x, "i", "f", "initial", "final"))
+        for prefix, label, pos in (("i", "initial", x.initial), ("f", "final", x.final)):
+            lines += [f"  subgraph cluster_{prefix} {{", f'    label="{label}";']
+            lines.extend("    " + l for l in _dot_position(pos, prefix + "_"))
+            lines.append("  }")
         lines.extend("  " + l for l in _dot_traces(x, "i", "f"))
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -488,17 +493,6 @@ def _dot_position(pos: Position, prefix: str) -> list[str]:
     return lines
 
 
-def _dot_move_clusters(m: Move, ip: str, fp: str, ilabel: str, flabel: str) -> list[str]:
-    lines = [f"  subgraph cluster_{ip} {{", f'    label="{ilabel}";']
-    lines.extend("    " + l for l in _dot_position(m.initial, ip + "_"))
-    lines.append("  }")
-    lines.append(f"  subgraph cluster_{fp} {{")
-    lines.append(f'    label="{flabel}";')
-    lines.extend("    " + l for l in _dot_position(m.final, fp + "_"))
-    lines.append("  }")
-    return lines
-
-
 def _dot_traces(m: Move, ip: str, fp: str) -> list[str]:
     ics, ips = _serials(m.initial)
     fcs, fps = _serials(m.final)
@@ -506,6 +500,6 @@ def _dot_traces(m: Move, ip: str, fp: str) -> list[str]:
     for pid in sorted(m.player_map):
         for av in m.player_map[pid]:
             lines.append(f"{ip}_{ips[pid]} -> {fp}_{fps[av]} [style=dashed];")
-    for src in sorted(m.channel_map):
-        lines.append(f"{ip}_{ics[src]} -> {fp}_{fcs[m.channel_map[src]]} [style=dotted];")
+    for c in sorted(m.initial.channels):
+        lines.append(f"{ip}_{ics[c]} -> {fp}_{fcs[c]} [style=dotted];")
     return lines

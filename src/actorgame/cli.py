@@ -137,7 +137,7 @@ def cmd_fair(args: argparse.Namespace) -> int:
     # a test with the key of one that passed passes too (see composites);
     # a failing test is decided on its own composite, for its own witness
     for k, (_, key, states) in enumerate(composites([subject], gamma, tests, args.side, passed)):
-        verdict = Verdict(True, args.bot) if states is None else decide(states[0], args.bot)
+        verdict = Verdict(True) if states is None else decide(states[0], args.bot)
         if verdict.passed:
             passed.add(key)
         else:

@@ -32,10 +32,11 @@ paths to a failing form rebuilds the witness ``in_bot`` would give.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .lts import (
+    MAX_STATES,
     ROOTS,
     LtsGraph,
     State,
@@ -78,7 +79,7 @@ def compose(subject: State, env: State, h: tuple[int, ...]) -> State:
         raise ValueError(
             f"subject arity {len(actor.attach)} does not match handle map of length {len(h)}"
         )
-    return State.of(env.num_channels, [replace(actor, attach=h), *env.actors])
+    return State.of(env.num_channels, [actor.avatar(h, actor.body), *env.actors])
 
 
 # perfbench/tracing.py still hooks these two names (ROADMAP item 1)
@@ -90,12 +91,11 @@ compose_game = compose_proc = compose
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
-    """Whether a composite passed, in which mode, and on a failure the
-    witness: the step labels of a shortest tick-free path to a state that
-    cannot reach a tick, or the one root step without a direct tick."""
+    """Whether a composite passed, and on a failure the witness: the step
+    labels of a shortest tick-free path to a state that cannot reach a
+    tick, or the one root step without a direct tick."""
 
     passed: bool
-    mode: str
     witness: tuple[str, ...] = ()
 
     def render(self) -> str:
@@ -118,8 +118,8 @@ def in_bot(g: LtsGraph, mode: str = "weak") -> Verdict:
     if mode == "strict":
         for label, dst in g.edges[g.root]:
             if not any(l2.is_tick for l2, _ in g.edges[dst]):
-                return Verdict(False, mode, (label.render(),))
-        return Verdict(True, mode)
+                return Verdict(False, (label.render(),))
+        return Verdict(True)
     if mode != "weak":
         raise ValueError(f"unknown verdict mode {mode!r}")
 
@@ -152,13 +152,13 @@ def in_bot(g: LtsGraph, mode: str = "weak") -> Verdict:
                 u, label = parent[v]
                 labels.append(label.render())
                 v = u
-            return Verdict(False, mode, tuple(reversed(labels)))
+            return Verdict(False, tuple(reversed(labels)))
         for label, d in tickfree[v]:
             if d not in seen:
                 seen.add(d)
                 parent[d] = (v, label)
                 queue.append(d)
-    return Verdict(True, mode)
+    return Verdict(True)
 
 
 UNBOUNDED = float("inf")
@@ -261,7 +261,7 @@ def _strict_witness(state: State) -> tuple[str, ...]:
     return ()
 
 
-def holds(state: State, mode: str = "weak", max_states: int = 200000) -> bool:
+def holds(state: State, mode: str = "weak", max_states: int = MAX_STATES) -> bool:
     """``decide(state, mode, max_states).passed``, found without searching
     for a failure witness."""
     if mode == "strict":
@@ -271,7 +271,7 @@ def holds(state: State, mode: str = "weak", max_states: int = 200000) -> bool:
     return _Search(max_states).distance(state) == UNBOUNDED
 
 
-def decide(state: State, mode: str = "weak", max_states: int = 200000) -> Verdict:
+def decide(state: State, mode: str = "weak", max_states: int = MAX_STATES) -> Verdict:
     """``in_bot(closed_graph(state), mode)``, found without building the
     graph: weak by the search over channel-normalised forms, strict from
     the root's steps in label order. A weak failure's witness is searched
@@ -279,14 +279,14 @@ def decide(state: State, mode: str = "weak", max_states: int = 200000) -> Verdic
     decision's forms, and exceeding it raises ``RuntimeError``."""
     if mode == "strict":
         witness = _strict_witness(state)
-        return Verdict(not witness, mode, witness)
+        return Verdict(not witness, witness)
     if mode != "weak":
         raise ValueError(f"unknown verdict mode {mode!r}")
     search = _Search(max_states)
     top = search.distance(state)
     if top == UNBOUNDED:
-        return Verdict(True, mode)
-    return Verdict(False, mode, search.witness(state, int(top)))
+        return Verdict(True)
+    return Verdict(False, search.witness(state, int(top)))
 
 
 def composites(

@@ -51,6 +51,8 @@ from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
 from .strategy import Definite, SeedKey, interpret, prefix_to_key
 from .term import Par, Process, typecheck
 
+MAX_STATES = 200000  # the most states a graph or a verdict search may meet
+
 # ------------------------------------------------------------- states
 
 Offer = tuple[SeedKey, tuple[tuple[tuple[int, ...], object], ...]]
@@ -455,7 +457,7 @@ class LtsGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_graph(root, successors: Callable, max_states: int = 200000) -> LtsGraph:
+def build_graph(root, successors: Callable, max_states: int = MAX_STATES) -> LtsGraph:
     """BFS the reachable states. Successor lists are deduplicated and
     sorted by label then target, so vertex numbering and edge order are
     functions of the root alone. The cyclic garbage collector is paused
@@ -487,23 +489,23 @@ def build_graph(root, successors: Callable, max_states: int = 200000) -> LtsGrap
     return LtsGraph(states, edges)
 
 
-def closed_graph(state: State, max_states: int = 200000) -> LtsGraph:
+def closed_graph(state: State, max_states: int = MAX_STATES) -> LtsGraph:
     filed: dict = {}
     return build_graph(state, lambda s: closed_world_steps(s, filed), max_states)
 
 
-def interface_graph(root: State, enable_link: bool = False, max_states: int = 200000) -> LtsGraph:
+def interface_graph(root: State, enable_link: bool = False, max_states: int = MAX_STATES) -> LtsGraph:
     """The interface graph of a root whose every channel the environment knows."""
     start = AState(tuple(range(1, root.num_channels + 1)), root)
     filed: dict = {}
     return build_graph(start, lambda a: interface_steps(a, enable_link, filed), max_states)
 
 
-def strategy_lts(p: Process, gamma: int, enable_link: bool = False, max_states: int = 200000) -> LtsGraph:
+def strategy_lts(p: Process, gamma: int, enable_link: bool = False, max_states: int = MAX_STATES) -> LtsGraph:
     return interface_graph(root_strategy(p, gamma), enable_link, max_states)
 
 
-def process_lts(p: Process, gamma: int, enable_link: bool = False, max_states: int = 200000) -> LtsGraph:
+def process_lts(p: Process, gamma: int, enable_link: bool = False, max_states: int = MAX_STATES) -> LtsGraph:
     return interface_graph(root_process(p, gamma), enable_link, max_states)
 
 
@@ -741,7 +743,6 @@ def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
         repl = dict(zip(label.actors, avatars))
         pairs: list[tuple[PlayerState, int]] = []
         player_map: dict[int, tuple[int, ...]] = {}
-        moving = frozenset(pids[i] for i in label.actors)
         for i, ps in enumerate(state.actors):
             if i in repl:
                 fresh_pids = tuple(arena.new_id() for _ in repl[i])
@@ -754,14 +755,7 @@ def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
         assert tuple(ps for ps, _ in pairs) == nxt.actors
         pids = [pid for _, pid in pairs]
         final = _position(nxt, chan_ids, pids)
-        move = arena.Move(
-            label.kind,
-            pos,
-            final,
-            {c: c for c in pos.channels},
-            player_map,
-            moving,
-        )
+        move = arena.Move(label.kind, pos, final, player_map)
         play = arena.compose(arena.play_of(move), play)
         pos = final
         state = nxt

@@ -5,6 +5,8 @@ to a plain strategy for the resulting avatar; a plain strategy is a
 finite formal sum of definite strategies, one per reachable state the
 avatar may adopt. Empty table entries are omitted; lookups treat a
 missing key as the empty plain strategy, so tables are total in effect.
+Both classes check their invariants when built, so every table holds
+valid keys in seed order, each with a nonempty entry of its arity.
 
 Seed keys at arity n, with the arity of the avatar's table:
 
@@ -47,9 +49,9 @@ def seed_order(key: SeedKey) -> tuple:
     """Sort key giving the fixed table order: in, out, heart, forkL, forkR."""
     tag = key[0]
     if tag == "in":
-        return (0, key[1])
+        return (0,) + key[1:]
     if tag == "out":
-        return (1, key[1], key[2])
+        return (1,) + key[1:]
     if tag == "heart":
         return (2,)
     if tag == "forkL":
@@ -62,7 +64,9 @@ def key_arity(key: SeedKey, n: int) -> int:
     return n + 1 if key[0] in ("in", "forkL", "forkR") else n
 
 
-def check_key(key: SeedKey, n: int) -> None:
+def check_entry(key: SeedKey, plain: Plain, n: int) -> None:
+    """Check a table entry at arity n: a valid key, and a plain strategy
+    of the avatar's arity."""
     tag = key[0]
     if tag == "in":
         if len(key) != 2 or not 1 <= key[1] <= n:
@@ -75,6 +79,8 @@ def check_key(key: SeedKey, n: int) -> None:
             raise ValueError(f"bad key {key}")
     else:
         raise ValueError(f"unknown seed key tag {tag!r}")
+    if plain.arity != key_arity(key, n):
+        raise ValueError(f"entry {key} at arity {n} needs arity {key_arity(key, n)}, not {plain.arity}")
 
 
 @hash_once
@@ -84,6 +90,11 @@ class Plain(HashOnce):
 
     arity: int
     summands: tuple["Definite", ...] = ()
+
+    def __post_init__(self) -> None:
+        for d in self.summands:
+            if d.arity != self.arity:
+                raise ValueError(f"summand arity {d.arity} under plain arity {self.arity}")
 
 
 @hash_once
@@ -95,56 +106,37 @@ class Definite(HashOnce):
     arity: int
     table: tuple[tuple[SeedKey, Plain], ...] = ()
 
+    def __post_init__(self) -> None:
+        prev = ()  # below every key's seed order
+        for key, plain in self.table:
+            check_entry(key, plain, self.arity)
+            order = seed_order(key)
+            if order <= prev:
+                raise ValueError(f"table keys out of order or repeated at {key}")
+            prev = order
+            if not plain.summands:
+                raise ValueError(f"empty entry {key} should be omitted")
+
     def lookup(self, key: SeedKey) -> Plain:
         for k, v in self.table:
             if k == key:
                 return v
         return Plain(key_arity(key, self.arity))
 
-    def keys(self) -> tuple[SeedKey, ...]:
-        return tuple(k for k, _ in self.table)
-
 
 def definite(n: int, entries: dict[SeedKey, Plain] | list[tuple[SeedKey, Plain]]) -> Definite:
-    """Normalizing constructor: sorts keys, drops empty entries, validates."""
+    """Normalizing constructor: drops empty entries and sorts the rest.
+    A dropped entry's key and arity are checked here, a kept one's by
+    ``Definite`` itself."""
     items = entries.items() if isinstance(entries, dict) else entries
     kept = []
-    seen = set()
     for key, plain in items:
-        check_key(key, n)
-        if key in seen:
-            raise ValueError(f"duplicate seed key {key}")
-        seen.add(key)
-        if plain.arity != key_arity(key, n):
-            raise ValueError(
-                f"entry {key} at arity {n} needs a plain strategy of arity "
-                f"{key_arity(key, n)}, got {plain.arity}"
-            )
         if plain.summands:
             kept.append((key, plain))
+        else:
+            check_entry(key, plain, n)
     kept.sort(key=lambda kv: seed_order(kv[0]))
     return Definite(n, tuple(kept))
-
-
-def validate(s: Definite | Plain) -> None:
-    """Check arities and key ranges throughout a strategy tree."""
-    if isinstance(s, Plain):
-        for d in s.summands:
-            if d.arity != s.arity:
-                raise ValueError(f"summand arity {d.arity} under plain arity {s.arity}")
-            validate(d)
-        return
-    prev = None
-    for key, plain in s.table:
-        check_key(key, s.arity)
-        if prev is not None and seed_order(key) <= seed_order(prev):
-            raise ValueError(f"table keys out of order: {prev} then {key}")
-        prev = key
-        if not plain.summands:
-            raise ValueError(f"empty entry {key} should be omitted")
-        if plain.arity != key_arity(key, s.arity):
-            raise ValueError(f"entry {key}: arity {plain.arity} at table arity {s.arity}")
-        validate(plain)
 
 
 # ------------------------------------------------------------ interpret

@@ -110,8 +110,6 @@ def test_seed_table_exhaustive():
         m = seed(kind)
         assert m.is_seed()
         assert interface(m) == m.initial.channels
-        # channel trace is an identity embedding
-        assert m.channel_map == {c: c for c in m.initial.channels}
         assert m.initial.channels <= m.final.channels
         if isinstance(kind, (Fork, ForkL, ForkR, Input)):
             assert len(m.created_channels()) == 1
@@ -221,7 +219,7 @@ def extend_non_seed_fixture(big: Move) -> Move:
     init = Position(big.initial.channels, {**big.initial.players, pid: Player((ch,))})
     fin = Position(big.final.channels, {**big.final.players, pid: Player((ch,))})
     pm = {**big.player_map, pid: (pid,)}
-    return Move(big.kind, init, fin, big.channel_map, pm, big.moving)
+    return Move(big.kind, init, fin, pm)
 
 
 def test_extend_rejects_bad_glue_target():
@@ -324,8 +322,6 @@ def test_moves_isomorphic_detects_kind_and_wiring():
         assert not moves_isomorphic(merged, m), kind
         z.players[new_id()] = Player((min(z.channels),))
         assert not moves_isomorphic(extend(m, z, glue), plain), kind
-        still = Move(m.kind, m.initial, m.final, m.channel_map, m.player_map, frozenset())
-        assert not moves_isomorphic(still, m), kind
 
 
 def test_position_check_rejects_unknown_channel():

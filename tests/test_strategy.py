@@ -17,7 +17,6 @@ from actorgame.strategy import (
     prefix_to_key,
     readback,
     seed_order,
-    validate,
 )
 from actorgame.term import NIL, IllTyped, Par, Recv, Send, Sum, Tick, canonical, parse, pretty
 from gen import terms, typed_terms
@@ -26,6 +25,10 @@ from gen import terms, typed_terms
 def interp(text):
     p, gamma = parse(text)
     return interpret(p, gamma)
+
+
+def keys(s):
+    return tuple(k for k, _ in s.table)
 
 
 # ---------------------------------------------------------------- tables
@@ -56,7 +59,7 @@ def test_key_arity():
 
 def test_definite_normalizes_and_validates():
     d = definite(1, {("heart",): Plain(1, (Definite(1),))})
-    assert d.keys() == (("heart",),)
+    assert keys(d) == (("heart",),)
     with pytest.raises(ValueError):
         definite(1, {("in", 2): Plain(2, (Definite(2),))})
     with pytest.raises(ValueError):
@@ -74,6 +77,47 @@ def test_definite_normalizes_and_validates():
 def test_definite_drops_empty_entries():
     d = definite(1, {("heart",): Plain(1)})
     assert d.table == ()
+    # a dropped entry is still checked
+    with pytest.raises(ValueError):
+        definite(1, {("in", 5): Plain(6)})
+    with pytest.raises(ValueError):
+        definite(1, {("heart",): Plain(2)})
+
+
+ONE = Plain(1, (Definite(1),))
+TWO = Plain(2, (Definite(2),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Definite(1, ((("heart",), Plain(1)),)),
+        lambda: Definite(1, ((("heart",), ONE), (("out", 1, 1), ONE))),
+        lambda: Definite(1, ((("heart",), ONE), (("heart",), ONE))),
+        lambda: Definite(1, ((("in", 2), TWO),)),
+        lambda: Definite(1, ((("out", 1, 2), ONE),)),
+        lambda: Definite(1, ((("bogus",), ONE),)),
+        lambda: Definite(1, ((("heart",), TWO),)),
+        lambda: Definite(1, ((("in", 1), ONE),)),
+        lambda: Plain(1, (Definite(1), Definite(2))),
+        lambda: definite(1, {("in",): TWO}),
+    ],
+    ids=[
+        "empty entry",
+        "keys out of order",
+        "key repeated",
+        "input key out of range",
+        "output key out of range",
+        "unknown key",
+        "entry of the wrong arity",
+        "input entry of the wrong arity",
+        "summand of another arity",
+        "malformed key",
+    ],
+)
+def test_strategies_check_themselves(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_lookup_total_with_empty_default():
@@ -87,15 +131,16 @@ def test_restrict_indexes_summands():
     plain = s.lookup(("in", 1))
     assert len(plain.summands) == 2
     assert plain.summands[0] == Definite(2)
-    assert plain.summands[1].keys() == (("heart",),)
+    assert keys(plain.summands[1]) == (("heart",),)
     with pytest.raises(IndexError):
         plain.summands[2]
 
 
 def test_validate_passes_on_corpus(corpus):
+    # each table checks itself when it is built
     for gamma, terms in corpus.items():
         for t in terms:
-            validate(interpret(t, gamma))
+            interpret(t, gamma)
 
 
 # ------------------------------------------------------------ interpret
@@ -107,19 +152,19 @@ def test_interpret_nil_is_empty():
 
 def test_interpret_tick_single_entry():
     s = interp("ctx 0. tick.0")
-    assert s.keys() == (("heart",),)
+    assert keys(s) == (("heart",),)
     assert s.lookup(("heart",)) == Plain(0, (Definite(0),))
 
 
 def test_interpret_par_is_fork_shaped():
     s = interp("ctx 1. 0 | 0")
-    assert s.keys() == (("forkL",), ("forkR",))
+    assert keys(s) == (("forkL",), ("forkR",))
     assert s.lookup(("forkL",)) == Plain(2, (Definite(2),))
 
 
 def test_interpret_groups_branches_by_prefix():
     s = interp("ctx 1. rcv(1).0 + tick.0 + rcv(1).tick.0")
-    assert s.keys() == (("in", 1), ("heart",))
+    assert keys(s) == (("in", 1), ("heart",))
     assert len(s.lookup(("in", 1)).summands) == 2
 
 
@@ -133,7 +178,7 @@ def test_interpret_recv_continuation_arity():
     s = interp("ctx 1. rcv(1).snd(2,2).0")
     cont = s.lookup(("in", 1)).summands[0]
     assert cont.arity == 2
-    assert cont.keys() == (("out", 2, 2),)
+    assert keys(cont) == (("out", 2, 2),)
 
 
 def test_prefix_key_conversions():
@@ -236,7 +281,6 @@ def test_strategies_are_totally_ordered(data):
 def test_enumerate_pure_streams_valid_unique():
     seen = set()
     for s in itertools.islice(enumerate_pure(1, 2), 80):
-        validate(s)
         assert s not in seen
         seen.add(s)
         assert s.arity == 1
