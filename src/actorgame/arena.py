@@ -388,13 +388,8 @@ def _canon(pos, payload, pcol, ccol) -> tuple:
     )
 
 
-def positions_isomorphic(
-    x: Position,
-    y: Position,
-    payload_x: dict[int, object] | None = None,
-    payload_y: dict[int, object] | None = None,
-) -> bool:
-    return canonical_position_key(x, payload_x) == canonical_position_key(y, payload_y)
+def positions_isomorphic(x: Position, y: Position) -> bool:
+    return canonical_position_key(x) == canonical_position_key(y)
 
 
 def moves_isomorphic(a: Move, b: Move) -> bool:
@@ -402,7 +397,7 @@ def moves_isomorphic(a: Move, b: Move) -> bool:
     if a.kind != b.kind:
         return False
     (x, px), (y, py) = _trace_position(a), _trace_position(b)
-    return positions_isomorphic(x, y, px, py)
+    return canonical_position_key(x, px) == canonical_position_key(y, py)
 
 
 def _trace_position(m: Move) -> tuple[Position, dict[int, object]]:

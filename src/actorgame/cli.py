@@ -193,8 +193,6 @@ def cmd_dot(args: argparse.Namespace) -> int:
         raise ValueError(f"bad --trace {args.trace!r}: expected comma separated step indices")
     if args.what == "move":
         play = arena_trace(root, indices or [args.index or 0])
-        if not play.moves:
-            raise ValueError("no move selected")
         sys.stdout.write(to_dot(play.moves[-1]))
         return 0
     sys.stdout.write(to_dot(arena_trace(root, indices)))

@@ -35,8 +35,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
+from . import lts
 from .lts import (
-    MAX_STATES,
     ROOTS,
     LtsGraph,
     State,
@@ -171,15 +171,15 @@ class _Search:
     holds its tick-free distance to a form that cannot reach a tick: 0
     for such a form, UNBOUNDED when none is reachable, None until known.
     Forms and the concrete states of a witness search both count
-    against ``max_states``.
+    against ``lts.MAX_STATES``, read when the search is set up.
     """
 
-    def __init__(self, max_states: int):
+    def __init__(self):
         self.filed: dict = {}  # each body's offers, filed once (lts._scan)
         self.index: dict[State, int] = {}
         self.forms: list[State] = []
         self.dist: list[Optional[float]] = []
-        self.max_states = max_states
+        self.max_states = lts.MAX_STATES
         self.states = 0
 
     def admit(self) -> None:
@@ -261,28 +261,26 @@ def _strict_witness(state: State) -> tuple[str, ...]:
     return ()
 
 
-def holds(state: State, mode: str = "weak", max_states: int = MAX_STATES) -> bool:
-    """``decide(state, mode, max_states).passed``, found without searching
-    for a failure witness."""
-    if mode == "strict":
-        return not _strict_witness(state)
+def holds(state: State, mode: str = "weak") -> bool:
+    """``decide(state, mode).passed``, found in the weak mode without
+    searching for a failure witness."""
     if mode != "weak":
-        raise ValueError(f"unknown verdict mode {mode!r}")
-    return _Search(max_states).distance(state) == UNBOUNDED
+        return decide(state, mode).passed
+    return _Search().distance(state) == UNBOUNDED
 
 
-def decide(state: State, mode: str = "weak", max_states: int = MAX_STATES) -> Verdict:
+def decide(state: State, mode: str = "weak") -> Verdict:
     """``in_bot(closed_graph(state), mode)``, found without building the
     graph: weak by the search over channel-normalised forms, strict from
     the root's steps in label order. A weak failure's witness is searched
-    for at once; its states count against ``max_states`` along with the
-    decision's forms, and exceeding it raises ``RuntimeError``."""
+    for at once; its states count against ``lts.MAX_STATES`` along with
+    the decision's forms, and exceeding it raises ``RuntimeError``."""
     if mode == "strict":
         witness = _strict_witness(state)
         return Verdict(not witness, witness)
     if mode != "weak":
         raise ValueError(f"unknown verdict mode {mode!r}")
-    search = _Search(max_states)
+    search = _Search()
     top = search.distance(state)
     if top == UNBOUNDED:
         return Verdict(True)

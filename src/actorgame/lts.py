@@ -184,10 +184,6 @@ class StepLabel:
     def is_tick(self) -> bool:
         return self.tag == "tick"
 
-    @property
-    def is_silent(self) -> bool:
-        return self.tag in SILENT_TAGS
-
     def render(self) -> str:
         a = ",".join(str(i) for i in self.actors)
         ch = ",".join(str(i) for i in self.choice)
@@ -202,14 +198,6 @@ class ALab:
 
     tag: str
     args: tuple[int, ...] = ()
-
-    @property
-    def is_tick(self) -> bool:
-        return self.tag == "tick"
-
-    @property
-    def is_silent(self) -> bool:
-        return self.tag in SILENT_TAGS
 
     def render(self) -> str:
         if not self.args:
@@ -347,43 +335,40 @@ def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[tupl
     return steps
 
 
-def raw_closed_steps(state: State, filed: Optional[dict] = None) -> list[tuple]:
-    """Closed steps in enumeration order: ticks by actor, then forks by
-    actor, then syncs by sender then receiver, the choices of each step
-    innermost. Each is a (label, successor, avatars, created) tuple with
-    enough detail to rebuild the arena move: actor ``label.actors[i]``
-    became the avatars ``avatars[i]``, and the step created ``created``
-    channels. ``filed`` is as for ``_scan``."""
+def _closed_moves(state: State, filed: Optional[dict]) -> list[tuple]:
+    """Every closed step as a (kind, actors, choice, created, avatars)
+    tuple, as ``_silent_steps`` gives them: ticks by actor, then the
+    forks and syncs. ``filed`` is as for ``_scan``."""
     _, ticks, forks, outs, ins = _scan(state, filed)
-    steps: list[tuple] = []
+    moves: list[tuple] = []
     for p, actor, attach, group in ticks:
         kind = Heartbeat(len(attach))
         for choice, cont in group:
-            steps.append((kind, (p,), choice, 0, ((actor.avatar(attach, cont),),)))
+            moves.append((kind, (p,), choice, 0, ((actor.avatar(attach, cont),),)))
+    return moves + _silent_steps(state, forks, outs, ins)
+
+
+def _labelled(state: State, moves: list[tuple]) -> list[tuple[StepLabel, State]]:
+    """The (label, successor) pair of each of ``state``'s moves."""
     return [
-        (
-            StepLabel(kind, actors, choice),
-            _replace(state, created, dict(zip(actors, avatars))),
-            avatars,
-            created,
-        )
-        for kind, actors, choice, created, avatars in steps
-        + _silent_steps(state, forks, outs, ins)
+        (StepLabel(kind, actors, choice), _replace(state, created, dict(zip(actors, avatars))))
+        for kind, actors, choice, created, avatars in moves
     ]
+
+
+def closed_world_steps(state: State, filed: Optional[dict] = None) -> list[tuple[StepLabel, State]]:
+    """Closed steps as (label, successor) pairs in enumeration order:
+    ticks by actor, then forks by actor, then syncs by sender then
+    receiver, the choices of each step innermost. ``filed`` is as for
+    ``_scan``."""
+    return _labelled(state, _closed_moves(state, filed))
 
 
 def tick_free_steps(state: State, filed: Optional[dict] = None) -> tuple[bool, list[tuple[StepLabel, State]]]:
     """Whether ``state`` can tick, and its forks and syncs as (label,
-    successor) pairs in the order of ``raw_closed_steps``."""
+    successor) pairs in the order of ``closed_world_steps``."""
     _, ticks, forks, outs, ins = _scan(state, filed)
-    return bool(ticks), [
-        (StepLabel(kind, actors, choice), _replace(state, created, dict(zip(actors, avatars))))
-        for kind, actors, choice, created, avatars in _silent_steps(state, forks, outs, ins)
-    ]
-
-
-def closed_world_steps(state: State, filed: Optional[dict] = None) -> list[tuple[StepLabel, object]]:
-    return [(label, nxt) for label, nxt, _, _ in raw_closed_steps(state, filed)]
+    return bool(ticks), _labelled(state, _silent_steps(state, forks, outs, ins))
 
 
 def interface_steps(ast: AState, enable_link: bool = False, filed: Optional[dict] = None) -> list[tuple[ALab, AState]]:
@@ -457,13 +442,15 @@ class LtsGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_graph(root, successors: Callable, max_states: int = MAX_STATES) -> LtsGraph:
-    """BFS the reachable states. Successor lists are deduplicated and
+def build_graph(root, successors: Callable) -> LtsGraph:
+    """BFS the reachable states, at most ``MAX_STATES`` of them, read
+    when the build starts. Successor lists are deduplicated and
     sorted by label then target, so vertex numbering and edge order are
     functions of the root alone. The cyclic garbage collector is paused
     meanwhile, and left as found: states and labels are frozen values
     that make no reference cycle, so reference counting frees all a
     build drops, and the collector would only rescan the state table."""
+    max_states = MAX_STATES
     index = {root: 0}
     states = [root]
     edges: list[tuple] = []
@@ -489,24 +476,24 @@ def build_graph(root, successors: Callable, max_states: int = MAX_STATES) -> Lts
     return LtsGraph(states, edges)
 
 
-def closed_graph(state: State, max_states: int = MAX_STATES) -> LtsGraph:
+def closed_graph(state: State) -> LtsGraph:
     filed: dict = {}
-    return build_graph(state, lambda s: closed_world_steps(s, filed), max_states)
+    return build_graph(state, lambda s: closed_world_steps(s, filed))
 
 
-def interface_graph(root: State, enable_link: bool = False, max_states: int = MAX_STATES) -> LtsGraph:
+def interface_graph(root: State, enable_link: bool = False) -> LtsGraph:
     """The interface graph of a root whose every channel the environment knows."""
     start = AState(tuple(range(1, root.num_channels + 1)), root)
     filed: dict = {}
-    return build_graph(start, lambda a: interface_steps(a, enable_link, filed), max_states)
+    return build_graph(start, lambda a: interface_steps(a, enable_link, filed))
 
 
-def strategy_lts(p: Process, gamma: int, enable_link: bool = False, max_states: int = MAX_STATES) -> LtsGraph:
-    return interface_graph(root_strategy(p, gamma), enable_link, max_states)
+def strategy_lts(p: Process, gamma: int) -> LtsGraph:
+    return interface_graph(root_strategy(p, gamma))
 
 
-def process_lts(p: Process, gamma: int, enable_link: bool = False, max_states: int = MAX_STATES) -> LtsGraph:
-    return interface_graph(root_process(p, gamma), enable_link, max_states)
+def process_lts(p: Process, gamma: int) -> LtsGraph:
+    return interface_graph(root_process(p, gamma))
 
 
 # ---------------------------------------------------------- weak bisim
@@ -721,7 +708,7 @@ def arena_position(g: State) -> arena.Position:
 def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
     """Replay closed steps chosen by index as an arena play.
 
-    Index k selects the k-th step of ``raw_closed_steps``: ticks by
+    Index k selects the k-th step of ``closed_world_steps``: ticks by
     player, then forks by player, then syncs by sender then receiver,
     each player's entries in table order and summand products innermost.
     Channel and player traces are exact identity embeddings, so the
@@ -732,15 +719,16 @@ def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
     pos = _position(state, chan_ids, pids)
     play = arena.identity_play(pos)
     for idx in indices:
-        raws = raw_closed_steps(state)
-        if not 0 <= idx < len(raws):
+        moves = _closed_moves(state, None)
+        if not 0 <= idx < len(moves):
             raise IndexError(
-                f"edge index {idx} out of range: state has {len(raws)} raw steps"
+                f"edge index {idx} out of range: state has {len(moves)} raw steps"
             )
-        label, nxt, avatars, created = raws[idx]
+        kind, actors, _, created, avatars = moves[idx]
         if created:
             chan_ids[state.num_channels + 1] = arena.new_id()
-        repl = dict(zip(label.actors, avatars))
+        repl = dict(zip(actors, avatars))
+        nxt = _replace(state, created, repl)
         pairs: list[tuple[PlayerState, int]] = []
         player_map: dict[int, tuple[int, ...]] = {}
         for i, ps in enumerate(state.actors):
@@ -755,7 +743,7 @@ def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
         assert tuple(ps for ps, _ in pairs) == nxt.actors
         pids = [pid for _, pid in pairs]
         final = _position(nxt, chan_ids, pids)
-        move = arena.Move(label.kind, pos, final, player_map)
+        move = arena.Move(kind, pos, final, player_map)
         play = arena.compose(arena.play_of(move), play)
         pos = final
         state = nxt

@@ -124,13 +124,12 @@ class Definite(HashOnce):
         return Plain(key_arity(key, self.arity))
 
 
-def definite(n: int, entries: dict[SeedKey, Plain] | list[tuple[SeedKey, Plain]]) -> Definite:
+def definite(n: int, entries: list[tuple[SeedKey, Plain]]) -> Definite:
     """Normalizing constructor: drops empty entries and sorts the rest.
     A dropped entry's key and arity are checked here, a kept one's by
     ``Definite`` itself."""
-    items = entries.items() if isinstance(entries, dict) else entries
     kept = []
-    for key, plain in items:
+    for key, plain in entries:
         if plain.summands:
             kept.append((key, plain))
         else:

@@ -68,6 +68,10 @@ def brute_in_bot(graph) -> bool:
     return all(can_reach_tick(v, {v}) for v in reached)
 
 
+# the tags of the interface steps a weak equivalence may absorb
+SILENT = frozenset({"sync", "fork"})
+
+
 def naive_weak_equiv(g1, g2) -> bool:
     """Weak bisimilarity by greatest-fixpoint over the full pair
     relation, with weak transitive closures computed eagerly."""
@@ -87,7 +91,7 @@ def naive_weak_equiv(g1, g2) -> bool:
         while stack:
             v = stack.pop()
             for label, d in strong[v]:
-                if label.is_silent and d not in out:
+                if label.tag in SILENT and d not in out:
                     out.add(d)
                     stack.append(d)
         return frozenset(out)
@@ -106,7 +110,7 @@ def naive_weak_equiv(g1, g2) -> bool:
 
     def simulated(x, y) -> bool:
         for label, xd in strong[x]:
-            if label.is_silent:
+            if label.tag in SILENT:
                 if not any((xd, yd) in rel for yd in tau[y]):
                     return False
             else:

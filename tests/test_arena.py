@@ -26,7 +26,7 @@ from actorgame.arena import (
     seed,
     to_dot,
 )
-from actorgame.lts import arena_trace, raw_closed_steps, root_strategy
+from actorgame.lts import arena_trace, closed_world_steps, root_strategy
 
 
 def all_kinds(max_n):
@@ -55,7 +55,7 @@ def all_kinds(max_n):
 
 def test_seed_validates_parameters():
     for bad in [Input(2, 3), Input(0, 1), Output(2, 0, 1), Output(2, 1, 3),
-                Sync(2, 3, 2, 1, 1), Sync(2, 1, 2, 3, 1), Fork(-1)]:
+                Sync(2, 3, 2, 1, 1), Sync(2, 1, 2, 3, 1), Fork(-1), "tick"]:
         with pytest.raises(ValueError):
             seed(bad)
 
@@ -238,6 +238,18 @@ def test_extend_rejects_spectator_on_unknown_channel():
         extend(m, z, glue)
 
 
+def test_extend_rejects_shared_identifiers():
+    m = seed(Heartbeat(1))
+    z, glue = glue_position(m)
+    (pid,) = m.initial.players
+    (own,) = m.initial.channels
+    (c,) = z.channels
+    with pytest.raises(ValueError, match="shares player identifiers"):
+        extend(m, Position(z.channels, {pid: Player((c,))}), glue)
+    with pytest.raises(ValueError, match="shares channel identifiers"):
+        extend(m, Position(z.channels | {own}, {}), glue)
+
+
 # ---------------------------------------------------------------- plays
 
 
@@ -401,11 +413,11 @@ def _derivable_moves(corpus):
                 # follow the pick-th step (mod the count) four times
                 state, indices = root, []
                 for _ in range(4):
-                    raws = raw_closed_steps(state)
-                    if not raws:
+                    steps = closed_world_steps(state)
+                    if not steps:
                         break
-                    indices.append(pick % len(raws))
-                    state = raws[indices[-1]][1]
+                    indices.append(pick % len(steps))
+                    state = steps[indices[-1]][1]
                 play = arena_trace(root, indices)
                 for m in play.moves:
                     yield m, None

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 
@@ -19,7 +18,14 @@ from actorgame.fairtest import (
     merge_map,
     passes,
 )
-from actorgame.lts import closed_graph, process_lts, root_process, root_strategy, strategy_lts
+from actorgame.lts import (
+    closed_graph,
+    interface_graph,
+    process_lts,
+    root_process,
+    root_strategy,
+    strategy_lts,
+)
 from actorgame.term import IllTyped, Par, Sum, canonical, parse
 from gen import terms
 from oracles import brute_in_bot, count_terms
@@ -223,20 +229,28 @@ def test_search_matches_full_graph_verdict(root):
     assert in_bot(g).passed == all(g.edges[v] for v in reached)
 
 
-def test_search_counts_forms_and_witness_states():
+def test_search_counts_forms_and_witness_states(monkeypatch):
+    def cap(n):
+        monkeypatch.setattr(lts, "MAX_STATES", n)
+
     # root, forked and ticking: three forms, no witness
     relay = composite(root_process, term("ctx 1. snd(2,2).0 | rcv(2).tick.0"), 1, EMPTY1)
-    assert decide(relay, max_states=3).passed
+    cap(3)
+    assert decide(relay).passed
+    cap(2)
     with pytest.raises(RuntimeError, match="state space exceeds 2 states"):
-        decide(relay, max_states=2)
+        decide(relay)
     # root, forked and deadlocked forms, then two witness states
     late = composite(root_process, term("ctx 1. snd(2,2).0 | rcv(2).0 + tick.0"), 1, EMPTY1)
-    verdict = decide(late, max_states=5)
+    cap(5)
+    verdict = decide(late)
     assert not verdict.passed and len(verdict.witness) == 2
     # the flag alone needs only the three forms
-    assert not holds(late, max_states=3)
+    cap(3)
+    assert not holds(late)
+    cap(4)
     with pytest.raises(RuntimeError, match="state space exceeds 4 states"):
-        decide(late, max_states=4)
+        decide(late)
 
 
 def test_state_bound_is_an_input_error(tmp_path, monkeypatch, capsys):
@@ -250,14 +264,50 @@ def test_state_bound_is_an_input_error(tmp_path, monkeypatch, capsys):
     test.write_text(big + "\n")
     argv = ["fair", str(subject), "--test", str(test)]
     assert cli.main(argv) == 0
-    monkeypatch.setattr(fairtest, "decide", functools.partial(decide, max_states=50))
+    monkeypatch.setattr(lts, "MAX_STATES", 50)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: state space exceeds 50 states\n"
+
+
+def test_one_cap_stops_graph_builds_and_searches(tmp_path, monkeypatch, capsys):
+    # lts.MAX_STATES is read when each build or search starts, so one
+    # setting caps closed and interface graphs and verdicts alike
+    relay = "ctx 1. snd(2,2).0 | rcv(2).tick.0"
+    p = term(relay)
+    subject = tmp_path / "relay.act"
+    subject.write_text(relay + "\n")
+    empty = tmp_path / "empty.act"
+    empty.write_text("ctx 1. 0\n")
+    argv = ["fair", str(subject), "--test", str(empty)]
+    calls = [
+        lambda root: closed_graph(root(p, 1)),
+        lambda root: interface_graph(root(p, 1)),
+        lambda root: holds(composite(root, p, 1, EMPTY1)),
+        lambda root: decide(composite(root, p, 1, EMPTY1)),
+    ]
+    for root in ROOTS:
+        for call in calls:
+            call(root)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(lts, "MAX_STATES", 2)
+    for root in ROOTS:
+        for call in calls:
+            with pytest.raises(RuntimeError, match="^state space exceeds 2 states$"):
+                call(root)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: state space exceeds 2 states\n"
 
 
 def test_passes_rejects_unknown_mode():
     with pytest.raises(ValueError):
         passes(term("ctx 0. 0"), 0, EMPTY0, mode="sloppy")
+
+
+def test_holds_rejects_unknown_mode():
+    state = composite(root_strategy, term("ctx 0. 0"), 0, EMPTY0)
+    with pytest.raises(ValueError, match="unknown verdict mode 'sloppy'"):
+        holds(state, "sloppy")
 
 
 def test_passes_rejects_unknown_side():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actorgame import lts
 from actorgame.arena import Fork, Heartbeat, Sync, positions_isomorphic
 from actorgame.cli import main
 from actorgame.lts import (
+    SILENT_TAGS,
     ALab,
     AState,
     LtsGraph,
@@ -16,6 +18,7 @@ from actorgame.lts import (
     State,
     StepLabel,
     Thread,
+    _closed_moves,
     _file_offers,
     arena_position,
     arena_trace,
@@ -26,7 +29,6 @@ from actorgame.lts import (
     interface_graph,
     interface_steps,
     process_lts,
-    raw_closed_steps,
     root_process,
     root_strategy,
     strategy_lts,
@@ -318,7 +320,7 @@ def test_link_rule_only_behind_flag():
     p, gamma = parse("ctx 2. rcv(1).0")
     plain = process_lts(p, gamma)
     assert not any(l.tag == "link" for e in plain.edges for l, _ in e)
-    linked = process_lts(p, gamma, enable_link=True)
+    linked = interface_graph(root_process(p, gamma), enable_link=True)
     links = [l for e in linked.edges for l, _ in e if l.tag == "link"]
     assert links == [ALab("link", (1, 3, 2))]
     # h unchanged by link
@@ -341,8 +343,8 @@ def test_link_steps_follow_the_actors_other_steps():
 def test_link_graphs_weakly_bisimilar_across_sides(small_corpus):
     for gamma, terms in small_corpus.items():
         for t in terms:
-            linked_p = process_lts(t, gamma, enable_link=True)
-            linked_s = strategy_lts(t, gamma, enable_link=True)
+            linked_p = interface_graph(root_process(t, gamma), enable_link=True)
+            linked_s = interface_graph(root_strategy(t, gamma), enable_link=True)
             assert weak_bisim(linked_p, linked_s).equivalent, (gamma, t)
 
 
@@ -391,7 +393,9 @@ def corpus_dump_digests(corpus):
         "closed.process": lambda t, g: closed_graph(root_process(t, g)),
         "interface.strategy": strategy_lts,
         "interface.process": process_lts,
-        "interface.strategy.link": lambda t, g: strategy_lts(t, g, enable_link=True),
+        "interface.strategy.link": lambda t, g: interface_graph(
+            root_strategy(t, g), enable_link=True
+        ),
     }
     digests = {kind: hashlib.sha256() for kind in builds}
     for gamma, terms in corpus.items():
@@ -413,13 +417,14 @@ def test_build_graph_deterministic():
     assert strategy_lts(p, gamma).dump() == strategy_lts(p, gamma).dump()
 
 
-def test_build_graph_max_states():
+def test_build_graph_max_states(monkeypatch):
     p, gamma = parse(RELAY)
+    monkeypatch.setattr(lts, "MAX_STATES", 3)
     with pytest.raises(RuntimeError):
-        strategy_lts(p, gamma, max_states=3)
+        strategy_lts(p, gamma)
 
 
-def test_build_graph_leaves_the_collector_as_it_found_it():
+def test_build_graph_leaves_the_collector_as_it_found_it(monkeypatch):
     p, gamma = parse(RELAY)
     collecting = gc.isenabled()
     try:
@@ -427,8 +432,10 @@ def test_build_graph_leaves_the_collector_as_it_found_it():
             gc.enable() if enabled else gc.disable()
             strategy_lts(p, gamma)
             assert gc.isenabled() == enabled
-            with pytest.raises(RuntimeError, match="^state space exceeds 3 states$"):
-                process_lts(p, gamma, max_states=3)
+            with monkeypatch.context() as m:
+                m.setattr(lts, "MAX_STATES", 3)
+                with pytest.raises(RuntimeError, match="^state space exceeds 3 states$"):
+                    process_lts(p, gamma)
             assert gc.isenabled() == enabled
     finally:
         gc.enable() if collecting else gc.disable()
@@ -460,10 +467,10 @@ def test_large_interface_dumps_match_golden_digests(capsys, tmp_path):
 @given(typed_terms())
 def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
     # one dict of filed offers serves every state of both worlds; each
-    # actor's filing equals a fresh filing of its offers, steps equal
-    # those found with a fresh dict, and each successor equals State.of
-    # of its own actors, on the closed side also of the source's unmoved
-    # actors and the avatars
+    # actor's filing equals a fresh filing of its offers, steps and
+    # moves equal those found with a fresh dict, and each successor
+    # equals State.of of its own actors, on the closed side also of the
+    # source's unmoved actors and the avatars
     t, gamma = tg
     for root in (root_strategy(t, gamma), root_process(t, gamma)):
         filed = {}
@@ -473,11 +480,15 @@ def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
                 assert filed[id(actor.body)] == _file_offers(actor)
 
         for state in closed_graph(root).states:
-            steps = raw_closed_steps(state, filed)
+            steps = closed_world_steps(state, filed)
+            moves = _closed_moves(state, filed)
             check_filed(state)
-            assert steps == raw_closed_steps(state)
-            for label, nxt, avatars, created in steps:
-                kept = [a for i, a in enumerate(state.actors) if i not in label.actors]
+            assert steps == closed_world_steps(state)
+            assert moves == _closed_moves(state, None)
+            assert len(steps) == len(moves)
+            for (label, nxt), (kind, actors, choice, created, avatars) in zip(steps, moves):
+                assert label == StepLabel(kind, actors, choice)
+                kept = [a for i, a in enumerate(state.actors) if i not in actors]
                 moved = [a for av in avatars for a in av]
                 assert nxt == State.of(state.num_channels + created, kept + moved)
         for ast in interface_graph(root, enable_link=True).states:
@@ -581,7 +592,7 @@ def test_weak_bisim_matches_naive_oracle_on_silent_pairs(corpus):
         graphs = []
         for t in terms:
             s = strategy_lts(t, gamma)
-            if len(s.states) > 40 or not any(l.is_silent for e in s.edges for l, _ in e):
+            if len(s.states) > 40 or not any(l.tag in SILENT_TAGS for e in s.edges for l, _ in e):
                 continue
             sides = [process_lts(t, gamma), s]
             for g in sides:
@@ -589,7 +600,7 @@ def test_weak_bisim_matches_naive_oracle_on_silent_pairs(corpus):
                     (rerooted(g, v), rerooted(g, u))
                     for v in range(len(g.states))
                     for l, u in g.edges[v]
-                    if l.is_silent
+                    if l.tag in SILENT_TAGS
                 ]
             if len(graphs) < 16:
                 graphs += sides
@@ -699,5 +710,5 @@ def test_arena_trace_positions_track_states():
     play = arena_trace(g, [0, 0])
     assert type(play.moves[0].kind).__name__ == "Fork"
     assert play.moves[1].kind == Heartbeat(1)
-    _, state1, _, _ = raw_closed_steps(g)[0]
+    _, state1 = closed_world_steps(g)[0]
     assert positions_isomorphic(play.moves[0].final, arena_position(state1))

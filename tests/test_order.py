@@ -15,7 +15,7 @@ from actorgame.lts import (
     StepLabel,
     Thread,
     closed_graph,
-    process_lts,
+    interface_graph,
     root_process,
     root_strategy,
     strategy_lts,
@@ -105,7 +105,7 @@ def test_native_orders_match_keys_on_corpus(small_corpus):
                     g = closed_graph(compose(root(t, gamma), root(test.proc, test.ctx), test.h))
                     found[key].update(a for s in g.states for a in s.actors)
                     found[step_label_key].update(label for out in g.edges for label, _ in out)
-            for g in (process_lts(t, gamma, enable_link=True), strategy_lts(t, gamma)):
+            for g in (interface_graph(root_process(t, gamma), enable_link=True), strategy_lts(t, gamma)):
                 found[interface_label_key].update(label for out in g.edges for label, _ in out)
     rng = random.Random(7)
     for key, values in found.items():

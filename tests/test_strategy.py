@@ -58,12 +58,12 @@ def test_key_arity():
 
 
 def test_definite_normalizes_and_validates():
-    d = definite(1, {("heart",): Plain(1, (Definite(1),))})
+    d = definite(1, [(("heart",), Plain(1, (Definite(1),)))])
     assert keys(d) == (("heart",),)
     with pytest.raises(ValueError):
-        definite(1, {("in", 2): Plain(2, (Definite(2),))})
+        definite(1, [(("in", 2), Plain(2, (Definite(2),)))])
     with pytest.raises(ValueError):
-        definite(1, {("heart",): Plain(2, (Definite(2),))})
+        definite(1, [(("heart",), Plain(2, (Definite(2),)))])
     with pytest.raises(ValueError):
         definite(
             1,
@@ -75,13 +75,13 @@ def test_definite_normalizes_and_validates():
 
 
 def test_definite_drops_empty_entries():
-    d = definite(1, {("heart",): Plain(1)})
+    d = definite(1, [(("heart",), Plain(1))])
     assert d.table == ()
     # a dropped entry is still checked
     with pytest.raises(ValueError):
-        definite(1, {("in", 5): Plain(6)})
+        definite(1, [(("in", 5), Plain(6))])
     with pytest.raises(ValueError):
-        definite(1, {("heart",): Plain(2)})
+        definite(1, [(("heart",), Plain(2))])
 
 
 ONE = Plain(1, (Definite(1),))
@@ -97,10 +97,11 @@ TWO = Plain(2, (Definite(2),))
         lambda: Definite(1, ((("in", 2), TWO),)),
         lambda: Definite(1, ((("out", 1, 2), ONE),)),
         lambda: Definite(1, ((("bogus",), ONE),)),
+        lambda: Definite(1, ((("heart", 1), ONE),)),
         lambda: Definite(1, ((("heart",), TWO),)),
         lambda: Definite(1, ((("in", 1), ONE),)),
         lambda: Plain(1, (Definite(1), Definite(2))),
-        lambda: definite(1, {("in",): TWO}),
+        lambda: definite(1, [(("in",), TWO)]),
     ],
     ids=[
         "empty entry",
@@ -109,6 +110,7 @@ TWO = Plain(2, (Definite(2),))
         "input key out of range",
         "output key out of range",
         "unknown key",
+        "tick key with an argument",
         "entry of the wrong arity",
         "input entry of the wrong arity",
         "summand of another arity",
@@ -186,6 +188,8 @@ def test_prefix_key_conversions():
         assert prefix_of_key(prefix_to_key(prefix)) == prefix
     with pytest.raises(ValueError):
         prefix_of_key(("forkL",))
+    with pytest.raises(TypeError, match="not a prefix"):
+        prefix_to_key(NIL)
 
 
 # ------------------------------------------------------------- readback
@@ -216,10 +220,10 @@ def test_interpret_inverts_readback_on_pure(corpus):
 def test_readback_warns_and_drops_mixed_shape():
     mixed = definite(
         0,
-        {
-            ("heart",): Plain(0, (Definite(0),)),
-            ("forkL",): Plain(1, (Definite(1),)),
-        },
+        [
+            (("heart",), Plain(0, (Definite(0),))),
+            (("forkL",), Plain(1, (Definite(1),))),
+        ],
     )
     with pytest.warns(MixedShapeWarning):
         t = readback(mixed)
@@ -230,10 +234,10 @@ def test_readback_fork_requires_exact_shape():
     # two summands under forkL is not the image of a parallel term
     lopsided = definite(
         0,
-        {
-            ("forkL",): Plain(1, (Definite(1), Definite(1))),
-            ("forkR",): Plain(1, (Definite(1),)),
-        },
+        [
+            (("forkL",), Plain(1, (Definite(1), Definite(1)))),
+            (("forkR",), Plain(1, (Definite(1),))),
+        ],
     )
     with pytest.warns(MixedShapeWarning):
         t = readback(lopsided)

@@ -88,6 +88,7 @@ def test_parse_whitespace_insensitive():
         "ctx 1. (tick.0",
         "ctx 1. tick.0 extra",
         "foo 1. 0",
+        "ctx 1. foo.0",
     ],
 )
 def test_parse_rejects(text):
@@ -145,6 +146,30 @@ def test_illtyped_reports_path():
         typecheck(p, 1)
     assert "right" in str(exc.value)
     assert exc.value.gamma == 2
+
+
+@pytest.mark.parametrize(
+    "p, gamma, message",
+    [
+        (NIL, -1, "context size must be nonnegative (at root, context size -1)"),
+        (
+            Sum(((Send(1, 2), NIL),)),
+            1,
+            "send object 2 out of range (at branch0, context size 1)",
+        ),
+        (Sum(((NIL, NIL),)), 0, "not a prefix: Sum(branches=()) (at branch0, context size 0)"),
+        (
+            Sum(((Tick(), Tick()),)),
+            0,
+            "not a process node: Tick() (at branch0, context size 0)",
+        ),
+    ],
+    ids=["negative context", "send object", "non-prefix", "non-process node"],
+)
+def test_typecheck_rejects(p, gamma, message):
+    with pytest.raises(IllTyped) as exc:
+        typecheck(p, gamma)
+    assert str(exc.value) == message
 
 
 def test_ctx_after():
@@ -240,6 +265,12 @@ def test_max_term_size_values():
 def test_enumeration_counts_frozen(gamma, depth, width, expected):
     assert count_terms(gamma, depth, width) == expected
     assert sum(1 for _ in enumerate_terms(gamma, depth, width)) == expected
+
+
+@pytest.mark.parametrize("gamma, depth, width", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
+def test_enumeration_rejects_negative_bounds(gamma, depth, width):
+    with pytest.raises(ValueError, match="bounds must be nonnegative"):
+        next(enumerate_terms(gamma, depth, width))
 
 
 def test_enumeration_count_large_matches_oracle():
