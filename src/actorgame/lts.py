@@ -37,6 +37,11 @@ off its strategy table, a thread off its own syntax. A step's choice
 concatenates its actors' choices, so closed labels read ``#i,j`` on the
 strategy side and carry branch indices, or nothing for a fork, on the
 process side.
+
+States, actors and labels are named tuples, so hashing, comparing and
+sorting them runs in C. A player's leading ``arity`` field makes tuple
+order the player order: arity, attachment, strategy. Interface labels
+and closed move kinds are interned: edges share one object per value.
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ from __future__ import annotations
 import gc
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import arena
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
@@ -58,19 +64,29 @@ MAX_STATES = 200000  # the most states a graph or a verdict search may meet
 Offer = tuple[SeedKey, tuple[tuple[tuple[int, ...], object], ...]]
 
 
-@dataclass(frozen=True, slots=True)
-class PlayerState:
-    """A strategy player; players order by arity, attachment, strategy."""
-
+class _Player(NamedTuple):
+    arity: int
     attach: tuple[int, ...]
     body: Definite
 
-    def __post_init__(self) -> None:
-        if len(self.attach) != self.body.arity:
+
+class PlayerState(_Player):
+    """A strategy player, built as ``PlayerState(attach, body)``; its
+    leading ``arity``, the length of ``attach``, makes players order by
+    arity, attachment, strategy."""
+
+    __slots__ = ()
+
+    def __new__(cls, attach: tuple[int, ...], body: Definite) -> PlayerState:
+        if len(attach) != body.arity:
             raise ValueError(
-                f"player attached to {len(self.attach)} channels runs a strategy "
-                f"of arity {self.body.arity}"
+                f"player attached to {len(attach)} channels runs a strategy "
+                f"of arity {body.arity}"
             )
+        return tuple.__new__(cls, (body.arity, attach, body))
+
+    def __getnewargs__(self) -> tuple:
+        return self.attach, self.body
 
     @staticmethod
     def live_by_body(players: Iterable[PlayerState]) -> list[tuple[Definite, PlayerState]]:
@@ -88,15 +104,8 @@ class PlayerState:
     def avatar(self, attach: tuple[int, ...], cont: Definite) -> PlayerState:
         return PlayerState(attach, cont)
 
-    def __lt__(self, other: PlayerState) -> bool:
-        a, b = self.attach, other.attach
-        if a == b:
-            return self.body < other.body
-        return (len(a), a) < (len(b), b)
 
-
-@dataclass(frozen=True, order=True, slots=True)
-class Thread:
+class Thread(NamedTuple):
     body: Process
     attach: tuple[int, ...]
 
@@ -121,8 +130,7 @@ class Thread:
         return Thread(cont, attach)
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+class State(NamedTuple):
     """A closed world: channels 1..num_channels and the actors attached to them."""
 
     num_channels: int
@@ -164,11 +172,15 @@ ROOTS = {"strategy": root_strategy, "process": root_process}
 # ------------------------------------------------------------- labels
 
 
-_CLOSED_TAG = {"Heartbeat": "tick", "Fork": "fork", "Sync": "sync"}
+_CLOSED_TAG = {Heartbeat: "tick", Fork: "fork", Sync: "sync"}
+
+# The closed move kinds, interned: equal kinds are one object.
+_heartbeat = lru_cache(maxsize=None)(Heartbeat)
+_fork = lru_cache(maxsize=None)(Fork)
+_sync = lru_cache(maxsize=None)(Sync)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class StepLabel:
+class StepLabel(NamedTuple):
     """Closed-world edge label: the move kind, the indices of the actors
     in the source state, and the summand or branch indices chosen."""
 
@@ -178,7 +190,7 @@ class StepLabel:
 
     @property
     def tag(self) -> str:
-        return _CLOSED_TAG[type(self.kind).__name__]
+        return _CLOSED_TAG[type(self.kind)]
 
     @property
     def is_tick(self) -> bool:
@@ -190,8 +202,7 @@ class StepLabel:
         return f"{kind_label(self.kind)}@{a}#{ch}"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ALab:
+class ALab(NamedTuple):
     """Interface edge label. Observable tags: tick, in, out, forkL,
     forkR, link; silent tags: sync, fork. Arguments are global channel
     numbers."""
@@ -205,11 +216,16 @@ class ALab:
         return f"{self.tag}({','.join(str(a) for a in self.args)})"
 
 
+@lru_cache(maxsize=None)
+def _label(tag: str, *args: int) -> ALab:
+    """The interned interface label: edges share one object per label."""
+    return ALab(tag, args)
+
+
 SILENT_TAGS = frozenset({"sync", "fork"})
 
 
-@dataclass(frozen=True, slots=True)
-class AState:
+class AState(NamedTuple):
     """Interface state: handle map of the environment plus the subject."""
 
     h: tuple[int, ...]
@@ -315,7 +331,7 @@ def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[tupl
     steps: list[tuple] = []
     fresh = state.num_channels + 1
     for p, actor, attach, lefts, rights in forks:
-        kind = Fork(len(attach))
+        kind = _fork(len(attach))
         grown = attach + (fresh,)
         for cl, dl in lefts:
             for cr, dr in rights:
@@ -326,7 +342,7 @@ def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[tupl
         for p, receiver, rattach, a, recvs in ins:
             if p == q or rattach[a - 1] != shared:
                 continue
-            kind = Sync(len(rattach), a, len(sattach), c, d)
+            kind = _sync(len(rattach), a, len(sattach), c, d)
             for cs, ds in sends:
                 for cr, dr in recvs:
                     send_av = (sender.avatar(sattach, ds),)
@@ -342,7 +358,7 @@ def _closed_moves(state: State, filed: Optional[dict]) -> list[tuple]:
     _, ticks, forks, outs, ins = _scan(state, filed)
     moves: list[tuple] = []
     for p, actor, attach, group in ticks:
-        kind = Heartbeat(len(attach))
+        kind = _heartbeat(len(attach))
         for choice, cont in group:
             moves.append((kind, (p,), choice, 0, ((actor.avatar(attach, cont),),)))
     return moves + _silent_steps(state, forks, outs, ins)
@@ -385,32 +401,32 @@ def interface_steps(ast: AState, enable_link: bool = False, filed: Optional[dict
         for key, group in offers:
             tag = key[0]
             if tag == "heart":
-                label, h2, after, created = ALab("tick"), h, attach, 0
+                label, h2, after, created = _label("tick"), h, attach, 0
             elif tag == "forkL" or tag == "forkR":
-                label, h2, after, created = ALab(tag), h + (fresh,), grown, 1
+                label, h2, after, created = _label(tag), h + (fresh,), grown, 1
             else:
                 ch = attach[key[1] - 1]
                 if ch not in known:
                     continue
                 if tag == "in":
-                    label, h2, after, created = ALab("in", (ch,)), h + (fresh,), grown, 1
+                    label, h2, after, created = _label("in", ch), h + (fresh,), grown, 1
                     if enable_link:
                         links.append((ch, group))
                 else:
                     obj = attach[key[2] - 1]
-                    label, h2, after, created = ALab("out", (ch, obj)), h + (obj,), attach, 0
+                    label, h2, after, created = _label("out", ch, obj), h + (obj,), attach, 0
             for _, cont in group:
                 nxt = _replace(state, created, {p: (actor.avatar(after, cont),)})
                 steps.append((label, AState(h2, nxt)))
         for ch, group in links:
             for src in sorted(known - {ch}):
-                label = ALab("link", (ch, fresh, src))
+                label = _label("link", ch, fresh, src)
                 for _, cont in group:
                     nxt = _replace(state, 1, {p: (actor.avatar(grown, cont),)})
                     steps.append((label, AState(h, nxt)))
     for kind, actors, _, created, avatars in _silent_steps(state, forks, outs, ins):
         nxt = _replace(state, created, dict(zip(actors, avatars)))
-        steps.append((ALab(_CLOSED_TAG[type(kind).__name__]), AState(h, nxt)))
+        steps.append((_label(_CLOSED_TAG[type(kind)]), AState(h, nxt)))
     return steps
 
 
@@ -447,7 +463,7 @@ def build_graph(root, successors: Callable) -> LtsGraph:
     when the build starts. Successor lists are deduplicated and
     sorted by label then target, so vertex numbering and edge order are
     functions of the root alone. The cyclic garbage collector is paused
-    meanwhile, and left as found: states and labels are frozen values
+    meanwhile, and left as found: states and labels are immutable tuples
     that make no reference cycle, so reference counting frees all a
     build drops, and the collector would only rescan the state table."""
     max_states = MAX_STATES
@@ -670,17 +686,18 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
                 return [labels[a].render()]
             w1 = min(w for w in src if block[w] == extra)
             return [labels[a].render()] + distinguish(w1, min(other), depth - 1)
+        # x and y lie in different blocks, so the blocks their silent
+        # closures meet differ: were they equal, each would silently reach
+        # a vertex weakly bisimilar to the other, and so be bisimilar to it
         tx, ty = closure([x]), closure([y])
         bx = {block[u] for u in tx}
         by = {block[u] for u in ty}
-        if bx != by:
-            if bx - by:
-                extra, src, other = min(bx - by), tx, ty
-            else:
-                extra, src, other = min(by - bx), ty, tx
-            u1 = min(u for u in src if block[u] == extra)
-            return distinguish(u1, min(other), depth - 1)
-        return []
+        if bx - by:
+            extra, src, other = min(bx - by), tx, ty
+        else:
+            extra, src, other = min(by - bx), ty, tx
+        u1 = min(u for u in src if block[u] == extra)
+        return distinguish(u1, min(other), depth - 1)
 
     return BisimResult(False, tuple(distinguish(r1, r2, WITNESS_DEPTH)), len(first))
 

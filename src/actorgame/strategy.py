@@ -45,8 +45,11 @@ from .term import (
 SeedKey = tuple
 
 
+@functools.lru_cache(maxsize=None)
 def seed_order(key: SeedKey) -> tuple:
-    """Sort key giving the fixed table order: in, out, heart, forkL, forkR."""
+    """Sort key giving the fixed table order: in, out, heart, forkL, forkR.
+    Kept per key, so sorting a table and checking its order compute it
+    once."""
     tag = key[0]
     if tag == "in":
         return (0,) + key[1:]

@@ -1,9 +1,13 @@
-"""Every value hashes as its dataclass would, to ``hash`` of the tuple of
-its compared fields, whether or not it keeps its hash after the first
-use; equal values built apart hash equal, and no value has a
-``__dict__``."""
+"""Every value hashes as the tuple of its compared fields, whether or not
+it keeps its hash after the first use; equal values built apart hash
+equal, and no value has a ``__dict__``. The engine's states, actors and
+labels are tuples, so two more things are checked of them: values of
+different classes never compare equal, and copies and pickles come back
+equal and of their class."""
 
+import copy
 import dataclasses
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +29,24 @@ from actorgame.strategy import Definite, Plain
 from actorgame.term import Par, Recv, Send, Sum, Tick, parse
 from gen import terms
 
-SLOTTED = (Send, Recv, Tick, Sum, Par, Plain, Definite, PlayerState, Thread, State, StepLabel, ALab, AState)
+TUPLES = (PlayerState, Thread, State, StepLabel, ALab, AState)
+SLOTTED = (Send, Recv, Tick, Sum, Par, Plain, Definite) + TUPLES
+
+# the fields a constructor takes, where they are not all of the fields
+BUILT_FROM = {PlayerState: ("attach", "body")}
+
+# classes whose values sit side by side in one table
+MIXED = ((State, Thread, AState), (ALab, StepLabel))
+
+
+def field_names(x):
+    if isinstance(x, TUPLES):
+        return x._fields
+    return tuple(f.name for f in dataclasses.fields(x) if f.compare)
 
 
 def compared(x):
-    return tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare)
+    return tuple(getattr(x, f) for f in field_names(x))
 
 
 def as_tuples(x):
@@ -46,7 +63,8 @@ def as_tuples(x):
 def rebuild(x):
     """An equal copy of ``x`` in which every value is built afresh."""
     if isinstance(x, SLOTTED):
-        return type(x)(*(rebuild(getattr(x, f.name)) for f in dataclasses.fields(x)))
+        names = BUILT_FROM.get(type(x), field_names(x))
+        return type(x)(*(rebuild(getattr(x, f)) for f in names))
     if isinstance(x, tuple):
         return tuple(rebuild(v) for v in x)
     return x
@@ -80,6 +98,23 @@ def check_hash_contract(roots):
     return {type(x) for x in found}
 
 
+def check_classes_apart(found):
+    """No value equals a value of another class that shares its tables:
+    one dict keyed by all of them keeps each class's values apart."""
+    for group in MIXED:
+        table = {}
+        for x in found:
+            if isinstance(x, group):
+                assert type(table.setdefault(x, x)) is type(x), (x, table[x])
+
+
+def check_copies(found):
+    for x in found:
+        if isinstance(x, TUPLES):
+            for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert type(y) is type(x) and y == x
+
+
 @st.composite
 def closed_roots(draw):
     """A random subject at context 0-2 and a random test at context 0-2
@@ -102,10 +137,28 @@ def test_values_hash_as_their_compared_fields(roots):
     check_hash_contract(roots)
 
 
-def test_every_value_class_is_slotted_and_keeps_the_contract():
+@settings(max_examples=50, deadline=None)
+@given(closed_roots())
+def test_engine_values_of_different_classes_never_compare_equal(roots):
+    check_classes_apart(values(roots))
+
+
+def composed_roots():
     subject, gamma = parse("ctx 1. rcv(1).tick.0 + snd(1,1).(0 | tick.0)")
     test, ctx = parse("ctx 1. snd(1,1).0")
-    roots = []
-    for root in (root_strategy, root_process):
-        roots.append(compose(root(subject, gamma), root(test, ctx), (1,)))
+    return [compose(root(subject, gamma), root(test, ctx), (1,)) for root in (root_strategy, root_process)]
+
+
+def test_every_value_class_is_slotted_and_keeps_the_contract():
+    roots = composed_roots()
     assert check_hash_contract(roots) == set(SLOTTED)
+    check_classes_apart(values(roots))
+
+
+def test_engine_values_copy_and_pickle_as_themselves():
+    found = values(composed_roots())
+    assert {type(x) for x in found} >= set(TUPLES)
+    check_copies(found)
+    player = next(x for x in found if isinstance(x, PlayerState))
+    assert player.arity == len(player.attach) == player.body.arity
+    assert copy.copy(player) == player == pickle.loads(pickle.dumps(player))

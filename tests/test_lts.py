@@ -417,6 +417,18 @@ def test_build_graph_deterministic():
     assert strategy_lts(p, gamma).dump() == strategy_lts(p, gamma).dump()
 
 
+def test_edges_share_interned_labels_and_kinds():
+    # equal interface labels are one object, and so are equal closed
+    # move kinds
+    for root in roots("ctx 1. (snd(1,1).0 | rcv(1).tick.0) | tick.0"):
+        for values in (
+            [l for e in interface_graph(root).edges for l, _ in e],
+            [l.kind for e in closed_graph(root).edges for l, _ in e],
+        ):
+            assert len(values) > len(set(values)) > 1
+            assert len({id(v) for v in values}) == len(set(values))
+
+
 def test_build_graph_max_states(monkeypatch):
     p, gamma = parse(RELAY)
     monkeypatch.setattr(lts, "MAX_STATES", 3)
@@ -543,6 +555,23 @@ def test_weak_bisim_distinguishes_and_witnesses():
     res = weak_bisim(strategy_lts(a, 1), strategy_lts(b, 1))
     assert not res.equivalent
     assert res.witness[0] == "in(1)"
+
+
+def test_weak_bisim_witness_from_either_silent_closure():
+    # x = tick.in(1).0 + in(1).0 and y = sync.x' + sync.in(1).0, x' a copy
+    # of x: y silently reaches a vertex of x's block and one that x's
+    # closure does not meet, and both make the same weak observable steps
+    tick, inp, sync = ALab("tick"), ALab("in", (1,)), ALab("sync")
+    x = LtsGraph([0, 1, 2], [((inp, 2), (tick, 1)), ((inp, 2),), ()])
+    y = LtsGraph(
+        [0, 1, 2, 3, 4],
+        [((sync, 1), (sync, 2)), ((inp, 4), (tick, 3)), ((inp, 4),), ((inp, 4),), ()],
+    )
+    # the closure of the second root meets the extra block
+    res = weak_bisim(x, y)
+    assert (res.equivalent, res.witness) == (False, ("tick",))
+    # the closure of the first root does
+    assert not weak_bisim(y, x).equivalent
 
 
 def test_weak_bisim_identifies_duplicate_branches():
