@@ -22,7 +22,7 @@ from .term import (
     typecheck,
     unparse,
 )
-from .strategy import Definite, Plain, definite, dump, interpret, readback
+from .strategy import Definite, definite, dump, interpret, readback
 from .lts import (
     build_graph,
     closed_graph,
@@ -53,7 +53,6 @@ __all__ = [
     "typecheck",
     "unparse",
     "Definite",
-    "Plain",
     "definite",
     "dump",
     "interpret",

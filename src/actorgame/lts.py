@@ -97,8 +97,8 @@ class PlayerState(_Player):
         """The strategy table: one group per entry, choice (i,) for the
         i-th summand."""
         return [
-            (key, tuple(((i,), d) for i, d in enumerate(plain.summands)))
-            for key, plain in self.body.table
+            (key, tuple(((i,), d) for i, d in enumerate(summands)))
+            for key, summands in self.body.table
         ]
 
     def avatar(self, attach: tuple[int, ...], cont: Definite) -> PlayerState:
@@ -686,16 +686,17 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
                 return [labels[a].render()]
             w1 = min(w for w in src if block[w] == extra)
             return [labels[a].render()] + distinguish(w1, min(other), depth - 1)
-        # x and y lie in different blocks, so the blocks their silent
-        # closures meet differ: were they equal, each would silently reach
-        # a vertex weakly bisimilar to the other, and so be bisimilar to it
+        # x and y lie in different blocks, so one silent closure meets a
+        # block the other does not, besides its own root's: were the only
+        # such blocks those of x and y, merging the two blocks would give
+        # a coarser weak bisimulation
         tx, ty = closure([x]), closure([y])
         bx = {block[u] for u in tx}
         by = {block[u] for u in ty}
-        if bx - by:
-            extra, src, other = min(bx - by), tx, ty
+        if bx - by - {block[x]}:
+            extra, src, other = min(bx - by - {block[x]}), tx, ty
         else:
-            extra, src, other = min(by - bx), ty, tx
+            extra, src, other = min(by - bx - {block[y]}), ty, tx
         u1 = min(u for u in src if block[u] == extra)
         return distinguish(u1, min(other), depth - 1)
 

@@ -3,10 +3,11 @@
 A definite strategy of arity n maps each basic seed available at arity n
 to a plain strategy for the resulting avatar; a plain strategy is a
 finite formal sum of definite strategies, one per reachable state the
-avatar may adopt. Empty table entries are omitted; lookups treat a
-missing key as the empty plain strategy, so tables are total in effect.
-Both classes check their invariants when built, so every table holds
-valid keys in seed order, each with a nonempty entry of its arity.
+avatar may adopt, and is held as the tuple of its summands. The seed key
+fixes their arity. Empty table entries are omitted; lookups treat a
+missing key as the empty sum ``()``, so tables are total in effect. A
+definite strategy checks itself when built, so every table holds valid
+keys in seed order, each with a nonempty entry of the avatar's arity.
 
 Seed keys at arity n, with the arity of the avatar's table:
 
@@ -67,9 +68,8 @@ def key_arity(key: SeedKey, n: int) -> int:
     return n + 1 if key[0] in ("in", "forkL", "forkR") else n
 
 
-def check_entry(key: SeedKey, plain: Plain, n: int) -> None:
-    """Check a table entry at arity n: a valid key, and a plain strategy
-    of the avatar's arity."""
+def check_entry(key: SeedKey, n: int) -> None:
+    """Check that ``key`` is a valid seed key at arity n."""
     tag = key[0]
     if tag == "in":
         if len(key) != 2 or not 1 <= key[1] <= n:
@@ -82,61 +82,51 @@ def check_entry(key: SeedKey, plain: Plain, n: int) -> None:
             raise ValueError(f"bad key {key}")
     else:
         raise ValueError(f"unknown seed key tag {tag!r}")
-    if plain.arity != key_arity(key, n):
-        raise ValueError(f"entry {key} at arity {n} needs arity {key_arity(key, n)}, not {plain.arity}")
-
-
-@hash_once
-@dataclass(frozen=True, order=True, slots=True)
-class Plain(HashOnce):
-    """A formal sum of definite strategies of one arity."""
-
-    arity: int
-    summands: tuple["Definite", ...] = ()
-
-    def __post_init__(self) -> None:
-        for d in self.summands:
-            if d.arity != self.arity:
-                raise ValueError(f"summand arity {d.arity} under plain arity {self.arity}")
 
 
 @hash_once
 @dataclass(frozen=True, order=True, slots=True)
 class Definite(HashOnce):
-    """A strategy table: seed key to plain strategy for the avatar.
+    """A strategy table: seed key to plain strategy for the avatar, the
+    nonempty tuple of its summands, each of the arity the key fixes.
     Strategies order by arity, then table entry by entry, key first."""
 
     arity: int
-    table: tuple[tuple[SeedKey, Plain], ...] = ()
+    table: tuple[tuple[SeedKey, tuple[Definite, ...]], ...] = ()
 
     def __post_init__(self) -> None:
         prev = ()  # below every key's seed order
-        for key, plain in self.table:
-            check_entry(key, plain, self.arity)
+        for key, summands in self.table:
+            check_entry(key, self.arity)
             order = seed_order(key)
             if order <= prev:
                 raise ValueError(f"table keys out of order or repeated at {key}")
             prev = order
-            if not plain.summands:
+            if not summands:
                 raise ValueError(f"empty entry {key} should be omitted")
+            need = key_arity(key, self.arity)
+            for d in summands:
+                if d.arity != need:
+                    raise ValueError(f"entry {key} at arity {self.arity} needs arity {need}, not {d.arity}")
 
-    def lookup(self, key: SeedKey) -> Plain:
+    def lookup(self, key: SeedKey) -> tuple[Definite, ...]:
+        """The summands under ``key``; ``()`` if the table has no entry."""
         for k, v in self.table:
             if k == key:
                 return v
-        return Plain(key_arity(key, self.arity))
+        return ()
 
 
-def definite(n: int, entries: list[tuple[SeedKey, Plain]]) -> Definite:
+def definite(n: int, entries: list[tuple[SeedKey, tuple[Definite, ...]]]) -> Definite:
     """Normalizing constructor: drops empty entries and sorts the rest.
-    A dropped entry's key and arity are checked here, a kept one's by
-    ``Definite`` itself."""
+    A dropped entry's key is checked here, a kept entry by ``Definite``
+    itself."""
     kept = []
-    for key, plain in entries:
-        if plain.summands:
-            kept.append((key, plain))
+    for key, summands in entries:
+        if summands:
+            kept.append((key, summands))
         else:
-            check_entry(key, plain, n)
+            check_entry(key, n)
     kept.sort(key=lambda kv: seed_order(kv[0]))
     return Definite(n, tuple(kept))
 
@@ -174,17 +164,14 @@ def prefix_of_key(key: SeedKey):
 @functools.lru_cache(maxsize=None)
 def _interp(p: Process, gamma: int) -> Definite:
     if isinstance(p, Par):
-        inner = Plain(gamma + 1, (_interp(p.left, gamma + 1),))
-        innerR = Plain(gamma + 1, (_interp(p.right, gamma + 1),))
-        return definite(gamma, [(("forkL",), inner), (("forkR",), innerR)])
+        left = (_interp(p.left, gamma + 1),)
+        right = (_interp(p.right, gamma + 1),)
+        return definite(gamma, [(("forkL",), left), (("forkR",), right)])
     groups: dict[SeedKey, list[Definite]] = {}
     for prefix, cont in p.branches:
         key = prefix_to_key(prefix)
         groups.setdefault(key, []).append(_interp(cont, key_arity(key, gamma)))
-    return definite(
-        gamma,
-        [(key, Plain(key_arity(key, gamma), tuple(ds))) for key, ds in groups.items()],
-    )
+    return definite(gamma, [(key, tuple(ds)) for key, ds in groups.items()])
 
 
 class MixedShapeWarning(UserWarning):
@@ -199,8 +186,8 @@ def _is_par_shaped(s: Definite) -> bool:
     return (
         k1 == ("forkL",)
         and k2 == ("forkR",)
-        and len(v1.summands) == 1
-        and len(v2.summands) == 1
+        and len(v1) == 1
+        and len(v2) == 1
     )
 
 
@@ -211,18 +198,18 @@ def readback(s: Definite) -> Process:
     process counterpart; they are dropped with a MixedShapeWarning.
     """
     if _is_par_shaped(s):
-        left = readback(s.lookup(("forkL",)).summands[0])
-        right = readback(s.lookup(("forkR",)).summands[0])
+        left = readback(s.lookup(("forkL",))[0])
+        right = readback(s.lookup(("forkR",))[0])
         return Par(left, right)
     branches = []
-    for key, plain in s.table:
+    for key, summands in s.table:
         if key[0] in ("forkL", "forkR"):
             warnings.warn(
                 f"dropping {key[0]} entry with no process form", MixedShapeWarning
             )
             continue
         prefix = prefix_of_key(key)
-        for d in plain.summands:
+        for d in summands:
             branches.append((prefix, readback(d)))
     return Sum(tuple(branches))
 
@@ -230,16 +217,15 @@ def readback(s: Definite) -> Process:
 # ---------------------------------------------------------------- dump
 
 
-def dump(s: Definite | Plain) -> str:
+def dump(s: Definite) -> str:
     """Stable single-line text form, versioned."""
     return "strat-v1\n" + _dump(s) + "\n"
 
 
-def _dump(s: Definite | Plain) -> str:
-    if isinstance(s, Plain):
-        return "[" + ",".join(_dump(d) for d in s.summands) + "]"
+def _dump(s: Definite) -> str:
     body = ";".join(
-        _key_str(key) + ":" + _dump(plain) for key, plain in s.table
+        _key_str(key) + ":[" + ",".join(_dump(d) for d in summands) + "]"
+        for key, summands in s.table
     )
     return "@" + str(s.arity) + "{" + body + "}"
 

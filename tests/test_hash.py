@@ -25,12 +25,12 @@ from actorgame.lts import (
     root_process,
     root_strategy,
 )
-from actorgame.strategy import Definite, Plain
+from actorgame.strategy import Definite
 from actorgame.term import Par, Recv, Send, Sum, Tick, parse
 from gen import terms
 
 TUPLES = (PlayerState, Thread, State, StepLabel, ALab, AState)
-SLOTTED = (Send, Recv, Tick, Sum, Par, Plain, Definite) + TUPLES
+SLOTTED = (Send, Recv, Tick, Sum, Par, Definite) + TUPLES
 
 # the fields a constructor takes, where they are not all of the fields
 BUILT_FROM = {PlayerState: ("attach", "body")}

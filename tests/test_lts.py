@@ -73,6 +73,19 @@ def test_proc_state_rejects_bad_env():
         State.of(1, [Thread(parse("ctx 0. 0")[0], (2,))])
 
 
+@pytest.mark.parametrize("side", ["strategy", "process"])
+def test_steps_check_the_attachments_of_a_state_built_as_a_tuple(side):
+    # only ``State.of`` checks a state's actors, so a step checks each
+    # avatar it inserts
+    tick = parse("ctx 1. tick.0")[0]
+    actor = PlayerState((5,), interpret(tick, 1)) if side == "strategy" else Thread(tick, (5,))
+    state = State(1, (actor,))
+    with pytest.raises(ValueError, match=r"^attachment 5 outside 1\.\.1$"):
+        closed_world_steps(state)
+    with pytest.raises(ValueError, match=r"^attachment 5 outside 1\.\.1$"):
+        interface_steps(AState((1,), state))
+
+
 def test_root_states():
     g, s = roots("ctx 2. tick.0")
     assert g.num_channels == 2 and g.actors[0].attach == (1, 2)
@@ -570,8 +583,20 @@ def test_weak_bisim_witness_from_either_silent_closure():
     # the closure of the second root meets the extra block
     res = weak_bisim(x, y)
     assert (res.equivalent, res.witness) == (False, ("tick",))
-    # the closure of the first root does
-    assert not weak_bisim(y, x).equivalent
+    # the closure of the first root does, and its own block is no witness
+    res = weak_bisim(y, x)
+    assert (res.equivalent, res.witness) == (False, ("tick",))
+
+
+def test_weak_bisim_witness_stops_at_the_depth_bound():
+    # tick chains of 20 and 19 steps first differ after the 19th tick
+    tick = ALab("tick")
+
+    def chain(n):
+        return LtsGraph(list(range(n + 1)), [((tick, i + 1),) for i in range(n)] + [()])
+
+    res = weak_bisim(chain(20), chain(19))
+    assert (res.equivalent, res.witness) == (False, ("tick",) * lts.WITNESS_DEPTH)
 
 
 def test_weak_bisim_identifies_duplicate_branches():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from actorgame.strategy import (
     Definite,
     MixedShapeWarning,
-    Plain,
     definite,
     dump,
     enumerate_pure,
@@ -58,40 +57,38 @@ def test_key_arity():
 
 
 def test_definite_normalizes_and_validates():
-    d = definite(1, [(("heart",), Plain(1, (Definite(1),)))])
+    d = definite(1, [(("heart",), (Definite(1),))])
     assert keys(d) == (("heart",),)
     with pytest.raises(ValueError):
-        definite(1, [(("in", 2), Plain(2, (Definite(2),)))])
+        definite(1, [(("in", 2), (Definite(2),))])
     with pytest.raises(ValueError):
-        definite(1, [(("heart",), Plain(2, (Definite(2),)))])
+        definite(1, [(("heart",), (Definite(2),))])
     with pytest.raises(ValueError):
         definite(
             1,
             [
-                (("heart",), Plain(1, (Definite(1),))),
-                (("heart",), Plain(1, (Definite(1),))),
+                (("heart",), (Definite(1),)),
+                (("heart",), (Definite(1),)),
             ],
         )
 
 
 def test_definite_drops_empty_entries():
-    d = definite(1, [(("heart",), Plain(1))])
+    d = definite(1, [(("heart",), ())])
     assert d.table == ()
-    # a dropped entry is still checked
+    # a dropped entry's key is still checked
     with pytest.raises(ValueError):
-        definite(1, [(("in", 5), Plain(6))])
-    with pytest.raises(ValueError):
-        definite(1, [(("heart",), Plain(2))])
+        definite(1, [(("in", 5), ())])
 
 
-ONE = Plain(1, (Definite(1),))
-TWO = Plain(2, (Definite(2),))
+ONE = (Definite(1),)
+TWO = (Definite(2),)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: Definite(1, ((("heart",), Plain(1)),)),
+        lambda: Definite(1, ((("heart",), ()),)),
         lambda: Definite(1, ((("heart",), ONE), (("out", 1, 1), ONE))),
         lambda: Definite(1, ((("heart",), ONE), (("heart",), ONE))),
         lambda: Definite(1, ((("in", 2), TWO),)),
@@ -100,7 +97,7 @@ TWO = Plain(2, (Definite(2),))
         lambda: Definite(1, ((("heart", 1), ONE),)),
         lambda: Definite(1, ((("heart",), TWO),)),
         lambda: Definite(1, ((("in", 1), ONE),)),
-        lambda: Plain(1, (Definite(1), Definite(2))),
+        lambda: Definite(1, ((("heart",), (Definite(1), Definite(2))),)),
         lambda: definite(1, [(("in",), TWO)]),
     ],
     ids=[
@@ -124,18 +121,18 @@ def test_strategies_check_themselves(build):
 
 def test_lookup_total_with_empty_default():
     d = Definite(2)
-    assert d.lookup(("in", 1)) == Plain(3)
-    assert d.lookup(("out", 2, 1)) == Plain(2)
+    assert d.lookup(("in", 1)) == ()
+    assert d.lookup(("out", 2, 1)) == ()
 
 
 def test_restrict_indexes_summands():
     s = interp("ctx 1. rcv(1).0 + rcv(1).tick.0")
-    plain = s.lookup(("in", 1))
-    assert len(plain.summands) == 2
-    assert plain.summands[0] == Definite(2)
-    assert keys(plain.summands[1]) == (("heart",),)
+    summands = s.lookup(("in", 1))
+    assert len(summands) == 2
+    assert summands[0] == Definite(2)
+    assert keys(summands[1]) == (("heart",),)
     with pytest.raises(IndexError):
-        plain.summands[2]
+        summands[2]
 
 
 def test_validate_passes_on_corpus(corpus):
@@ -155,19 +152,19 @@ def test_interpret_nil_is_empty():
 def test_interpret_tick_single_entry():
     s = interp("ctx 0. tick.0")
     assert keys(s) == (("heart",),)
-    assert s.lookup(("heart",)) == Plain(0, (Definite(0),))
+    assert s.lookup(("heart",)) == (Definite(0),)
 
 
 def test_interpret_par_is_fork_shaped():
     s = interp("ctx 1. 0 | 0")
     assert keys(s) == (("forkL",), ("forkR",))
-    assert s.lookup(("forkL",)) == Plain(2, (Definite(2),))
+    assert s.lookup(("forkL",)) == (Definite(2),)
 
 
 def test_interpret_groups_branches_by_prefix():
     s = interp("ctx 1. rcv(1).0 + tick.0 + rcv(1).tick.0")
     assert keys(s) == (("in", 1), ("heart",))
-    assert len(s.lookup(("in", 1)).summands) == 2
+    assert len(s.lookup(("in", 1))) == 2
 
 
 def test_interpret_typechecks():
@@ -178,7 +175,7 @@ def test_interpret_typechecks():
 
 def test_interpret_recv_continuation_arity():
     s = interp("ctx 1. rcv(1).snd(2,2).0")
-    cont = s.lookup(("in", 1)).summands[0]
+    cont = s.lookup(("in", 1))[0]
     assert cont.arity == 2
     assert keys(cont) == (("out", 2, 2),)
 
@@ -221,8 +218,8 @@ def test_readback_warns_and_drops_mixed_shape():
     mixed = definite(
         0,
         [
-            (("heart",), Plain(0, (Definite(0),))),
-            (("forkL",), Plain(1, (Definite(1),))),
+            (("heart",), (Definite(0),)),
+            (("forkL",), (Definite(1),)),
         ],
     )
     with pytest.warns(MixedShapeWarning):
@@ -235,8 +232,8 @@ def test_readback_fork_requires_exact_shape():
     lopsided = definite(
         0,
         [
-            (("forkL",), Plain(1, (Definite(1), Definite(1)))),
-            (("forkR",), Plain(1, (Definite(1),))),
+            (("forkL",), (Definite(1), Definite(1))),
+            (("forkR",), (Definite(1),)),
         ],
     )
     with pytest.warns(MixedShapeWarning):
