@@ -583,7 +583,7 @@ def test_weak_bisim_witness_from_either_silent_closure():
     # the closure of the second root meets the extra block
     res = weak_bisim(x, y)
     assert (res.equivalent, res.witness) == (False, ("tick",))
-    # the closure of the first root does, and its own block is no witness
+    # the closure of the first root does, besides its own block
     res = weak_bisim(y, x)
     assert (res.equivalent, res.witness) == (False, ("tick",))
 
