@@ -116,7 +116,7 @@ def reference_eq(left, right, side, mode, flags):
                 compose(ROOTS[side](term(SUBJECTS[s]), 1), ROOTS[side](test.proc, test.ctx), test.h)
                 for s in (left, right)
             )
-            return EqResult(False, k + 1, k, test, decide(sl, mode), decide(sr, mode))
+            return EqResult(False, k + 1, test, decide(sl, mode), decide(sr, mode))
     return EqResult(True, len(SUITE))
 
 

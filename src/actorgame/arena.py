@@ -3,8 +3,7 @@
 A position is a finite set of channels together with finitely many
 players; a player of arity n is attached to a channel in each of its
 slots 1..n. Channels and players carry globally fresh opaque integer
-identifiers; structural equality of positions is on identifiers, and
-``positions_isomorphic`` compares up to bijective renaming.
+identifiers; structural equality of positions is on identifiers.
 
 A move is a cospan, stored as its kind, its initial and final
 positions and its player trace. Construction keeps channel identifiers
@@ -294,137 +293,6 @@ def compose(p: Play, q: Play) -> Play:
     if q.final.channels != p.initial.channels or q.final.players != p.initial.players:
         raise ValueError("plays do not compose: boundary positions differ")
     return Play(q.initial, q.moves + p.moves)
-
-
-# ------------------------------------------------ equality up to renaming
-
-
-def canonical_position_key(pos: Position, payload: dict[int, object] | None = None) -> tuple:
-    """Canonical form of a position under bijective renaming.
-
-    ``payload`` optionally colors players with extra orderable data that
-    a renaming must preserve (``moves_isomorphic`` marks traces with it);
-    payload values used together must be mutually comparable. Color
-    refinement plus individualization; exact, if slow on large highly
-    symmetric positions, which this package never builds.
-    """
-    payload = payload or {}
-    pids = sorted(pos.players)
-    seedvals = sorted({(pos.players[pid].arity, payload.get(pid, ())) for pid in pids})
-    rank = {v: i for i, v in enumerate(seedvals)}
-    pcol = {pid: rank[(pos.players[pid].arity, payload.get(pid, ()))] for pid in pids}
-    ccol = {c: 0 for c in pos.channels}
-    return _canon(pos, payload, pcol, ccol)
-
-
-def _canon(pos, payload, pcol, ccol) -> tuple:
-    # colors are ints; refinement splits classes, individualization pins
-    chans = sorted(pos.channels)
-    pids = sorted(pos.players)
-    while True:
-        csig = {
-            c: (
-                ccol[c],
-                tuple(
-                    sorted(
-                        (pcol[pid], slot)
-                        for pid in pids
-                        for slot, ch in enumerate(pos.players[pid].attach, 1)
-                        if ch == c
-                    )
-                ),
-            )
-            for c in chans
-        }
-        crank = {s: i for i, s in enumerate(sorted(set(csig.values())))}
-        new_ccol = {c: crank[csig[c]] for c in chans}
-        psig = {
-            pid: (pcol[pid], tuple(new_ccol[ch] for ch in pos.players[pid].attach))
-            for pid in pids
-        }
-        prank = {s: i for i, s in enumerate(sorted(set(psig.values())))}
-        new_pcol = {pid: prank[psig[pid]] for pid in pids}
-        stable = len(set(new_ccol.values())) == len(set(ccol.values())) and len(
-            set(new_pcol.values())
-        ) == len(set(pcol.values()))
-        ccol, pcol = new_ccol, new_pcol
-        if stable:
-            break
-
-    classes: dict[tuple, list[int]] = {}
-    for c in chans:
-        classes.setdefault(("c", ccol[c]), []).append(c)
-    for pid in pids:
-        classes.setdefault(("p", pcol[pid]), []).append(pid)
-    ambiguous = sorted(k for k, v in classes.items() if len(v) > 1)
-    if ambiguous:
-        kind, col = ambiguous[0]
-        best = None
-        for member in classes[(kind, col)]:
-            if kind == "c":
-                c2 = dict(ccol)
-                c2[member] = 1 + max(c2.values())
-                key = _canon(pos, payload, dict(pcol), c2)
-            else:
-                p2 = dict(pcol)
-                p2[member] = 1 + max(p2.values())
-                key = _canon(pos, payload, p2, dict(ccol))
-            if best is None or key < best:
-                best = key
-        return best
-
-    crank = {c: i for i, c in enumerate(sorted(chans, key=lambda c: ccol[c]))}
-    ordered = sorted(pids, key=lambda pid: pcol[pid])
-    return (
-        len(chans),
-        tuple(
-            (
-                pos.players[pid].arity,
-                payload.get(pid, ()),
-                tuple(crank[ch] for ch in pos.players[pid].attach),
-            )
-            for pid in ordered
-        ),
-    )
-
-
-def positions_isomorphic(x: Position, y: Position) -> bool:
-    return canonical_position_key(x) == canonical_position_key(y)
-
-
-def moves_isomorphic(a: Move, b: Move) -> bool:
-    """Move equality up to bijective renaming commuting with the traces."""
-    if a.kind != b.kind:
-        return False
-    (x, px), (y, py) = _trace_position(a), _trace_position(b)
-    return canonical_position_key(x, px) == canonical_position_key(y, py)
-
-
-def _trace_position(m: Move) -> tuple[Position, dict[int, object]]:
-    """One position with payload holding a move's both boundaries; two
-    moves of one kind are isomorphic exactly when theirs are.
-
-    Each initial player and its avatars share one fresh trace channel in
-    an extra last slot. An initial player's payload carries its moving
-    flag, an avatar's its index in ``player_map``, and a marker player
-    sits on each initial channel, so a renaming of the encoding keeps
-    the traces and sends initial channels to initial channels.
-    """
-    num = {c: i for i, c in enumerate(sorted(m.initial.channels | m.final.channels))}
-
-    def attach(pl: Player) -> tuple[int, ...]:
-        return tuple(num[c] for c in pl.attach)
-
-    rows = [((num[c],), (2,)) for c in m.initial.channels]
-    for trace, pid in enumerate(sorted(m.initial.players), len(num)):
-        rows.append((attach(m.initial.players[pid]) + (trace,), (0, pid in m.moving)))
-        for k, av in enumerate(m.player_map.get(pid, ())):
-            rows.append((attach(m.final.players[av]) + (trace,), (1, k)))
-    pos = Position(
-        frozenset(range(len(num) + len(m.initial.players))),
-        {i: Player(att) for i, (att, _) in enumerate(rows)},
-    )
-    return pos, {i: tag for i, (_, tag) in enumerate(rows)}
 
 
 # ---------------------------------------------------------------- dot

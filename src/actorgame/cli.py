@@ -171,10 +171,10 @@ def cmd_eq(args: argparse.Namespace) -> int:
         print("RESULT equivalent-on-suite")
         return 0
     print(
-        f"test#{res.index} {_render_test(res.test)} "
+        f"test#{res.checked - 1} {_render_test(res.test)} "
         f"left={res.verdict_left.render()} right={res.verdict_right.render()}"
     )
-    print(f"RESULT distinguished test#{res.index}")
+    print(f"RESULT distinguished test#{res.checked - 1}")
     return 1
 
 

@@ -353,7 +353,6 @@ def gen_tests(gamma: int, depth: int, width: int = 2) -> Iterator[Test]:
 class EqResult:
     equivalent: bool
     checked: int
-    index: Optional[int] = None
     test: Optional[Test] = None
     verdict_left: Optional[Verdict] = None
     verdict_right: Optional[Verdict] = None
@@ -379,6 +378,6 @@ def eq_check(
             continue
         sl, sr = pair
         if holds(sl, mode) != holds(sr, mode):
-            return EqResult(False, count, count - 1, test, decide(sl, mode), decide(sr, mode))
+            return EqResult(False, count, test, decide(sl, mode), decide(sr, mode))
         seen.add(key)
     return EqResult(True, count)

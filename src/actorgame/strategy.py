@@ -46,42 +46,40 @@ from .term import (
 SeedKey = tuple
 
 
+# Seed shapes: tag -> (rank in table order, slot numbers in the key,
+# slots the avatar gains).
+SEEDS = {
+    "in": (0, 1, 1),
+    "out": (1, 2, 0),
+    "heart": (2, 0, 0),
+    "forkL": (3, 0, 1),
+    "forkR": (4, 0, 1),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def seed_order(key: SeedKey) -> tuple:
     """Sort key giving the fixed table order: in, out, heart, forkL, forkR.
     Kept per key, so sorting a table and checking its order compute it
     once."""
-    tag = key[0]
-    if tag == "in":
-        return (0,) + key[1:]
-    if tag == "out":
-        return (1,) + key[1:]
-    if tag == "heart":
-        return (2,)
-    if tag == "forkL":
-        return (3,)
-    return (4,)
+    if key[0] not in SEEDS:
+        raise ValueError(f"unknown seed key tag {key[0]!r}")
+    return (SEEDS[key[0]][0],) + key[1:]
 
 
 def key_arity(key: SeedKey, n: int) -> int:
     """Arity of the avatar's table after playing ``key`` at arity n."""
-    return n + 1 if key[0] in ("in", "forkL", "forkR") else n
+    return n + SEEDS[key[0]][2]
 
 
 def check_entry(key: SeedKey, n: int) -> None:
     """Check that ``key`` is a valid seed key at arity n."""
-    tag = key[0]
-    if tag == "in":
-        if len(key) != 2 or not 1 <= key[1] <= n:
-            raise ValueError(f"bad input key {key} at arity {n}")
-    elif tag == "out":
-        if len(key) != 3 or not 1 <= key[1] <= n or not 1 <= key[2] <= n:
-            raise ValueError(f"bad output key {key} at arity {n}")
-    elif tag in ("heart", "forkL", "forkR"):
-        if len(key) != 1:
-            raise ValueError(f"bad key {key}")
-    else:
-        raise ValueError(f"unknown seed key tag {tag!r}")
+    if key[0] not in SEEDS:
+        raise ValueError(f"unknown seed key tag {key[0]!r}")
+    slots = SEEDS[key[0]][1]
+    # a key has at most two slot numbers, so its first and last are all
+    if len(key) != 1 + slots or slots and not (1 <= key[1] <= n and 1 <= key[-1] <= n):
+        raise ValueError(f"bad key {key} at arity {n}")
 
 
 @hash_once
@@ -151,14 +149,10 @@ def prefix_to_key(prefix) -> SeedKey:
 
 
 def prefix_of_key(key: SeedKey):
-    tag = key[0]
-    if tag == "in":
-        return Recv(key[1])
-    if tag == "out":
-        return Send(key[1], key[2])
-    if tag == "heart":
-        return Tick()
-    raise ValueError(f"key {key} has no prefix form")
+    rank = seed_order(key)[0]
+    if rank > 2:
+        raise ValueError(f"key {key} has no prefix form")
+    return (Recv, Send, Tick)[rank](*key[1:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,19 +218,10 @@ def dump(s: Definite) -> str:
 
 def _dump(s: Definite) -> str:
     body = ";".join(
-        _key_str(key) + ":[" + ",".join(_dump(d) for d in summands) + "]"
+        " ".join(map(str, key)) + ":[" + ",".join(_dump(d) for d in summands) + "]"
         for key, summands in s.table
     )
     return "@" + str(s.arity) + "{" + body + "}"
-
-
-def _key_str(key: SeedKey) -> str:
-    tag = key[0]
-    if tag == "in":
-        return f"in {key[1]}"
-    if tag == "out":
-        return f"out {key[1]} {key[2]}"
-    return tag
 
 
 # ------------------------------------------------------------ enumerate

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from actorgame.arena import Move, Player, Position
 from actorgame.term import Recv, Send, Sum
 
 
@@ -166,3 +167,19 @@ def step_label_key(label) -> tuple:
 
 def interface_label_key(label) -> tuple:
     return (label.tag, label.args)
+
+
+def renamed(move: Move, ren: dict[int, int]) -> Move:
+    """``move`` with each channel c replaced by ``ren.get(c, c)``; player
+    identifiers, and so the player trace, are kept."""
+
+    def position(pos: Position) -> Position:
+        return Position(
+            frozenset(ren.get(c, c) for c in pos.channels),
+            {
+                pid: Player(tuple(ren.get(c, c) for c in pl.attach))
+                for pid, pl in pos.players.items()
+            },
+        )
+
+    return Move(move.kind, position(move.initial), position(move.final), move.player_map)

@@ -358,7 +358,7 @@ def test_eq_check_distinguishes_choice_timing():
     suite = list(itertools.islice(gen_tests(1, 2), 100))
     res = eq_check(a, b, 1, suite)
     assert not res.equivalent
-    assert res.index is not None and res.test is not None
+    assert res.checked >= 1 and res.test is not None
     assert res.verdict_left.passed != res.verdict_right.passed
 
 
@@ -367,7 +367,7 @@ def test_eq_check_reports_first_difference_in_suite_order():
     b = term("ctx 1. rcv(1).tick.0 + rcv(1).0")
     suite = list(itertools.islice(gen_tests(1, 2), 100))
     res = eq_check(a, b, 1, suite)
-    for k in range(res.index):
+    for k in range(res.checked - 1):
         va = passes(a, 1, suite[k])
         vb = passes(b, 1, suite[k])
         assert va.passed == vb.passed
@@ -392,7 +392,7 @@ def test_suite_builds_each_root_once_and_draws_tests_lazily(monkeypatch):
 
     monkeypatch.setitem(lts.ROOTS, "process", root)
     res = eq_check(a, b, 1, tests(), side="process")
-    assert not res.equivalent and len(drawn) == res.checked == res.index + 1 == 53
+    assert not res.equivalent and len(drawn) == res.checked == 53
     firsts = {}
     for t in drawn:
         firsts.setdefault((canonical(t.proc), t.ctx, t.h), t.proc)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actorgame import lts
-from actorgame.arena import Fork, Heartbeat, Sync, positions_isomorphic
+from actorgame.arena import Fork, Heartbeat, Sync, to_dot
 from actorgame.cli import main
 from actorgame.lts import (
     SILENT_TAGS,
@@ -750,7 +750,7 @@ def test_arena_trace_replays_closed_run():
     # boundaries glue exactly
     for earlier, later in zip(play.moves, play.moves[1:]):
         assert earlier.final == later.initial
-    assert positions_isomorphic(play.initial, arena_position(g))
+    assert to_dot(play.initial) == to_dot(arena_position(g))
 
 
 def test_arena_trace_rejects_bad_index():
@@ -765,4 +765,4 @@ def test_arena_trace_positions_track_states():
     assert type(play.moves[0].kind).__name__ == "Fork"
     assert play.moves[1].kind == Heartbeat(1)
     _, state1 = closed_world_steps(g)[0]
-    assert positions_isomorphic(play.moves[0].final, arena_position(state1))
+    assert to_dot(play.moves[0].final) == to_dot(arena_position(state1))

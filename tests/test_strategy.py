@@ -99,6 +99,7 @@ TWO = (Definite(2),)
         lambda: Definite(1, ((("in", 1), ONE),)),
         lambda: Definite(1, ((("heart",), (Definite(1), Definite(2))),)),
         lambda: definite(1, [(("in",), TWO)]),
+        lambda: definite(1, [(("bogus",), ONE)]),
     ],
     ids=[
         "empty entry",
@@ -112,6 +113,7 @@ TWO = (Definite(2),)
         "input entry of the wrong arity",
         "summand of another arity",
         "malformed key",
+        "unknown key through definite",
     ],
 )
 def test_strategies_check_themselves(build):
