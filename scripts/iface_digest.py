@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """SHA-256 of the interface-graph dump of one large term on each side,
 to show that a change keeps vertex numbering and edge order of a graph
-of about 50000 states byte for byte. ``cli_digest.py`` covers only the
-graphs of small terms.
+of about 50000 states byte for byte, and the weak bisimulation results
+on graphs of that size. ``cli_digest.py`` and the tier-1 golden bisim
+digest cover only the graphs of small terms.
 
     PYTHONPATH=src python3 scripts/iface_digest.py
 
-prints one ``<side> <sha256>`` line per side, then exits 1 if either
-differs from its pinned value. Takes about five seconds.
+prints one ``<side> <sha256>`` line per side, then one ``bisim`` line
+for each of two ``weak_bisim`` calls: the two sides of the term, and
+its strategy graph against the process graph of a 17790-state variant.
+Exits 1 if any line differs from its pinned value. Takes about five
+seconds.
 """
 
 import hashlib
 import sys
 
-from actorgame.lts import process_lts, strategy_lts
+from actorgame.lts import process_lts, strategy_lts, weak_bisim
 from actorgame.term import parse
 
 # 49866 interface states per side
@@ -21,20 +25,42 @@ W50K = (
     "ctx 0. (snd(1,1).tick.0 + rcv(1).tick.0) | ((snd(2,2).rcv(2).0 + rcv(1).0) "
     "| ((rcv(1).snd(3,3).tick.0 | snd(1,1).rcv(1).0) | (snd(1,2).0 | rcv(1).snd(1,1).0)))"
 )
+# W50K whose last receiver stops after its input: 17790 interface states
+VARIANT = W50K.replace("(snd(1,2).0 | rcv(1).snd(1,1).0)", "(snd(1,2).0 | rcv(1).0)")
 
 PINNED = {
     "process": "865fe0d247278058a3fab2df88221159b52da3ae184ab522cd7ddfc095b7bc4a",
     "strategy": "802e740afdc92c7d9488b55ca0a1e1f28f3bf0ae93697ed9bd89f3c2e86f21aa",
 }
+PINNED_BISIM = [
+    "bisim process strategy equivalent blocks=166",
+    "bisim strategy variant-process witness=forkR;forkL;in(1);in(1) blocks=206",
+]
+
+
+def bisim_line(names: str, g1, g2) -> str:
+    res = weak_bisim(g1, g2)
+    verdict = "equivalent" if res.equivalent else "witness=" + ";".join(res.witness)
+    return f"bisim {names} {verdict} blocks={res.num_blocks}"
 
 
 def main() -> int:
     p, gamma = parse(W50K)
     ok = True
+    graphs = {}
     for side, build in (("process", process_lts), ("strategy", strategy_lts)):
-        digest = hashlib.sha256(build(p, gamma).dump().encode()).hexdigest()
+        graphs[side] = build(p, gamma)
+        digest = hashlib.sha256(graphs[side].dump().encode()).hexdigest()
         print(side, digest)
         ok = ok and digest == PINNED[side]
+    variant = process_lts(*parse(VARIANT))
+    lines = [
+        bisim_line("process strategy", graphs["process"], graphs["strategy"]),
+        bisim_line("strategy variant-process", graphs["strategy"], variant),
+    ]
+    for line, pinned in zip(lines, PINNED_BISIM):
+        print(line)
+        ok = ok and line == pinned
     return 0 if ok else 1
 
 

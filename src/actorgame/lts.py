@@ -50,7 +50,7 @@ import gc
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import arena
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
@@ -549,43 +549,25 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     spine of a distinguishing experiment, at most WITNESS_DEPTH labels
     long; it is a hint, not a certificate.
     """
-    # Edges as flat int arrays, so that coding a large graph allocates
-    # no container per vertex for the cycle collector to walk: vertex
-    # v's silent targets are taus[tau_at[v]:tau_at[v + 1]], its
-    # observable steps go to dsts[at[v]:at[v + 1]] under the label ids
-    # in labs.
     n1 = len(g1.states)
-    label_ids: dict[object, int] = {}
-    taus: list[int] = []
-    labs: list[int] = []
-    dsts: list[int] = []
-    tau_at, at = [0], [0]
-    for base, g in ((0, g1), (n1, g2)):
-        for out in g.edges:
-            for label, dst in out:
-                if label.tag in SILENT_TAGS:
-                    taus.append(base + dst)
-                    continue
-                labs.append(label_ids.setdefault(label, len(label_ids)))
-                dsts.append(base + dst)
-            tau_at.append(len(taus))
-            at.append(len(dsts))
-    n = len(at) - 1
-    labels = list(label_ids)
+    n = n1 + len(g2.states)
 
-    def silent(v: int) -> list[int]:
-        return taus[tau_at[v] : tau_at[v + 1]]
+    def out(v: int) -> tuple[tuple, int]:
+        """Vertex v's own edges, and the offset of their targets in the union."""
+        return (g1.edges[v], 0) if v < n1 else (g2.edges[v - n1], n1)
 
-    def observable(v: int) -> Iterable[tuple[int, int]]:
-        return zip(labs[at[v] : at[v + 1]], dsts[at[v] : at[v + 1]])
+    # A (label, class) pair is the int offset + class: offset 0 for a
+    # silent label, and a distinct positive multiple of n, given when
+    # the label is first met, for each observable one.
+    offsets: dict[object, int] = {}
 
-    def successors(v: int) -> Iterator[int]:
-        return iter(silent(v) + dsts[at[v] : at[v + 1]])
+    def offset_of(label) -> int:
+        off = offsets.get(label)
+        if off is None:
+            off = 0 if label.tag in SILENT_TAGS else (len(offsets) + 1) * n
+            offsets[label] = off
+        return off
 
-    # A (label, class) pair is the int class * k + label; label id
-    # len(labels) stands for a silent step.
-    tau_id = len(labels)
-    k = tau_id + 1
     reach: list[frozenset[int]] = []  # per class: its T plus itself
     weak_pairs: list[frozenset[int]] = []  # per class: its O
     # A class is found under the (O, T) of the vertex that founded it,
@@ -595,22 +577,20 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     by_steps: dict[frozenset[int], int] = {}  # a vertex's own steps -> class
 
     def classify(v: int) -> int:
-        steps = frozenset(
-            [cls[u] * k + tau_id for u in silent(v)]
-            + [cls[w] * k + a for a, w in observable(v)]
-        )
+        edges, base = out(v)
+        steps = frozenset([offset_of(label) + cls[base + w] for label, w in edges])
         c = by_steps.get(steps)
         if c is not None:
             return c
         t: set[int] = set()
         o: set[int] = set()
         for step in steps:
-            d, a = divmod(step, k)
-            if a == tau_id:
+            a, d = divmod(step, n)
+            if a == 0:
                 t |= reach[d]
                 o |= weak_pairs[d]
             else:
-                o.update(e * k + a for e in reach[d])
+                o.update(step - d + e for e in reach[d])
         key = (frozenset(o), frozenset(t))
         c = classes.get(key)
         if c is None:
@@ -628,13 +608,16 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
         if cls[root] != unseen:
             continue
         cls[root] = open_
-        stack = [(root, successors(root))]
+        edges, base = out(root)
+        stack = [(root, iter(edges), base)]
         while stack:
-            v, succ = stack[-1]
-            for w in succ:
+            v, succ, base = stack[-1]
+            for _, w in succ:
+                w += base
                 if cls[w] == unseen:
                     cls[w] = open_
-                    stack.append((w, successors(w)))
+                    edges, base = out(w)
+                    stack.append((w, iter(edges), base))
                     break
                 if cls[w] == open_:
                     side, vertex = (1, w) if w < n1 else (2, w - n1)
@@ -656,24 +639,28 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
         seen = set(vs)
         stack = list(seen)
         while stack:
-            for w in silent(stack.pop()):
-                if w not in seen:
+            edges, base = out(stack.pop())
+            for label, w in edges:
+                w += base
+                if label.tag in SILENT_TAGS and w not in seen:
                     seen.add(w)
                     stack.append(w)
         return seen
 
-    def weak_successors(x: int) -> dict[int, set[int]]:
-        targets: dict[int, list[int]] = {}
+    def weak_successors(x: int) -> dict[object, set[int]]:
+        targets: dict[object, list[int]] = {}
         for u in closure([x]):
-            for a, w in observable(u):
-                targets.setdefault(a, []).append(w)
+            edges, base = out(u)
+            for label, w in edges:
+                if label.tag not in SILENT_TAGS:
+                    targets.setdefault(label, []).append(base + w)
         return {a: closure(ws) for a, ws in targets.items()}
 
     def distinguish(x: int, y: int, depth: int) -> list[str]:
         if depth == 0:
             return []
         wx, wy = weak_successors(x), weak_successors(y)
-        for a in sorted(wx.keys() | wy.keys(), key=lambda a: labels[a]):
+        for a in sorted(wx.keys() | wy.keys()):
             bx = {block[w] for w in wx.get(a, ())}
             by = {block[w] for w in wy.get(a, ())}
             if bx == by:
@@ -683,9 +670,9 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
             else:
                 extra, src, other = min(by - bx), wy[a], wx.get(a, set())
             if not other:
-                return [labels[a].render()]
+                return [a.render()]
             w1 = min(w for w in src if block[w] == extra)
-            return [labels[a].render()] + distinguish(w1, min(other), depth - 1)
+            return [a.render()] + distinguish(w1, min(other), depth - 1)
         # x and y lie in different blocks, so one silent closure meets a
         # block the other does not, besides its own root's: were the only
         # such blocks those of x and y, merging the two blocks would give
