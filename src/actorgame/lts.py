@@ -556,9 +556,10 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
         """Vertex v's own edges, and the offset of their targets in the union."""
         return (g1.edges[v], 0) if v < n1 else (g2.edges[v - n1], n1)
 
-    # A (label, class) pair is the int offset + class: offset 0 for a
-    # silent label, and a distinct positive multiple of n, given when
-    # the label is first met, for each observable one.
+    # A step, a (label, class) pair, is the int offset + class. There
+    # are at most n classes, so with offset 0 for a silent label and a
+    # distinct positive multiple of n for each observable one, given
+    # when the label is first met, divmod(step, n) decodes a step.
     offsets: dict[object, int] = {}
 
     def offset_of(label) -> int:
