@@ -7,17 +7,25 @@ digest cover only the graphs of small terms.
 
     PYTHONPATH=src python3 scripts/iface_digest.py
 
-prints one ``<side> <sha256>`` line per side, then one ``bisim`` line
-for each of two ``weak_bisim`` calls: the two sides of the term, and
-its strategy graph against the process graph of a 17790-state variant.
-Exits 1 if any line differs from its pinned value. Takes about five
-seconds.
+prints one ``<side> <sha256>`` line per side, then one ``<side>.link
+<sha256>`` line per side for the link-enabled graph of a variant of the
+term (61751 states a side), then one ``bisim`` line for each of two
+``weak_bisim`` calls: the two sides of the term, and its strategy graph
+against the process graph of the variant. Exits 1 if any line differs
+from its pinned value. Takes about six seconds.
 """
 
 import hashlib
 import sys
 
-from actorgame.lts import process_lts, strategy_lts, weak_bisim
+from actorgame.lts import (
+    interface_graph,
+    process_lts,
+    root_process,
+    root_strategy,
+    strategy_lts,
+    weak_bisim,
+)
 from actorgame.term import parse
 
 # 49866 interface states per side
@@ -25,12 +33,15 @@ W50K = (
     "ctx 0. (snd(1,1).tick.0 + rcv(1).tick.0) | ((snd(2,2).rcv(2).0 + rcv(1).0) "
     "| ((rcv(1).snd(3,3).tick.0 | snd(1,1).rcv(1).0) | (snd(1,2).0 | rcv(1).snd(1,1).0)))"
 )
-# W50K whose last receiver stops after its input: 17790 interface states
+# W50K whose last receiver stops after its input: 17790 interface states,
+# 61751 with the link rule
 VARIANT = W50K.replace("(snd(1,2).0 | rcv(1).snd(1,1).0)", "(snd(1,2).0 | rcv(1).0)")
 
 PINNED = {
     "process": "865fe0d247278058a3fab2df88221159b52da3ae184ab522cd7ddfc095b7bc4a",
     "strategy": "802e740afdc92c7d9488b55ca0a1e1f28f3bf0ae93697ed9bd89f3c2e86f21aa",
+    "process.link": "950408f1830d15304aa9de1ef9084572a1447f564a45321a5064df90bb511d65",
+    "strategy.link": "420729909f5f56025a80c17fa3fcf8615a3882a9d7e97891184082a1d8d6f835",
 }
 PINNED_BISIM = [
     "bisim process strategy equivalent blocks=166",
@@ -47,13 +58,21 @@ def bisim_line(names: str, g1, g2) -> str:
 def main() -> int:
     p, gamma = parse(W50K)
     ok = True
+
+    def check(name: str, g) -> None:
+        nonlocal ok
+        digest = hashlib.sha256(g.dump().encode()).hexdigest()
+        print(name, digest)
+        ok = ok and digest == PINNED[name]
+
     graphs = {}
     for side, build in (("process", process_lts), ("strategy", strategy_lts)):
         graphs[side] = build(p, gamma)
-        digest = hashlib.sha256(graphs[side].dump().encode()).hexdigest()
-        print(side, digest)
-        ok = ok and digest == PINNED[side]
-    variant = process_lts(*parse(VARIANT))
+        check(side, graphs[side])
+    v, v_gamma = parse(VARIANT)
+    for side, root in (("process", root_process), ("strategy", root_strategy)):
+        check(side + ".link", interface_graph(root(v, v_gamma), enable_link=True))
+    variant = process_lts(v, v_gamma)
     lines = [
         bisim_line("process strategy", graphs["process"], graphs["strategy"]),
         bisim_line("strategy variant-process", graphs["strategy"], variant),

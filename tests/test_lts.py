@@ -398,6 +398,10 @@ GOLDEN_DUMPS = {
         "1e576277c3c814511388e7a481d6f7bd"
         "211e278e1c26bbf86c83fca61b3dd0ca"
     ),
+    "interface.process.link": (
+        "605473a931b9d4f0bbcc0cd28f413599"
+        "83df101fd9f2520a87404d26cbd6163d"
+    ),
 }
 
 
@@ -409,6 +413,9 @@ def corpus_dump_digests(corpus):
         "interface.process": process_lts,
         "interface.strategy.link": lambda t, g: interface_graph(
             root_strategy(t, g), enable_link=True
+        ),
+        "interface.process.link": lambda t, g: interface_graph(
+            root_process(t, g), enable_link=True
         ),
     }
     digests = {kind: hashlib.sha256() for kind in builds}
