@@ -2,12 +2,13 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from actorgame import cli, fairtest, lts
 from actorgame.fairtest import Test as FTest
 from actorgame.fairtest import (
+    Verdict,
     compose,
     composites,
     decide,
@@ -20,13 +21,14 @@ from actorgame.fairtest import (
 )
 from actorgame.lts import (
     closed_graph,
+    closed_world_steps,
     interface_graph,
     process_lts,
     root_process,
     root_strategy,
     strategy_lts,
 )
-from actorgame.term import IllTyped, Par, Sum, canonical, parse
+from actorgame.term import IllTyped, Par, Sum, Tick, canonical, parse
 from gen import terms
 from oracles import brute_in_bot, count_terms
 
@@ -200,22 +202,52 @@ def test_large_composite_fail_witnesses():
     )
 
 
+def has_tick(p):
+    """Whether a tick prefix occurs anywhere in ``p``."""
+    if isinstance(p, Par):
+        return has_tick(p.left) or has_tick(p.right)
+    return any(isinstance(prefix, Tick) or has_tick(cont) for prefix, cont in p.branches)
+
+
 @st.composite
 def random_composites(draw):
     """A random subject at context 0-2 composed, on a random side, with a
-    random test at context 0-2 under a random handle map."""
+    random test at context 0-2 under a random handle map, and whether
+    either term has a tick prefix."""
     gamma = draw(st.integers(0, 2))
     ctx = draw(st.integers(1 if gamma else 0, 2))
     h = draw(st.tuples(*[st.integers(1, ctx)] * gamma))
     subject = draw(terms(gamma))
     test = FTest(h, ctx, draw(terms(ctx)))
-    return composite(draw(st.sampled_from(ROOTS)), subject, gamma, test)
+    root = composite(draw(st.sampled_from(ROOTS)), subject, gamma, test)
+    return root, has_tick(subject) or has_tick(test.proc)
+
+
+# tick-free, and its full closed graph passes lts.MAX_STATES
+WIDE_SUBJECT = term("ctx 0. ((0|0)|(0|0)) | ((0|0)|0)")
+WIDE_TEST = FTest((), 0, term("ctx 0. ((0|0)|(0|0)) | ((0|0)|(0|0))"))
 
 
 @settings(max_examples=150, deadline=None)
 @given(random_composites())
-def test_search_matches_full_graph_verdict(root):
-    g = closed_graph(root)
+@example((composite(root_strategy, WIDE_SUBJECT, 0, WIDE_TEST), False))
+@example((composite(root_process, WIDE_SUBJECT, 0, WIDE_TEST), False))
+def test_search_matches_full_graph_verdict(drawn):
+    root, ticks = drawn
+    try:
+        g = closed_graph(root)
+    except RuntimeError as e:
+        if str(e) != f"state space exceeds {lts.MAX_STATES} states":
+            raise
+        if ticks:
+            reject()
+        # without a tick the root cannot reach one, and no successor of
+        # the root has one
+        first = min(label for label, _ in closed_world_steps(root))
+        assert decide(root) == Verdict(False, ())
+        assert decide(root, "strict") == Verdict(False, (first.render(),))
+        assert not holds(root) and not holds(root, "strict")
+        return
     for mode in ("weak", "strict"):
         assert decide(root, mode) == in_bot(g, mode)
         assert holds(root, mode) == in_bot(g, mode).passed
