@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Union
 
 _ids = itertools.count(1)
@@ -75,10 +76,14 @@ class Position:
 
 
 class _Kind:
+    @cached_property
+    def _key(self) -> tuple:
+        """The sort key: class name, then fields. It is computed once
+        per kind, and the engine interns its kinds."""
+        return (type(self).__name__, *vars(self).values())
+
     def __lt__(self, other: MoveKind) -> bool:
-        return (type(self).__name__, *vars(self).values()) < (
-            type(other).__name__, *vars(other).values()
-        )
+        return self._key < other._key
 
 
 @dataclass(frozen=True)
