@@ -299,20 +299,20 @@ def _file_offers(actor) -> tuple:
 
 def _scan(state: State, filed: Optional[dict]) -> tuple[list, ...]:
     """Every actor's attachment and offers, each group filed under the
-    rule that consumes it. Offers depend on the actor's body alone, so
-    ``filed`` maps the id of each body met to its filing, which holds the
-    body and so keeps the id; one graph build or verdict search keeps one
-    such dict, and None files afresh."""
+    rule that consumes it, for the closed steps. Offers depend on the
+    actor's body alone, so ``filed`` maps the id of each body met to its
+    filing, which holds the body and so keeps the id; one closed graph
+    build or verdict search keeps one such dict, and None files afresh.
+    An interface build keys its ``_entry`` values in its own dict."""
     if filed is None:
         filed = {}
-    views, ticks, forks, outs, ins = [], [], [], [], []
+    ticks, forks, outs, ins = [], [], [], []
     for p, actor in enumerate(state.actors):
         attach = actor.attach
         filing = filed.get(id(actor.body))
         if filing is None:
             filing = filed[id(actor.body)] = _file_offers(actor)
-        _, offers, t, i, o, fork = filing
-        views.append((p, actor, attach, offers))
+        _, _, t, i, o, fork = filing
         for group in t:
             ticks.append((p, actor, attach, group))
         for a, group in i:
@@ -321,7 +321,7 @@ def _scan(state: State, filed: Optional[dict]) -> tuple[list, ...]:
             outs.append((p, actor, attach, c, d, group))
         if fork:
             forks.append((p, actor, attach, *fork))
-    return views, ticks, forks, outs, ins
+    return ticks, forks, outs, ins
 
 
 def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[tuple]:
@@ -355,7 +355,7 @@ def _closed_moves(state: State, filed: Optional[dict]) -> list[tuple]:
     """Every closed step as a (kind, actors, choice, created, avatars)
     tuple, as ``_silent_steps`` gives them: ticks by actor, then the
     forks and syncs. ``filed`` is as for ``_scan``."""
-    _, ticks, forks, outs, ins = _scan(state, filed)
+    ticks, forks, outs, ins = _scan(state, filed)
     moves: list[tuple] = []
     for p, actor, attach, group in ticks:
         kind = _heartbeat(len(attach))
@@ -383,47 +383,81 @@ def closed_world_steps(state: State, filed: Optional[dict] = None) -> list[tuple
 def tick_free_steps(state: State, filed: Optional[dict] = None) -> tuple[bool, list[tuple[StepLabel, State]]]:
     """Whether ``state`` can tick, and its forks and syncs as (label,
     successor) pairs in the order of ``closed_world_steps``."""
-    _, ticks, forks, outs, ins = _scan(state, filed)
+    ticks, forks, outs, ins = _scan(state, filed)
     return bool(ticks), _labelled(state, _silent_steps(state, forks, outs, ins))
+
+
+def _entry(actor, fresh: int) -> tuple:
+    """What an interface step reads of ``actor`` in a state whose next
+    fresh channel is ``fresh``: its filing (``_file_offers``), its
+    observable moves in offer order as (channel the environment must
+    know or None, label, handle extension, channels created, avatars)
+    tuples, one avatar per continuation, and its receives as (channel,
+    avatars) pairs for the link rule, which shares the avatars."""
+    filing = _file_offers(actor)
+    attach = actor.attach
+    grown = attach + (fresh,)
+    moves, receives = [], []
+    for key, group in filing[1]:
+        tag, ch = key[0], None
+        if tag == "heart":
+            label, ext, after, created = _label("tick"), (), attach, 0
+        elif tag == "forkL" or tag == "forkR":
+            label, ext, after, created = _label(tag), (fresh,), grown, 1
+        elif tag == "in":
+            ch = attach[key[1] - 1]
+            label, ext, after, created = _label("in", ch), (fresh,), grown, 1
+        else:
+            ch, obj = attach[key[1] - 1], attach[key[2] - 1]
+            label, ext, after, created = _label("out", ch, obj), (obj,), attach, 0
+        avatars = tuple(actor.avatar(after, cont) for _, cont in group)
+        moves.append((ch, label, ext, created, avatars))
+        if tag == "in":
+            receives.append((ch, avatars))
+    return filing, moves, receives
 
 
 def interface_steps(ast: AState, enable_link: bool = False, filed: Optional[dict] = None) -> list[tuple[ALab, AState]]:
     """Observable steps actor by actor in offer order, each actor's link
-    steps after its other steps, then the silent forks and syncs."""
+    steps after its other steps, then the silent forks and syncs. An
+    actor's moves depend on it and the next fresh channel alone, so
+    ``filed`` maps (id of its body, its attachment, fresh channel) to its
+    ``_entry``, which holds the body and so keeps the id; one interface
+    graph build keeps one such dict, and None builds the entries afresh.
+    Successors hold the entries' avatars."""
     state, h = ast.subject, ast.h
     known = set(h)
     fresh = state.num_channels + 1
-    views, _, forks, outs, ins = _scan(state, filed)
+    if filed is None:
+        filed = {}
     steps: list[tuple[ALab, AState]] = []
-    for p, actor, attach, offers in views:
-        grown = attach + (fresh,)
-        links = []
-        for key, group in offers:
-            tag = key[0]
-            if tag == "heart":
-                label, h2, after, created = _label("tick"), h, attach, 0
-            elif tag == "forkL" or tag == "forkR":
-                label, h2, after, created = _label(tag), h + (fresh,), grown, 1
-            else:
-                ch = attach[key[1] - 1]
+    forks, outs, ins = [], [], []
+    for p, actor in enumerate(state.actors):
+        attach = actor.attach
+        key = (id(actor.body), attach, fresh)
+        entry = filed.get(key)
+        if entry is None:
+            entry = filed[key] = _entry(actor, fresh)
+        (_, _, _, i, o, fork), moves, receives = entry
+        for a, group in i:
+            ins.append((p, actor, attach, a, group))
+        for c, d, group in o:
+            outs.append((p, actor, attach, c, d, group))
+        if fork:
+            forks.append((p, actor, attach, *fork))
+        for ch, label, ext, created, avatars in moves:
+            if ch is None or ch in known:
+                h2 = h + ext
+                for av in avatars:
+                    steps.append((label, AState(h2, _replace(state, created, {p: (av,)}))))
+        if enable_link:
+            for ch, avatars in receives:
                 if ch not in known:
                     continue
-                if tag == "in":
-                    label, h2, after, created = _label("in", ch), h + (fresh,), grown, 1
-                    if enable_link:
-                        links.append((ch, group))
-                else:
-                    obj = attach[key[2] - 1]
-                    label, h2, after, created = _label("out", ch, obj), h + (obj,), attach, 0
-            for _, cont in group:
-                nxt = _replace(state, created, {p: (actor.avatar(after, cont),)})
-                steps.append((label, AState(h2, nxt)))
-        for ch, group in links:
-            for src in sorted(known - {ch}):
-                label = _label("link", ch, fresh, src)
-                for _, cont in group:
-                    nxt = _replace(state, 1, {p: (actor.avatar(grown, cont),)})
-                    steps.append((label, AState(h, nxt)))
+                for src in sorted(known - {ch}):
+                    label = _label("link", ch, fresh, src)
+                    for av in avatars:
+                        steps.append((label, AState(h, _replace(state, 1, {p: (av,)}))))
     for kind, actors, _, created, avatars in _silent_steps(state, forks, outs, ins):
         nxt = _replace(state, created, dict(zip(actors, avatars)))
         steps.append((_label(_CLOSED_TAG[type(kind)]), AState(h, nxt)))

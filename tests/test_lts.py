@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from actorgame.lts import (
     StepLabel,
     Thread,
     _closed_moves,
+    _entry,
     _file_offers,
     arena_position,
     arena_trace,
@@ -500,22 +502,20 @@ def test_large_interface_dumps_match_golden_digests(capsys, tmp_path):
 @given(typed_terms())
 def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
     # one dict of filed offers serves every state of both worlds; each
-    # actor's filing equals a fresh filing of its offers, steps and
-    # moves equal those found with a fresh dict, and each successor
-    # equals State.of of its own actors, on the closed side also of the
-    # source's unmoved actors and the avatars
+    # actor's filing and interface entry equal fresh ones, steps and
+    # moves equal those found with a fresh dict, with and without the
+    # link rule, each successor equals State.of of its own actors, on
+    # the closed side also of the source's unmoved actors and the
+    # avatars, and each observable successor holds the avatar object of
+    # the moved actor's entry
     t, gamma = tg
     for root in (root_strategy(t, gamma), root_process(t, gamma)):
         filed = {}
-
-        def check_filed(state):
-            for actor in state.actors:
-                assert filed[id(actor.body)] == _file_offers(actor)
-
         for state in closed_graph(root).states:
             steps = closed_world_steps(state, filed)
             moves = _closed_moves(state, filed)
-            check_filed(state)
+            for actor in state.actors:
+                assert filed[id(actor.body)] == _file_offers(actor)
             assert steps == closed_world_steps(state)
             assert moves == _closed_moves(state, None)
             assert len(steps) == len(moves)
@@ -525,12 +525,25 @@ def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
                 moved = [a for av in avatars for a in av]
                 assert nxt == State.of(state.num_channels + created, kept + moved)
         for ast in interface_graph(root, enable_link=True).states:
-            steps = interface_steps(ast, True, filed)
-            check_filed(ast.subject)
-            assert steps == interface_steps(ast, True)
-            for _, nxt in steps:
-                subject = nxt.subject
-                assert subject == State.of(subject.num_channels, reversed(subject.actors))
+            state = ast.subject
+            fresh = state.num_channels + 1
+            for link in (True, False):
+                steps = interface_steps(ast, link, filed)
+                assert steps == interface_steps(ast, link)
+                entries = {}
+                for actor in state.actors:
+                    entry = filed[id(actor.body), actor.attach, fresh]
+                    assert entry == _entry(actor, fresh)
+                    entries[id(actor)] = {id(av) for *_, avatars in entry[1] for av in avatars}
+                before = Counter(map(id, state.actors))
+                for label, nxt in steps:
+                    subject = nxt.subject
+                    assert subject == State.of(subject.num_channels, reversed(subject.actors))
+                    if label.tag in SILENT_TAGS:
+                        continue
+                    after = Counter(map(id, subject.actors))
+                    [gone], [avatar] = before - after, after - before
+                    assert avatar in entries[gone]
 
 
 def test_empty_graph_dump():
