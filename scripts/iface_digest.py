@@ -55,23 +55,23 @@ def bisim_line(names: str, g1, g2) -> str:
     return f"bisim {names} {verdict} blocks={res.num_blocks}"
 
 
+def check_dump(name: str, g) -> bool:
+    """Print the sha256 of ``g``'s dump; whether it is the pinned one."""
+    digest = hashlib.sha256(g.dump().encode()).hexdigest()
+    print(name, digest)
+    return digest == PINNED[name]
+
+
 def main() -> int:
     p, gamma = parse(W50K)
     ok = True
-
-    def check(name: str, g) -> None:
-        nonlocal ok
-        digest = hashlib.sha256(g.dump().encode()).hexdigest()
-        print(name, digest)
-        ok = ok and digest == PINNED[name]
-
     graphs = {}
     for side, build in (("process", process_lts), ("strategy", strategy_lts)):
         graphs[side] = build(p, gamma)
-        check(side, graphs[side])
+        ok = check_dump(side, graphs[side]) and ok
     v, v_gamma = parse(VARIANT)
     for side, root in (("process", root_process), ("strategy", root_strategy)):
-        check(side + ".link", interface_graph(root(v, v_gamma), enable_link=True))
+        ok = check_dump(side + ".link", interface_graph(root(v, v_gamma), enable_link=True)) and ok
     variant = process_lts(v, v_gamma)
     lines = [
         bisim_line("process strategy", graphs["process"], graphs["strategy"]),
