@@ -17,21 +17,32 @@ vacuously.
 reaches the same verdict, failure witness included, without building
 one; ``holds`` reaches only whether the composite passed, searching for
 no witness, and ``eq_check`` reads it on the composites of every
-distinct test (see ``composites``). Every graph
-of this calculus is acyclic, since each step consumes a prefix or a
-parallel node, so a state that cannot reach a tick has a tick-free path
-to a deadlock: the weak verdict is deadlock reachability over
-tick-free steps. The search files each state under a channel-normalised
-form (``lts.channel_normal_form``); the step rules are equivariant
-under channel renaming, so a form's ticks, deadlocks and distances are
-those of every state it stands for. On a failure, a breadth-first
-search over concrete states that keeps only successors on shortest
-paths to a failing form rebuilds the witness ``in_bot`` would give.
+distinct test (see ``composites``). Every graph of this calculus is
+acyclic, since each step consumes a prefix or a parallel node, so a
+state that cannot reach a tick has a tick-free path to a deadlock: the
+weak verdict is deadlock reachability over tick-free steps.
+
+The weak search runs over int-coded forms, ``(num_channels, ((rank,
+attach), ...))``. A body's rank numbers it in the order a rank table
+first met it, and the table files each ranked body's tick flag and
+tick-free moves with continuation ranks. A form holds the live actors
+sorted by rank and attachment, channels renumbered by first occurrence
+in that order, inert actors and unheld channels dropped. A successor
+form is built from the filed moves alone, with no concrete state or
+label. The step rules are equivariant under channel renaming, so a
+form's ticks, deadlocks and distances are those of every state it
+stands for. Forms live for one decision; a rank table depends on bodies
+alone, so within ``shared_ranks``, which ``eq_check`` and ``fair --gen``
+enter, one table serves every decision of the suite. On a failure, a
+breadth-first search over concrete states that keeps only successors on
+shortest paths to a failing form rebuilds the witness ``in_bot`` would
+give.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
@@ -41,7 +52,7 @@ from .lts import (
     LtsGraph,
     State,
     StepLabel,
-    channel_normal_form,
+    _file_offers,
     closed_world_steps,
     tick_free_steps,
 )
@@ -162,22 +173,143 @@ def in_bot(g: LtsGraph, mode: str = "weak") -> Verdict:
 
 
 UNBOUNDED = float("inf")
+_INERT = -1  # the rank of a body that offers nothing
 
 
-class _Search:
-    """The weak verdict's search over channel-normalised states.
+class _Ranks:
+    """A rank table: each live body met has a rank, the number of live
+    bodies met before it, and a body that offers nothing has rank
+    ``_INERT``. Equal bodies share a rank.
 
-    Each normal form met so far has an index into ``forms``; ``dist``
-    holds its tick-free distance to a form that cannot reach a tick: 0
-    for such a form, UNBOUNDED when none is reachable, None until known.
-    Forms and the concrete states of a witness search both count
-    against ``lts.MAX_STATES``, read when the search is set up.
+    A rank's filing holds whether its body can tick, its receives as
+    (slot index, continuation ranks) pairs, its sends as (channel slot
+    index, object slot index, continuation ranks) triples, and its fork
+    halves as a (left ranks, right ranks) pair, or None; slot indices
+    count from 0. A body is filed when a form holding it is first
+    expanded. Filings depend on bodies alone, so one table can serve
+    every verdict of a suite (see ``shared_ranks``).
     """
 
     def __init__(self):
-        self.filed: dict = {}  # each body's offers, filed once (lts._scan)
-        self.index: dict[State, int] = {}
-        self.forms: list[State] = []
+        self.rank: dict = {}
+        self.met: list[Optional[tuple]] = []  # rank -> side and body, until filed
+        self.filings: list[Optional[tuple]] = []
+
+    def of(self, side: type, body) -> int:
+        r = self.rank.get(body)
+        if r is None:
+            r = _INERT
+            if side.offers(body):
+                r = len(self.met)
+                self.met.append((side, body))
+                self.filings.append(None)
+            self.rank[body] = r
+        return r
+
+    def _conts(self, side: type, group) -> tuple[int, ...]:
+        return tuple([self.of(side, cont) for _, cont in group])
+
+    def _file(self, r: int) -> tuple:
+        side, body = self.met[r]
+        self.met[r] = None  # the rank dict keeps the body
+        _, _, ticks, ins, outs, fork = _file_offers(side, body)
+        conts = self._conts
+        filing = self.filings[r] = (
+            bool(ticks),
+            tuple([(a - 1, conts(side, group)) for a, group in ins]),
+            tuple([(c - 1, d - 1, conts(side, group)) for c, d, group in outs]),
+            fork and (conts(side, fork[0]), conts(side, fork[1])),
+        )
+        return filing
+
+    def form(self, state: State) -> tuple:
+        """The form of a concrete state."""
+        return _form([(self.of(type(a), a.body), a.attach) for a in state.actors])
+
+    def steps(self, form: tuple) -> tuple[bool, list[tuple]]:
+        """Whether ``form`` can tick, and the form of each of its silent
+        steps, forks and syncs as ``lts.tick_free_steps`` gives them."""
+        n, actors = form
+        fresh = n + 1
+        filings = self.filings
+        can_tick = False
+        forks, sends, receives = [], [], []
+        for i, (r, attach) in enumerate(actors):
+            tick, ins, outs, fork = filings[r] or self._file(r)
+            can_tick = can_tick or tick
+            for a, conts in ins:
+                receives.append((i, attach, attach[a], conts))
+            for c, d, conts in outs:
+                sends.append((i, attach, attach[c], attach[d], conts))
+            if fork:
+                forks.append((i, attach, fork))
+        succ = []
+        for i, attach, (lefts, rights) in forks:
+            rest = actors[:i] + actors[i + 1 :]
+            grown = attach + (fresh,)
+            for left in lefts:
+                for right in rights:
+                    succ.append(_form([*rest, (left, grown), (right, grown)]))
+        for q, sattach, ch, obj, sconts in sends:
+            for p, rattach, on, rconts in receives:
+                if on != ch or p == q:
+                    continue
+                rest = [a for k, a in enumerate(actors) if k != p and k != q]
+                grown = rattach + (obj,)
+                for sent in sconts:
+                    for got in rconts:
+                        succ.append(_form([*rest, (sent, sattach), (got, grown)]))
+        return can_tick, succ
+
+
+def _form(actors: list[tuple[int, tuple[int, ...]]]) -> tuple:
+    """``(num_channels, ((rank, attach), ...))``: the live ones of
+    ``actors``, sorted, with their channels renumbered 1, 2, ... by first
+    occurrence in that order and unheld channels dropped, so the next
+    fresh channel is still ``num_channels + 1``."""
+    names: dict[int, int] = {}
+    live = []
+    for r, attach in sorted(actors):
+        if r >= 0:
+            for c in attach:
+                if c not in names:
+                    names[c] = len(names) + 1
+            live.append((r, tuple([names[c] for c in attach])))
+    return len(names), tuple(live)
+
+
+_shared: Optional[_Ranks] = None  # the table of the running suite, if any
+
+
+@contextmanager
+def shared_ranks() -> Iterator[None]:
+    """Within the block, every verdict reads one rank table, and the
+    table is dropped when the block ends. A suite's verdicts meet the
+    same bodies again and again; a verdict outside such a block files
+    its bodies afresh."""
+    global _shared
+    outer = _shared
+    _shared = outer or _Ranks()
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+class _Search:
+    """One weak verdict's search over int-coded forms.
+
+    Each form met so far has an index into ``forms``; ``dist`` holds its
+    tick-free distance to a form that cannot reach a tick: 0 for such a
+    form, UNBOUNDED when none is reachable, None until known. Forms and
+    the concrete states of a witness search both count against
+    ``lts.MAX_STATES``, read when the search is set up.
+    """
+
+    def __init__(self):
+        self.ranks = _shared or _Ranks()
+        self.index: dict[tuple, int] = {}
+        self.forms: list[tuple] = []
         self.dist: list[Optional[float]] = []
         self.max_states = lts.MAX_STATES
         self.states = 0
@@ -187,8 +319,7 @@ class _Search:
             raise RuntimeError(f"state space exceeds {self.max_states} states")
         self.states += 1
 
-    def form_of(self, state: State) -> int:
-        form = channel_normal_form(state)
+    def index_of(self, form: tuple) -> int:
         i = self.index.get(form)
         if i is None:
             self.admit()
@@ -198,16 +329,16 @@ class _Search:
         return i
 
     def frame(self, i: int) -> tuple:
-        can_tick, steps = tick_free_steps(self.forms[i], self.filed)
-        children = [self.form_of(nxt) for _, nxt in steps]
+        can_tick, succ = self.ranks.steps(self.forms[i])
+        children = [self.index_of(form) for form in succ]
         return i, can_tick, children, iter(children)
 
     def distance(self, state: State) -> float:
-        """The distance of ``state``'s normal form, found depth first
-        below it if no earlier search met that form; every graph is
-        acyclic, so each form is finished after all of its successors."""
+        """The distance of ``state``'s form, found depth first below it
+        if no earlier search met that form; every graph is acyclic, so
+        each form is finished after all of its successors."""
         dist = self.dist
-        top = self.form_of(state)
+        top = self.index_of(self.ranks.form(state))
         if dist[top] is None:
             stack = [self.frame(top)]
             while stack:
@@ -229,13 +360,14 @@ class _Search:
         are exactly the states on shortest paths to the forms that
         cannot reach a tick, met in ``in_bot``'s queue order with its
         parent pointers."""
+        filed: dict = {}  # each body's offers, filed once (lts._scan)
         parent: dict[State, tuple[State, StepLabel]] = {}
         seen = {root}
         level = [root]
         for depth in range(top):
             below, want = [], top - depth - 1
             for u in level:
-                steps = sorted(tick_free_steps(u, self.filed)[1], key=lambda step: step[0])
+                steps = sorted(tick_free_steps(u, filed)[1], key=lambda step: step[0])
                 for label, nxt in steps:
                     if nxt not in seen and self.distance(nxt) == want:
                         self.admit()
@@ -271,7 +403,7 @@ def holds(state: State, mode: str = "weak") -> bool:
 
 def decide(state: State, mode: str = "weak") -> Verdict:
     """``in_bot(closed_graph(state), mode)``, found without building the
-    graph: weak by the search over channel-normalised forms, strict from
+    graph: weak by the search over int-coded forms, strict from
     the root's steps in label order. A weak failure's witness is searched
     for at once; its states count against ``lts.MAX_STATES`` along with
     the decision's forms, and exceeding it raises ``RuntimeError``."""
@@ -373,11 +505,12 @@ def eq_check(
     failure witnesses."""
     count, seen = 0, set()
     suite = composites((left, right), gamma, tests, side, seen)
-    for count, (test, key, pair) in enumerate(suite, 1):
-        if pair is None:
-            continue
-        sl, sr = pair
-        if holds(sl, mode) != holds(sr, mode):
-            return EqResult(False, count, test, decide(sl, mode), decide(sr, mode))
-        seen.add(key)
+    with shared_ranks():
+        for count, (test, key, pair) in enumerate(suite, 1):
+            if pair is None:
+                continue
+            sl, sr = pair
+            if holds(sl, mode) != holds(sr, mode):
+                return EqResult(False, count, test, decide(sl, mode), decide(sr, mode))
+            seen.add(key)
     return EqResult(True, count)

@@ -28,10 +28,9 @@ default and never changes h.
 One state type and one step engine serve both sides; the side is the
 type of the state's actors. An actor, a strategy player or a process
 thread, has an ``attach`` field (the global channel of each local
-slot), a ``body`` (its strategy or term), ``offers()``, which read its
-body alone, ``avatar(attach, cont)`` (the actor that carries on as
-``cont``) and ``live_by_body``, a state's movable actors in an order
-that ignores channels. Offers are (seed key, ((choice,
+slot), a ``body`` (its strategy or term), ``avatar(attach, cont)``
+(the actor that carries on as ``cont``) and the static ``offers(body)``,
+which reads a body alone. Offers are (seed key, ((choice,
 continuation), ...)) groups in enumeration order: a player reads them
 off its strategy table, a thread off its own syntax. A step's choice
 concatenates its actors' choices, so closed labels read ``#i,j`` on the
@@ -89,16 +88,12 @@ class PlayerState(_Player):
         return self.attach, self.body
 
     @staticmethod
-    def live_by_body(players: Iterable[PlayerState]) -> list[tuple[Definite, PlayerState]]:
-        """The players that can move, with their strategies, by strategy."""
-        return sorted(((p.body, p) for p in players if p.body.table), key=lambda q: q[0])
-
-    def offers(self) -> list[Offer]:
+    def offers(body: Definite) -> list[Offer]:
         """The strategy table: one group per entry, choice (i,) for the
         i-th summand."""
         return [
             (key, tuple(((i,), d) for i, d in enumerate(summands)))
-            for key, summands in self.body.table
+            for key, summands in body.table
         ]
 
     def avatar(self, attach: tuple[int, ...], cont: Definite) -> PlayerState:
@@ -110,15 +105,10 @@ class Thread(NamedTuple):
     attach: tuple[int, ...]
 
     @staticmethod
-    def live_by_body(threads: Iterable[Thread]) -> list[tuple[Process, Thread]]:
-        """The threads that can move, with their terms, which they already order by."""
-        return [(t.body, t) for t in threads if isinstance(t.body, Par) or t.body.branches]
-
-    def offers(self) -> list[Offer]:
+    def offers(p: Process) -> list[Offer]:
         """The operational rules read off the syntax: a parallel offers
         its two halves with no choice, a choice offers each branch under
         its prefix's seed with choice (branch index,)."""
-        p = self.body
         if isinstance(p, Par):
             return [(("forkL",), (((), p.left),)), (("forkR",), (((), p.right),))]
         return [
@@ -251,35 +241,12 @@ def _replace(state: State, created: int, moved: dict[int, tuple]) -> State:
     return State(num_channels, tuple(actors))
 
 
-def channel_normal_form(state: State) -> State:
-    """A channel renaming of ``state`` without its inert actors.
-
-    The live actors are taken in the channel-free order of
-    ``live_by_body``, channels are renumbered 1, 2, ... by first
-    occurrence in that order, and channels no actor holds are dropped,
-    so the next fresh channel is still ``num_channels + 1``. Every step
-    rule is equivariant under channel bijections and an inert actor
-    never moves, so the form has the steps of ``state`` up to that
-    renaming and to actor indices. It is *a* renaming, not a canonical
-    one: equal actors keep their order in ``state``.
-    """
-    live = state.actors[0].live_by_body(state.actors) if state.actors else []
-    names: dict[int, int] = {}
-    for _, a in live:
-        for c in a.attach:
-            if c not in names:
-                names[c] = len(names) + 1
-    return State(
-        len(names), tuple(a.avatar(tuple(names[c] for c in a.attach), b) for b, a in live)
-    )
-
-
-def _file_offers(actor) -> tuple:
-    """The actor's body, its offers, and each group filed under the rule
-    that consumes it: tick groups, (slot, group) receives, (channel slot,
-    object slot, group) sends, and the (left, right) fork halves when the
-    body offers both, else None."""
-    offers = actor.offers()
+def _file_offers(side: type, body) -> tuple:
+    """The body, its offers as an actor of ``side`` reads them, and each
+    group filed under the rule that consumes it: tick groups, (slot,
+    group) receives, (channel slot, object slot, group) sends, and the
+    (left, right) fork halves when the body offers both, else None."""
+    offers = side.offers(body)
     ticks, ins, outs = [], [], []
     left = right = None
     for key, group in offers:
@@ -294,7 +261,7 @@ def _file_offers(actor) -> tuple:
             left = group
         else:
             right = group
-    return actor.body, offers, ticks, ins, outs, (left, right) if left and right else None
+    return body, offers, ticks, ins, outs, (left, right) if left and right else None
 
 
 def _scan(state: State, filed: Optional[dict]) -> tuple[list, ...]:
@@ -311,7 +278,7 @@ def _scan(state: State, filed: Optional[dict]) -> tuple[list, ...]:
         attach = actor.attach
         filing = filed.get(id(actor.body))
         if filing is None:
-            filing = filed[id(actor.body)] = _file_offers(actor)
+            filing = filed[id(actor.body)] = _file_offers(type(actor), actor.body)
         _, _, t, i, o, fork = filing
         for group in t:
             ticks.append((p, actor, attach, group))
@@ -394,7 +361,7 @@ def _entry(actor, fresh: int) -> tuple:
     know or None, label, handle extension, channels created, avatars)
     tuples, one avatar per continuation, and its receives as (channel,
     avatars) pairs for the link rule, which shares the avatars."""
-    filing = _file_offers(actor)
+    filing = _file_offers(type(actor), actor.body)
     attach = actor.attach
     grown = attach + (fresh,)
     moves, receives = [], []

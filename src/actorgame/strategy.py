@@ -38,7 +38,6 @@ from .term import (
     Send,
     Sum,
     Tick,
-    canonical,
     hash_once,
     typecheck,
 )
@@ -222,20 +221,3 @@ def _dump(s: Definite) -> str:
         for key, summands in s.table
     )
     return "@" + str(s.arity) + "{" + body + "}"
-
-
-# ------------------------------------------------------------ enumerate
-
-
-def enumerate_pure(arity: int, depth: int, width: int = 2):
-    """Stream the fork-free or exactly-fork-shaped strategies, smallest
-    first, each exactly once. Mirrors the term enumerator through
-    ``interpret``; used to synthesize strategy corpora directly."""
-    from .term import enumerate_terms
-
-    seen = set()
-    for t in enumerate_terms(arity, depth, width):
-        s = _interp(canonical(t), arity)
-        if s not in seen:
-            seen.add(s)
-            yield s

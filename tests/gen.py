@@ -1,10 +1,12 @@
-"""Hypothesis generators for random well-typed terms."""
+"""Hypothesis generators for random well-typed terms, and a stream of
+the strategies that terms denote."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from actorgame.term import NIL, Par, Recv, Send, Sum, Tick, ctx_after
+from actorgame.strategy import interpret
+from actorgame.term import NIL, Par, Recv, Send, Sum, Tick, canonical, ctx_after, enumerate_terms
 
 
 @st.composite
@@ -46,3 +48,15 @@ def terms(draw, gamma: int, depth: int = 3, width: int = 2):
 def typed_terms(draw, max_gamma: int = 2, depth: int = 3):
     gamma = draw(st.integers(0, max_gamma))
     return draw(terms(gamma, depth)), gamma
+
+
+def enumerate_pure(arity: int, depth: int, width: int = 2):
+    """Stream the fork-free or exactly-fork-shaped strategies, smallest
+    first, each exactly once. Mirrors the term enumerator through
+    ``interpret``; used to synthesize strategy corpora directly."""
+    seen = set()
+    for t in enumerate_terms(arity, depth, width):
+        s = interpret(canonical(t), arity)
+        if s not in seen:
+            seen.add(s)
+            yield s

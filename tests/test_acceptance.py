@@ -42,6 +42,7 @@ from actorgame.lts import (
 )
 from actorgame.strategy import interpret, readback
 from actorgame.term import enumerate_terms, parse
+from gen import enumerate_pure
 from oracles import brute_in_bot, count_terms, renamed
 
 C1_TIME_LIMIT = 60.0
@@ -138,8 +139,6 @@ def test_criterion_3_definability(corpus):
     for gamma, terms in corpus.items():
         strategies.extend(interpret(p, gamma) for p in terms)
     for arity in (0, 1, 2):
-        from actorgame.strategy import enumerate_pure
-
         quota = C3_SYNTH // 3 + (1 if arity < C3_SYNTH % 3 else 0)
         strategies.extend(itertools.islice(enumerate_pure(arity, 2), quota))
     checked = failed = 0

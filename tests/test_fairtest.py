@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import itertools
+import weakref
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -283,6 +285,53 @@ def test_search_counts_forms_and_witness_states(monkeypatch):
     cap(4)
     with pytest.raises(RuntimeError, match="state space exceeds 4 states"):
         decide(late)
+
+
+def test_tick_nest_meets_the_same_forms_on_both_sides(monkeypatch):
+    # 20 ticks forked apart, against themselves: the forms hold ranked
+    # bodies, so the strategy side, whose players order by arity first,
+    # meets no more forms than the process side
+    nest = "tick.0"
+    for _ in range(19):
+        nest = f"(tick.0 | {nest})"
+    p = term(f"ctx 0. {nest}")
+    for root in ROOTS:
+        state = compose(root(p, 0), root(p, 0), ())
+        monkeypatch.setattr(lts, "MAX_STATES", 381)
+        assert holds(state) and decide(state) == Verdict(True)
+        monkeypatch.setattr(lts, "MAX_STATES", 380)
+        with pytest.raises(RuntimeError, match="^state space exceeds 380 states$"):
+            holds(state)
+
+
+def test_no_rank_table_outlives_eq_check(monkeypatch):
+    # every verdict of one eq_check reads one table, which goes when the
+    # call returns or raises
+    tables, ids = [], set()
+    orig_holds = fairtest.holds
+
+    def spying_holds(state, mode):
+        tables.append(weakref.ref(fairtest._shared))
+        ids.add(id(fairtest._shared))
+        return orig_holds(state, mode)
+
+    monkeypatch.setattr(fairtest, "holds", spying_holds)
+    c, d = term("ctx 1. rcv(1).0 + rcv(1).0"), term("ctx 1. rcv(1).0")
+    suite = list(itertools.islice(gen_tests(1, 2), 40))
+    cap = lts.MAX_STATES
+    for side in ("strategy", "process"):
+        for capped in (False, True):
+            tables.clear()
+            ids.clear()
+            monkeypatch.setattr(lts, "MAX_STATES", 1 if capped else cap)
+            if capped:
+                with pytest.raises(RuntimeError, match="^state space exceeds 1 states$"):
+                    eq_check(c, d, 1, suite, side)
+                gc.collect()
+            else:
+                assert eq_check(c, d, 1, suite, side).equivalent
+                assert len(tables) > 40
+            assert len(ids) == 1 and fairtest._shared is None and tables[0]() is None
 
 
 def test_state_bound_is_an_input_error(tmp_path, monkeypatch, capsys):

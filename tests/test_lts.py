@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actorgame import lts
+from actorgame.fairtest import _Ranks
 from actorgame.arena import Fork, Heartbeat, Sync, to_dot
 from actorgame.cli import main
 from actorgame.lts import (
@@ -26,7 +27,6 @@ from actorgame.lts import (
     arena_position,
     arena_trace,
     build_graph,
-    channel_normal_form,
     closed_graph,
     closed_world_steps,
     interface_graph,
@@ -204,7 +204,7 @@ def test_random_terms_give_acyclic_graphs(tg):
     assert_acyclic(closed_graph(root_process(t, gamma)))
 
 
-# -------------------------------------------------- channel normal form
+# ------------------------------------------------- int-coded verdict forms
 
 
 def fork_successors(state):
@@ -214,19 +214,25 @@ def fork_successors(state):
 def test_normal_form_drops_inert_actors():
     for root in roots("ctx 1. 0 | tick.0"):
         (_, state), = closed_world_steps(root)
-        form = channel_normal_form(state)
+        ranks = _Ranks()
+        n, actors = ranks.form(state)
         assert len(state.actors) == 2
-        (live,) = form.actors
-        assert [key for key, _ in live.offers()] == [("heart",)]
+        (live,) = [a for a in state.actors if a.offers(a.body)]
+        assert actors == ((ranks.of(type(live), live.body), (1, 2)),) and n == 2
+        assert [key for key, _ in live.offers(live.body)] == [("heart",)]
+        assert ranks.steps((n, actors)) == (True, [])
 
 
 def test_normal_form_renumbers_held_channels_by_first_occurrence():
-    # p orders before q on both sides, so its (4, 5) are read first and
+    # p ranks before q on both sides, so its (4, 5) are read first and
     # become (1, 2), then q's 2 becomes 3; no actor holds 1, 3 or 6
     p, q = parse("ctx 2. rcv(1).0")[0], parse("ctx 2. snd(1,2).0")[0]
     for actor in (lambda t, a: PlayerState(a, interpret(t, 2)), lambda t, a: Thread(t, a)):
+        ranks = _Ranks()
+        rp, rq = (ranks.of(type(a), a.body) for a in (actor(p, (1, 2)), actor(q, (1, 2))))
+        assert (rp, rq) == (0, 1)
         state = State.of(6, [actor(q, (5, 2)), actor(p, (4, 5))])
-        assert channel_normal_form(state) == State(3, (actor(p, (1, 2)), actor(q, (2, 3))))
+        assert ranks.form(state) == (3, ((rp, (1, 2)), (rq, (2, 3))))
 
 
 def test_fork_interleavings_share_a_normal_form():
@@ -238,16 +244,23 @@ def test_fork_interleavings_share_a_normal_form():
         a_first, b_first = fork_successors(both)
         ((ab,), (ba,)) = fork_successors(a_first), fork_successors(b_first)
         assert ab != ba
-        assert channel_normal_form(ab) == channel_normal_form(ba)
+        ranks = _Ranks()
+        assert ranks.form(ab) == ranks.form(ba)
+        # and the forms built from forms meet there too
+        (form,) = ranks.steps(ranks.form(root))[1]
+        a_form, b_form = ranks.steps(form)[1]
+        assert ranks.steps(a_form)[1] == ranks.steps(b_form)[1] == [ranks.form(ab)]
 
 
 def test_normal_form_keeps_tick_flag_and_step_count(small_corpus):
+    # one table serves every state, as one serves a suite
     for gamma, terms in small_corpus.items():
+        ranks = _Ranks()
         for t in terms[:12]:
             for root in (root_strategy(t, gamma), root_process(t, gamma)):
                 for state in closed_graph(root).states:
                     can_tick, steps = tick_free_steps(state)
-                    form_tick, form_steps = tick_free_steps(channel_normal_form(state))
+                    form_tick, form_steps = ranks.steps(ranks.form(state))
                     assert (can_tick, len(steps)) == (form_tick, len(form_steps))
 
 
@@ -515,7 +528,7 @@ def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
             steps = closed_world_steps(state, filed)
             moves = _closed_moves(state, filed)
             for actor in state.actors:
-                assert filed[id(actor.body)] == _file_offers(actor)
+                assert filed[id(actor.body)] == _file_offers(type(actor), actor.body)
             assert steps == closed_world_steps(state)
             assert moves == _closed_moves(state, None)
             assert len(steps) == len(moves)

@@ -9,7 +9,6 @@ from actorgame.strategy import (
     MixedShapeWarning,
     definite,
     dump,
-    enumerate_pure,
     interpret,
     key_arity,
     prefix_of_key,
@@ -18,7 +17,7 @@ from actorgame.strategy import (
     seed_order,
 )
 from actorgame.term import NIL, IllTyped, Par, Recv, Send, Sum, Tick, canonical, parse, pretty
-from gen import terms, typed_terms
+from gen import enumerate_pure, terms, typed_terms
 
 
 def interp(text):
