@@ -25,7 +25,7 @@ The optional link rule lets the environment feed a receiver a fresh
 channel while naming a second handle it got it from; it is off by
 default and never changes h.
 
-One state type and one step engine serve both sides; the side is the
+One state type serves both sides of the closed world; the side is the
 type of the state's actors. An actor, a strategy player or a process
 thread, has an ``attach`` field (the global channel of each local
 slot), a ``body`` (its strategy or term), ``avatar(attach, cont)``
@@ -37,6 +37,15 @@ concatenates its actors' choices, so closed labels read ``#i,j`` on the
 strategy side and carry branch indices, or nothing for a fork, on the
 process side.
 
+Interface graphs are built over int-coded states ``(h, num_channels,
+actors)``, and their ``states`` stay coded. One build ranks every body
+reachable from the root through its offers in body order, comparing
+flat int keys so that no comparison recurses; a thread is coded
+``(rank, attach)`` and a player ``(arity, attach, rank)``, so coded
+actors order as the actors do, and successors, vertex numbering and
+dumps are those of the concrete states. Each actor's moves are built
+once per fresh channel and shared by every state that holds it.
+
 States, actors and labels are named tuples, so hashing, comparing and
 sorting them runs in C. A player's leading ``arity`` field makes tuple
 order the player order: arity, attachment, strategy. Interface labels
@@ -46,7 +55,7 @@ and closed move kinds are interned: edges share one object per value.
 from __future__ import annotations
 
 import gc
-from bisect import insort
+from bisect import bisect, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -215,14 +224,7 @@ def _label(tag: str, *args: int) -> ALab:
 SILENT_TAGS = frozenset({"sync", "fork"})
 
 
-class AState(NamedTuple):
-    """Interface state: handle map of the environment plus the subject."""
-
-    h: tuple[int, ...]
-    subject: State
-
-
-# ---------------------------------------------------------- step engine
+# --------------------------------------------------- closed-world steps
 
 
 def _replace(state: State, created: int, moved: dict[int, tuple]) -> State:
@@ -269,8 +271,7 @@ def _scan(state: State, filed: Optional[dict]) -> tuple[list, ...]:
     rule that consumes it, for the closed steps. Offers depend on the
     actor's body alone, so ``filed`` maps the id of each body met to its
     filing, which holds the body and so keeps the id; one closed graph
-    build or verdict search keeps one such dict, and None files afresh.
-    An interface build keys its ``_entry`` values in its own dict."""
+    build or verdict search keeps one such dict, and None files afresh."""
     if filed is None:
         filed = {}
     ticks, forks, outs, ins = [], [], [], []
@@ -354,81 +355,237 @@ def tick_free_steps(state: State, filed: Optional[dict] = None) -> tuple[bool, l
     return bool(ticks), _labelled(state, _silent_steps(state, forks, outs, ins))
 
 
-def _entry(actor, fresh: int) -> tuple:
-    """What an interface step reads of ``actor`` in a state whose next
-    fresh channel is ``fresh``: its filing (``_file_offers``), its
+# ----------------------------------------------------- interface engine
+
+# An order key is a flat tuple of ints: a strategy's arity, then for
+# each offer group a branch marker, its seed tag's code and the slots
+# of its seed key, a branch marker and the key of each continuation,
+# and an end marker; a last end marker closes the body. Each side's
+# codes give its own order of tags, and the end marker sorts below the
+# branch marker, so keys compare as the bodies do, in C and with no
+# recursion.
+_END, _BRANCH = 0, 1
+_TAG_CODE = {
+    # a receive, a send, a tick, then a parallel's halves: Sum < Par
+    Thread: {"in": 0, "out": 1, "heart": 2, "forkL": 3, "forkR": 4},
+    # seed keys compare by their tag strings
+    PlayerState: {"forkL": 0, "forkR": 1, "heart": 2, "in": 3, "out": 4},
+}
+
+
+def _rank_bodies(side: type, actors: tuple) -> tuple[dict[int, int], list[list], list[int]]:
+    """Rank every body reachable from ``actors`` through its offers in
+    body order, equal bodies alike. Gives the rank of each body met, by
+    id; each rank's offers; and, for players, each rank's arity. Each
+    body's offers are read once, and its order key is built from its
+    continuations' keys, bottom-up; a lone body needs no key."""
+    code = _TAG_CODE[side]
+    player = side is PlayerState
+    filed: dict[int, list] = {}  # id -> offers
+    keys: dict[int, tuple] = {}
+    stack = [a.body for a in actors]
+    while stack:
+        body = stack[-1]
+        i = id(body)
+        offers = filed.get(i)
+        if offers is None:
+            offers = filed[i] = side.offers(body)
+            if not offers:  # an inert body's key is its head and an end marker
+                if len(filed) == len(stack) == 1:
+                    return {i: 0}, [offers], [body.arity] if player else []  # a lone body
+                keys[i] = (body.arity, _END) if player else (_END,)
+                stack.pop()
+                continue
+            pending = False
+            for _, group in offers:
+                for _, c in group:
+                    if id(c) not in filed:
+                        stack.append(c)
+                        pending = True
+            if pending:
+                continue
+        elif i in keys:
+            stack.pop()
+            continue
+        key = [body.arity] if player else []
+        for seed, group in offers:
+            key += (_BRANCH, code[seed[0]], *seed[1:])
+            for _, c in group:
+                key.append(_BRANCH)
+                key += keys[id(c)]
+            key.append(_END)
+        key.append(_END)
+        keys[i] = tuple(key)
+        stack.pop()
+    rank: dict[int, int] = {}
+    filings, arities = [], []
+    prev = None
+    for key, i in sorted(zip(keys.values(), keys)):
+        if key != prev:
+            prev = key
+            filings.append(filed[i])
+            if player:
+                arities.append(key[0])
+        rank[i] = len(filings) - 1
+    return rank, filings, arities
+
+
+def _inserted(rest: tuple, avatars: tuple) -> tuple:
+    """``rest``, sorted, with ``avatars`` inserted each in its place."""
+    actors = list(rest)
+    for a in avatars:
+        insort(actors, a)
+    return tuple(actors)
+
+
+class _Interface:
+    """One interface graph build over int-coded states ``(h,
+    num_channels, actors)``. A body's rank is its place among the
+    bodies reachable from the root, sorted (``_rank_bodies``); a thread
+    is coded ``(rank, attach)`` and a player ``(arity, attach, rank)``,
+    so coded actors order as the actors do, and a coded state's steps,
+    successors and their order are the concrete state's.
+
+    An actor's moves depend on it and the next fresh channel alone, so
+    ``entries`` keeps one entry per fresh channel and coded actor: its
     observable moves in offer order as (channel the environment must
     know or None, label, handle extension, channels created, avatars)
-    tuples, one avatar per continuation, and its receives as (channel,
-    avatars) pairs for the link rule, which shares the avatars."""
-    filing = _file_offers(type(actor), actor.body)
-    attach = actor.attach
-    grown = attach + (fresh,)
-    moves, receives = [], []
-    for key, group in filing[1]:
-        tag, ch = key[0], None
-        if tag == "heart":
-            label, ext, after, created = _label("tick"), (), attach, 0
-        elif tag == "forkL" or tag == "forkR":
-            label, ext, after, created = _label(tag), (fresh,), grown, 1
-        elif tag == "in":
-            ch = attach[key[1] - 1]
-            label, ext, after, created = _label("in", ch), (fresh,), grown, 1
+    tuples, its fork avatar pairs, its sends as (channel, object,
+    avatars) and its receives as (channel, avatars, attachment, offer
+    group, avatars by object) for the link and sync rules.
+    Each avatar is checked when its entry is built, against the channel
+    count that the fresh channel fixes."""
+
+    def __init__(self, root: State, enable_link: bool = False):
+        actors = root.actors
+        side = type(actors[0]) if actors else Thread
+        self.player = player = side is PlayerState
+        self.link = enable_link
+        self.entries: dict[int, dict] = {}  # fresh channel -> actor -> entry
+        self.rank, self.filings, self.arities = _rank_bodies(side, actors)
+        coded = []
+        for a in actors:
+            r = self.rank[id(a.body)]
+            coded.append((a.arity, a.attach, r) if player else (r, a.attach))
+        self.root = (tuple(range(1, root.num_channels + 1)), root.num_channels, tuple(coded))
+
+    def avatars(self, group: tuple, attach: tuple, num_channels: int) -> tuple:
+        """The coded actors that carry on as the continuations of the
+        offer ``group`` attached to ``attach``, checked as ``PlayerState``
+        and ``State.of`` check."""
+        rank = self.rank
+        if self.player:
+            arity = len(attach)
+            avatars = []
+            for _, c in group:
+                r = rank[id(c)]
+                if self.arities[r] != arity:
+                    raise ValueError(
+                        f"player attached to {arity} channels runs a strategy "
+                        f"of arity {self.arities[r]}"
+                    )
+                avatars.append((arity, attach, r))
         else:
-            ch, obj = attach[key[1] - 1], attach[key[2] - 1]
-            label, ext, after, created = _label("out", ch, obj), (obj,), attach, 0
-        avatars = tuple(actor.avatar(after, cont) for _, cont in group)
-        moves.append((ch, label, ext, created, avatars))
-        if tag == "in":
-            receives.append((ch, avatars))
-    return filing, moves, receives
+            avatars = [(rank[id(c)], attach) for _, c in group]
+        for c in attach:
+            if not 1 <= c <= num_channels:
+                raise ValueError(f"attachment {c} outside 1..{num_channels}")
+        return tuple(avatars)
 
+    def entry(self, actor: tuple, fresh: int) -> tuple:
+        """``actor``'s entry in a state whose next fresh channel is ``fresh``."""
+        r, attach = (actor[2], actor[1]) if self.player else actor
+        filing = self.filings[r]
+        if not filing:
+            return (), (), (), ()
+        n = fresh - 1
+        grown = attach + (fresh,)
+        moves, forks, sends, receives = [], [], [], []
+        left = ()
+        for seed, group in filing:
+            tag = seed[0]
+            if tag == "heart":
+                moves.append((None, _label("tick"), (), 0, self.avatars(group, attach, n)))
+            elif tag == "out":
+                ch, obj = attach[seed[1] - 1], attach[seed[2] - 1]
+                avatars = self.avatars(group, attach, n)
+                moves.append((ch, _label("out", ch, obj), (obj,), 0, avatars))
+                sends.append((ch, obj, avatars))
+            elif tag == "in":
+                ch = attach[seed[1] - 1]
+                avatars = self.avatars(group, grown, fresh)
+                moves.append((ch, _label("in", ch), (fresh,), 1, avatars))
+                receives.append((ch, avatars, attach, group, {}))
+            else:
+                avatars = self.avatars(group, grown, fresh)
+                moves.append((None, _label(tag), (fresh,), 1, avatars))
+                if tag == "forkL":
+                    left = avatars
+                else:
+                    for a in left:
+                        for b in avatars:
+                            forks.append((a, b))
+        return moves, forks, sends, receives
 
-def interface_steps(ast: AState, enable_link: bool = False, filed: Optional[dict] = None) -> list[tuple[ALab, AState]]:
-    """Observable steps actor by actor in offer order, each actor's link
-    steps after its other steps, then the silent forks and syncs. An
-    actor's moves depend on it and the next fresh channel alone, so
-    ``filed`` maps (id of its body, its attachment, fresh channel) to its
-    ``_entry``, which holds the body and so keeps the id; one interface
-    graph build keeps one such dict, and None builds the entries afresh.
-    Successors hold the entries' avatars."""
-    state, h = ast.subject, ast.h
-    known = set(h)
-    fresh = state.num_channels + 1
-    if filed is None:
-        filed = {}
-    steps: list[tuple[ALab, AState]] = []
-    forks, outs, ins = [], [], []
-    for p, actor in enumerate(state.actors):
-        attach = actor.attach
-        key = (id(actor.body), attach, fresh)
-        entry = filed.get(key)
-        if entry is None:
-            entry = filed[key] = _entry(actor, fresh)
-        (_, _, _, i, o, fork), moves, receives = entry
-        for a, group in i:
-            ins.append((p, actor, attach, a, group))
-        for c, d, group in o:
-            outs.append((p, actor, attach, c, d, group))
-        if fork:
-            forks.append((p, actor, attach, *fork))
-        for ch, label, ext, created, avatars in moves:
-            if ch is None or ch in known:
-                h2 = h + ext
-                for av in avatars:
-                    steps.append((label, AState(h2, _replace(state, created, {p: (av,)}))))
-        if enable_link:
-            for ch, avatars in receives:
-                if ch not in known:
-                    continue
-                for src in sorted(known - {ch}):
-                    label = _label("link", ch, fresh, src)
+    def steps(self, state: tuple) -> list[tuple]:
+        """Observable steps actor by actor in offer order, each actor's
+        link steps after its other steps, then the silent forks by actor
+        and syncs by sender then receiver, as (label, successor) pairs."""
+        h, n, actors = state
+        fresh = n + 1
+        known = {*h, None}  # None stands for no channel to know
+        entries = self.entries.get(fresh)
+        if entries is None:
+            entries = self.entries[fresh] = {}
+        link = self.link
+        steps: list[tuple] = []
+        forks, sends, receives = [], [], []
+        for p, actor in enumerate(actors):
+            entry = entries.get(actor)
+            if entry is None:
+                entry = entries[actor] = self.entry(actor, fresh)
+            moves, pairs, outs, ins = entry
+            if not moves:
+                continue  # an inert actor: no forks, sends or receives either
+            rest = actors[:p] + actors[p + 1 :]
+            for ch, label, ext, created, avatars in moves:
+                if ch in known:
                     for av in avatars:
-                        steps.append((label, AState(h, _replace(state, 1, {p: (av,)}))))
-    for kind, actors, _, created, avatars in _silent_steps(state, forks, outs, ins):
-        nxt = _replace(state, created, dict(zip(actors, avatars)))
-        steps.append((_label(_CLOSED_TAG[type(kind)]), AState(h, nxt)))
-    return steps
+                        i = bisect(rest, av)
+                        steps.append((label, (h + ext, n + created, rest[:i] + (av,) + rest[i:])))
+            if link:
+                for ch, avatars, *_ in ins:
+                    if ch in known:
+                        for src in sorted(known - {ch, None}):
+                            label = _label("link", ch, fresh, src)
+                            for av in avatars:
+                                steps.append((label, (h, fresh, _inserted(rest, (av,)))))
+            if pairs:
+                forks.append((rest, pairs))
+            for out in outs:
+                sends.append((p, out))
+            for recv in ins:
+                receives.append((p, recv))
+        if forks:
+            label = _label("fork")
+            for rest, pairs in forks:
+                for pair in pairs:
+                    steps.append((label, (h, fresh, _inserted(rest, pair))))
+        if sends and receives:
+            label = _label("sync")
+            for q, (ch, obj, sent) in sends:
+                for p, (on, _, attach, group, got_by_obj) in receives:
+                    if on != ch or p == q:
+                        continue
+                    got = got_by_obj.get(obj)
+                    if got is None:
+                        got = got_by_obj[obj] = self.avatars(group, attach + (obj,), n)
+                    lo, hi = (p, q) if p < q else (q, p)
+                    rest = actors[:lo] + actors[lo + 1 : hi] + actors[hi + 1 :]
+                    for sent_av in sent:
+                        for got_av in got:
+                            steps.append((label, (h, n, _inserted(rest, (sent_av, got_av)))))
+        return steps
 
 
 # -------------------------------------------------------------- graphs
@@ -499,10 +656,10 @@ def closed_graph(state: State) -> LtsGraph:
 
 
 def interface_graph(root: State, enable_link: bool = False) -> LtsGraph:
-    """The interface graph of a root whose every channel the environment knows."""
-    start = AState(tuple(range(1, root.num_channels + 1)), root)
-    filed: dict = {}
-    return build_graph(start, lambda a: interface_steps(a, enable_link, filed))
+    """The interface graph of a root whose every channel the environment
+    knows. Its states are int-coded, as ``_Interface`` gives them."""
+    engine = _Interface(root, enable_link)
+    return build_graph(engine.root, engine.steps)
 
 
 def strategy_lts(p: Process, gamma: int) -> LtsGraph:

@@ -6,8 +6,20 @@ exhaustive path enumeration instead of the algorithms under test.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from actorgame.arena import Move, Player, Position
+from actorgame.lts import (
+    _CLOSED_TAG,
+    PlayerState,
+    State,
+    Thread,
+    _file_offers,
+    _label,
+    _replace,
+    _silent_steps,
+    build_graph,
+)
 from actorgame.term import Recv, Send, Sum
 
 
@@ -183,3 +195,121 @@ def renamed(move: Move, ren: dict[int, int]) -> Move:
         )
 
     return Move(move.kind, position(move.initial), position(move.final), move.player_map)
+
+
+# The concrete interface engine: states hold the actors themselves, and
+# each step inserts new actor values. The package builds the same graphs
+# over int-coded states; ``decoded`` maps those back.
+
+
+class AState(NamedTuple):
+    """Interface state: handle map of the environment plus the subject."""
+
+    h: tuple[int, ...]
+    subject: State
+
+
+def _entry(actor, fresh: int) -> tuple:
+    """What an interface step reads of ``actor`` in a state whose next
+    fresh channel is ``fresh``: its filing (``_file_offers``), its
+    observable moves in offer order as (channel the environment must
+    know or None, label, handle extension, channels created, avatars)
+    tuples, one avatar per continuation, and its receives as (channel,
+    avatars) pairs for the link rule, which shares the avatars."""
+    filing = _file_offers(type(actor), actor.body)
+    attach = actor.attach
+    grown = attach + (fresh,)
+    moves, receives = [], []
+    for key, group in filing[1]:
+        tag, ch = key[0], None
+        if tag == "heart":
+            label, ext, after, created = _label("tick"), (), attach, 0
+        elif tag == "forkL" or tag == "forkR":
+            label, ext, after, created = _label(tag), (fresh,), grown, 1
+        elif tag == "in":
+            ch = attach[key[1] - 1]
+            label, ext, after, created = _label("in", ch), (fresh,), grown, 1
+        else:
+            ch, obj = attach[key[1] - 1], attach[key[2] - 1]
+            label, ext, after, created = _label("out", ch, obj), (obj,), attach, 0
+        avatars = tuple(actor.avatar(after, cont) for _, cont in group)
+        moves.append((ch, label, ext, created, avatars))
+        if tag == "in":
+            receives.append((ch, avatars))
+    return filing, moves, receives
+
+
+def interface_steps(ast: AState, enable_link: bool = False, filed: Optional[dict] = None) -> list:
+    """Observable steps actor by actor in offer order, each actor's link
+    steps after its other steps, then the silent forks and syncs.
+    ``filed`` maps (id of a body, attachment, fresh channel) to the
+    actor's ``_entry``; None builds the entries afresh."""
+    state, h = ast.subject, ast.h
+    known = set(h)
+    fresh = state.num_channels + 1
+    if filed is None:
+        filed = {}
+    steps = []
+    forks, outs, ins = [], [], []
+    for p, actor in enumerate(state.actors):
+        attach = actor.attach
+        key = (id(actor.body), attach, fresh)
+        entry = filed.get(key)
+        if entry is None:
+            entry = filed[key] = _entry(actor, fresh)
+        (_, _, _, i, o, fork), moves, receives = entry
+        for a, group in i:
+            ins.append((p, actor, attach, a, group))
+        for c, d, group in o:
+            outs.append((p, actor, attach, c, d, group))
+        if fork:
+            forks.append((p, actor, attach, *fork))
+        for ch, label, ext, created, avatars in moves:
+            if ch is None or ch in known:
+                h2 = h + ext
+                for av in avatars:
+                    steps.append((label, AState(h2, _replace(state, created, {p: (av,)}))))
+        if enable_link:
+            for ch, avatars in receives:
+                if ch not in known:
+                    continue
+                for src in sorted(known - {ch}):
+                    label = _label("link", ch, fresh, src)
+                    for av in avatars:
+                        steps.append((label, AState(h, _replace(state, 1, {p: (av,)}))))
+    for kind, actors, _, created, avatars in _silent_steps(state, forks, outs, ins):
+        nxt = _replace(state, created, dict(zip(actors, avatars)))
+        steps.append((_label(_CLOSED_TAG[type(kind)]), AState(h, nxt)))
+    return steps
+
+
+def concrete_interface_graph(root: State, enable_link: bool = False):
+    """``lts.interface_graph`` on the concrete engine."""
+    start = AState(tuple(range(1, root.num_channels + 1)), root)
+    filed: dict = {}
+    return build_graph(start, lambda a: interface_steps(a, enable_link, filed))
+
+
+def decoded(root: State, states) -> list[AState]:
+    """The concrete states of an interface graph built from ``root``
+    over int-coded states: every body reachable from the root's actors
+    through their offers is ranked by plain ``sorted``, and a thread
+    ``(rank, attach)`` or a player ``(arity, attach, rank)`` becomes the
+    actor running the body of that rank."""
+    side = type(root.actors[0])
+    bodies, stack = set(), [a.body for a in root.actors]
+    while stack:
+        body = stack.pop()
+        if body not in bodies:
+            bodies.add(body)
+            stack.extend(cont for _, group in side.offers(body) for _, cont in group)
+    ranked = sorted(bodies)
+
+    def actor(coded):
+        if side is PlayerState:
+            _, attach, r = coded
+            return PlayerState(attach, ranked[r])
+        r, attach = coded
+        return Thread(ranked[r], attach)
+
+    return [AState(h, State(n, tuple(map(actor, actors)))) for h, n, actors in states]

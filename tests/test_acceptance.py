@@ -30,12 +30,10 @@ from actorgame.arena import (
 )
 from actorgame.fairtest import decide, eq_check, gen_tests, in_bot, passes
 from actorgame.lts import (
-    AState,
     PlayerState,
     State,
-    build_graph,
     closed_graph,
-    interface_steps,
+    interface_graph,
     process_lts,
     strategy_lts,
     weak_bisim,
@@ -130,8 +128,7 @@ def test_criterion_2_verdict_coherence(corpus):
 
 def _strategy_graph(s):
     h = tuple(range(1, s.arity + 1))
-    root = AState(h, State.of(s.arity, [PlayerState(h, s)]))
-    return build_graph(root, interface_steps)
+    return interface_graph(State.of(s.arity, [PlayerState(h, s)]))
 
 
 def test_criterion_3_definability(corpus):

@@ -266,7 +266,8 @@ def test_module_entry_point():
 DEEP_LIMITS = [
     (247, "parse {f}"),
     (165, "interp {f}"),
-    (163, "lts {f} --side strategy"),
+    (329, "lts {f} --side strategy"),
+    (329, "lts {f} --side process"),
     (163, "fair {f} --test {f} --side strategy"),
     (196, "fair {f} --test {f} --side process"),
 ]

@@ -3,7 +3,8 @@ it keeps its hash after the first use; equal values built apart hash
 equal, and no value has a ``__dict__``. The engine's states, actors and
 labels are tuples, so two more things are checked of them: values of
 different classes never compare equal, and copies and pickles come back
-equal and of their class."""
+equal and of their class. Interface graph states are int-coded plain
+tuples, so only their labels are engine values here."""
 
 import copy
 import dataclasses
@@ -15,13 +16,12 @@ from hypothesis import strategies as st
 from actorgame.fairtest import compose
 from actorgame.lts import (
     ALab,
-    AState,
     PlayerState,
     State,
     StepLabel,
     Thread,
+    _Interface,
     closed_world_steps,
-    interface_steps,
     root_process,
     root_strategy,
 )
@@ -29,14 +29,14 @@ from actorgame.strategy import Definite
 from actorgame.term import Par, Recv, Send, Sum, Tick, parse
 from gen import terms
 
-TUPLES = (PlayerState, Thread, State, StepLabel, ALab, AState)
+TUPLES = (PlayerState, Thread, State, StepLabel, ALab)
 SLOTTED = (Send, Recv, Tick, Sum, Par, Definite) + TUPLES
 
 # the fields a constructor takes, where they are not all of the fields
 BUILT_FROM = {PlayerState: ("attach", "body")}
 
 # classes whose values sit side by side in one table
-MIXED = ((State, Thread, AState), (ALab, StepLabel))
+MIXED = ((State, Thread), (ALab, StepLabel))
 
 
 def field_names(x):
@@ -77,7 +77,8 @@ def values(roots):
     for root in roots:
         stack.append(root)
         stack.extend(closed_world_steps(root))
-        stack.extend(interface_steps(AState(tuple(range(1, root.num_channels + 1)), root)))
+        engine = _Interface(root)
+        stack.extend(engine.steps(engine.root))
     while stack:
         x = stack.pop()
         if isinstance(x, SLOTTED):

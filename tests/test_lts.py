@@ -15,22 +15,21 @@ from actorgame.cli import main
 from actorgame.lts import (
     SILENT_TAGS,
     ALab,
-    AState,
     LtsGraph,
     PlayerState,
     State,
     StepLabel,
     Thread,
     _closed_moves,
-    _entry,
     _file_offers,
+    _Interface,
+    _rank_bodies,
     arena_position,
     arena_trace,
     build_graph,
     closed_graph,
     closed_world_steps,
     interface_graph,
-    interface_steps,
     process_lts,
     root_process,
     root_strategy,
@@ -39,9 +38,9 @@ from actorgame.lts import (
     weak_bisim,
 )
 from actorgame.strategy import Definite, interpret
-from actorgame.term import parse
+from actorgame.term import NIL, Sum, Tick, parse
 from gen import typed_terms
-from oracles import naive_weak_equiv
+from oracles import AState, concrete_interface_graph, decoded, interface_steps, naive_weak_equiv
 
 RELAY = "ctx 1. snd(2,2).0 | rcv(2).tick.0"
 
@@ -86,7 +85,19 @@ def test_steps_check_the_attachments_of_a_state_built_as_a_tuple(side):
     with pytest.raises(ValueError, match=r"^attachment 5 outside 1\.\.1$"):
         closed_world_steps(state)
     with pytest.raises(ValueError, match=r"^attachment 5 outside 1\.\.1$"):
-        interface_steps(AState((1,), state))
+        interface_graph(state)
+
+
+def test_steps_check_the_arity_of_a_player_built_as_a_tuple():
+    # a player built without its constructor may run a strategy of
+    # another arity, so a step checks each avatar as PlayerState does
+    tick = interpret(parse("ctx 1. tick.0")[0], 1)
+    state = State(1, (tuple.__new__(PlayerState, (2, (1, 1), tick)),))
+    arity = r"^player attached to 2 channels runs a strategy of arity 1$"
+    with pytest.raises(ValueError, match=arity):
+        closed_world_steps(state)
+    with pytest.raises(ValueError, match=arity):
+        interface_graph(state)
 
 
 def test_root_states():
@@ -301,32 +312,34 @@ def test_interface_in_requires_known_channel():
     assert "forkL" in rendered and "forkR" in rendered and "fork" in rendered
 
 
+def successors(graph):
+    """The (label, coded state) pairs of the root's edges."""
+    return [(label, graph.states[w]) for label, w in graph.edges[0]]
+
+
 def test_interface_out_teaches_environment():
-    root = AState((1,), root_process(*parse("ctx 1. snd(1,1).0")))
-    (label, nxt), = interface_steps(root)
+    graph = process_lts(*parse("ctx 1. snd(1,1).0"))
+    (label, (h, _, _)), = successors(graph)
     assert label == ALab("out", (1, 1))
-    assert nxt.h == (1, 1)
-    assert len(nxt.h) == 2
+    assert h == (1, 1)
 
 
 def test_interface_out_needs_known_subject():
     # after a silent fork the shared mailbox is unknown to the
     # environment, so an emit on it is invisible and the state is stuck
-    p, gamma = parse("ctx 0. snd(1,1).0 | 0")
-    root = AState((), root_process(p, gamma))
-    after_fork = next(n for l, n in interface_steps(root) if l.tag == "fork")
-    assert interface_steps(after_fork) == []
+    graph = process_lts(*parse("ctx 0. snd(1,1).0 | 0"))
+    after = {label.tag: w for label, w in graph.edges[0]}
+    assert graph.edges[after["fork"]] == ()
     # but through the observable half-fork the environment owns the
     # sibling end and sees the emit
-    after_half = next(n for l, n in interface_steps(root) if l.tag == "forkL")
-    assert [l for l, _ in interface_steps(after_half)] == [ALab("out", (1, 1))]
+    assert [l for l, _ in graph.edges[after["forkL"]]] == [ALab("out", (1, 1))]
 
 
 def test_interface_tick_keeps_h():
-    root = AState((), root_strategy(*parse("ctx 0. tick.0")))
-    (label, nxt), = interface_steps(root)
+    graph = strategy_lts(*parse("ctx 0. tick.0"))
+    (label, (h, _, _)), = successors(graph)
     assert label == ALab("tick")
-    assert nxt.h == ()
+    assert h == ()
 
 
 def test_interface_silent_fork_vs_observable_halves():
@@ -334,15 +347,15 @@ def test_interface_silent_fork_vs_observable_halves():
     graph = strategy_lts(p, gamma)
     rendered = sorted(l.render() for e in graph.edges for l, _ in e)
     assert rendered == ["fork", "forkL", "forkR"]
-    root_state = graph.states[0]
-    for label, nxt in interface_steps(root_state):
+    h, _, _ = graph.states[0]
+    for label, (h2, num_channels, actors) in successors(graph):
         if label.tag == "fork":
-            assert nxt.h == root_state.h
-            assert nxt.subject.num_channels == 1
-            assert len(nxt.subject.actors) == 2
+            assert h2 == h
+            assert num_channels == 1
+            assert len(actors) == 2
         else:
-            assert nxt.h == root_state.h + (1,)
-            assert len(nxt.subject.actors) == 1
+            assert h2 == h + (1,)
+            assert len(actors) == 1
 
 
 def test_link_rule_only_behind_flag():
@@ -353,19 +366,18 @@ def test_link_rule_only_behind_flag():
     links = [l for e in linked.edges for l, _ in e if l.tag == "link"]
     assert links == [ALab("link", (1, 3, 2))]
     # h unchanged by link
-    root = AState((1, 2), root_process(p, gamma))
-    for label, nxt in interface_steps(root, enable_link=True):
+    for label, (h, num_channels, _) in successors(linked):
         if label.tag == "link":
-            assert nxt.h == root.h
-            assert nxt.subject.num_channels == 3
+            assert h == (1, 2)
+            assert num_channels == 3
 
 
 def test_link_steps_follow_the_actors_other_steps():
     # the in step of a receive comes first, its link steps after every
     # other step of the same thread
     p, gamma = parse("ctx 2. rcv(1).0 + tick.0")
-    root = AState((1, 2), root_process(p, gamma))
-    tags = [label.tag for label, _ in interface_steps(root, enable_link=True)]
+    engine = _Interface(root_process(p, gamma), enable_link=True)
+    tags = [label.tag for label, _ in engine.steps(engine.root)]
     assert tags == ["in", "tick", "link"]
 
 
@@ -381,8 +393,9 @@ def test_noninjective_h_duplicates_are_one_edge():
     # both handles name channel 1; the in label is by channel, so the
     # two table matches collapse into one edge
     p, gamma = parse("ctx 1. rcv(1).0")
-    root = AState((1, 1), root_process(p, gamma))
-    graph = build_graph(root, lambda a: interface_steps(a))
+    engine = _Interface(root_process(p, gamma))
+    _, num_channels, actors = engine.root
+    graph = build_graph(((1, 1), num_channels, actors), engine.steps)
     ins = [l for e in graph.edges for l, _ in e if l.tag == "in"]
     assert ins == [ALab("in", (1,))]
 
@@ -391,7 +404,8 @@ def test_noninjective_h_duplicates_are_one_edge():
 
 # SHA-256 of the concatenated dump() text of every corpus term, one
 # digest per kind of graph, recorded while each side still had its own
-# step rules; they check the shared step engine against those rules.
+# step rules; they check the closed steps and the coded interface
+# engine against those rules.
 GOLDEN_DUMPS = {
     "closed.strategy": (
         "0103e2863f31c3c04610f30c57063c11"
@@ -514,13 +528,16 @@ def test_large_interface_dumps_match_golden_digests(capsys, tmp_path):
 @settings(max_examples=40, deadline=None)
 @given(typed_terms())
 def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
-    # one dict of filed offers serves every state of both worlds; each
-    # actor's filing and interface entry equal fresh ones, steps and
-    # moves equal those found with a fresh dict, with and without the
-    # link rule, each successor equals State.of of its own actors, on
-    # the closed side also of the source's unmoved actors and the
-    # avatars, and each observable successor holds the avatar object of
-    # the moved actor's entry
+    # closed world: one dict of filed offers serves every state; each
+    # actor's filing equals a fresh one, steps and moves equal those
+    # found with a fresh dict, and each successor equals State.of of the
+    # source's unmoved actors and the avatars. Interface: on every coded
+    # state of the link-enabled graph, with and without the link rule,
+    # the steps equal those of an engine with no entries yet and,
+    # decoded, those of the concrete engine in order; each entry equals
+    # a fresh one, each successor's actors are sorted, and each
+    # observable successor holds the avatar object of the moved actor's
+    # entry
     t, gamma = tg
     for root in (root_strategy(t, gamma), root_process(t, gamma)):
         filed = {}
@@ -537,26 +554,75 @@ def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
                 kept = [a for i, a in enumerate(state.actors) if i not in actors]
                 moved = [a for av in avatars for a in av]
                 assert nxt == State.of(state.num_channels + created, kept + moved)
-        for ast in interface_graph(root, enable_link=True).states:
-            state = ast.subject
-            fresh = state.num_channels + 1
-            for link in (True, False):
-                steps = interface_steps(ast, link, filed)
-                assert steps == interface_steps(ast, link)
+        graph = interface_graph(root, enable_link=True)
+        concrete = dict(zip(graph.states, decoded(root, graph.states)))
+        for link in (True, False):
+            engine = _Interface(root, link)
+            for state in graph.states:
+                _, n, actors = state
+                steps = engine.steps(state)
+                assert steps == _Interface(root, link).steps(state)
+                assert [(l, concrete[s]) for l, s in steps] == interface_steps(concrete[state], link)
                 entries = {}
-                for actor in state.actors:
-                    entry = filed[id(actor.body), actor.attach, fresh]
-                    assert entry == _entry(actor, fresh)
-                    entries[id(actor)] = {id(av) for *_, avatars in entry[1] for av in avatars}
-                before = Counter(map(id, state.actors))
-                for label, nxt in steps:
-                    subject = nxt.subject
-                    assert subject == State.of(subject.num_channels, reversed(subject.actors))
+                for actor in actors:
+                    moves, forks, sends, receives = engine.entries[n + 1][actor]
+                    fresh = _Interface(root, link).entry(actor, n + 1)
+                    assert (moves, forks, sends) == fresh[:3]
+                    assert [r[:4] for r in receives] == [r[:4] for r in fresh[3]]
+                    for _, _, attach, group, by_obj in receives:
+                        for obj, avatars in by_obj.items():
+                            assert avatars == engine.avatars(group, attach + (obj,), n)
+                    entries[id(actor)] = {id(av) for *_, avatars in moves for av in avatars}
+                before = Counter(map(id, actors))
+                for label, (_, _, nxt) in steps:
+                    assert list(nxt) == sorted(nxt)
                     if label.tag in SILENT_TAGS:
                         continue
-                    after = Counter(map(id, subject.actors))
+                    after = Counter(map(id, nxt))
                     [gone], [avatar] = before - after, after - before
                     assert avatar in entries[gone]
+
+
+def assert_matches_the_concrete_engine(root):
+    for link in (False, True):
+        graph = interface_graph(root, enable_link=link)
+        oracle = concrete_interface_graph(root, enable_link=link)
+        assert graph.dump() == oracle.dump()
+        assert decoded(root, graph.states) == oracle.states
+
+
+def test_coded_interface_graphs_match_the_concrete_engine(corpus):
+    # the dump, and the state of every vertex decoded through ranks that
+    # plain sorted gives, on both sides, with and without the link rule
+    for gamma, terms in corpus.items():
+        for t in terms:
+            assert_matches_the_concrete_engine(root_strategy(t, gamma))
+            assert_matches_the_concrete_engine(root_process(t, gamma))
+
+
+@settings(max_examples=60, deadline=None)
+@given(typed_terms())
+def test_coded_interface_graphs_match_the_concrete_engine_on_random_terms(tg):
+    t, gamma = tg
+    assert_matches_the_concrete_engine(root_strategy(t, gamma))
+    assert_matches_the_concrete_engine(root_process(t, gamma))
+
+
+def test_deep_bodies_rank_and_build_without_recursion():
+    # a chain of 3000 ticks is far deeper than a recursive comparison or
+    # hash can go; its suffixes rank by length, and its interface graph
+    # is the chain of its ticks, on both sides
+    chain, table = NIL, Definite(0)
+    for _ in range(3000):
+        chain = Sum(((Tick(), chain),))
+        table = Definite(0, ((("heart",), (table,)),))
+    for actor in (Thread(chain, ()), PlayerState((), table)):
+        rank, filings, _ = _rank_bodies(type(actor), (actor,))
+        assert rank[id(actor.body)] == 3000 and len(filings) == 3001
+        [(seed, [(_, below)])] = filings[3000]
+        assert filings[0] == [] and seed == ("heart",) and rank[id(below)] == 2999
+        graph = interface_graph(State(0, (actor,)))
+        assert len(graph.states) == 3001 and graph.num_edges == 3000
 
 
 def test_empty_graph_dump():
