@@ -47,15 +47,7 @@ from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from . import lts
-from .lts import (
-    ROOTS,
-    LtsGraph,
-    State,
-    StepLabel,
-    _file_offers,
-    closed_world_steps,
-    tick_free_steps,
-)
+from .lts import ROOTS, Explorer, LtsGraph, State, StepLabel, _file_offers
 from .term import Process, canonical, enumerate_terms, typecheck
 
 
@@ -212,7 +204,7 @@ class _Ranks:
     def _file(self, r: int) -> tuple:
         side, body = self.met[r]
         self.met[r] = None  # the rank dict keeps the body
-        _, _, ticks, ins, outs, fork = _file_offers(side, body)
+        _, ticks, ins, outs, fork = _file_offers(side, body)
         conts = self._conts
         filing = self.filings[r] = (
             bool(ticks),
@@ -228,7 +220,7 @@ class _Ranks:
 
     def steps(self, form: tuple) -> tuple[bool, list[tuple]]:
         """Whether ``form`` can tick, and the form of each of its silent
-        steps, forks and syncs as ``lts.tick_free_steps`` gives them."""
+        steps, forks and syncs in the order of ``lts.Explorer.moves``."""
         n, actors = form
         fresh = n + 1
         filings = self.filings
@@ -360,16 +352,15 @@ class _Search:
         are exactly the states on shortest paths to the forms that
         cannot reach a tick, met in ``in_bot``'s queue order with its
         parent pointers."""
-        filed: dict = {}  # each body's offers, filed once (lts._scan)
+        world = Explorer()
         parent: dict[State, tuple[State, StepLabel]] = {}
         seen = {root}
         level = [root]
         for depth in range(top):
             below, want = [], top - depth - 1
             for u in level:
-                steps = sorted(tick_free_steps(u, filed)[1], key=lambda step: step[0])
-                for label, nxt in steps:
-                    if nxt not in seen and self.distance(nxt) == want:
+                for label, nxt in sorted(world.steps(u), key=lambda step: step[0]):
+                    if not label.is_tick and nxt not in seen and self.distance(nxt) == want:
                         self.admit()
                         seen.add(nxt)
                         parent[nxt] = (u, label)
@@ -386,9 +377,9 @@ class _Search:
 def _strict_witness(state: State) -> tuple[str, ...]:
     """The strict verdict's witness: the first of the root's steps, in
     label order, after which no tick is directly available, or ()."""
-    filed: dict = {}
-    for label, nxt in sorted(closed_world_steps(state, filed), key=lambda step: step[0]):
-        if not tick_free_steps(nxt, filed)[0]:
+    world = Explorer()
+    for label, nxt in sorted(world.steps(state), key=lambda step: step[0]):
+        if not world.can_tick(nxt):
             return (label.render(),)
     return ()
 

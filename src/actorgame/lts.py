@@ -10,7 +10,9 @@ these labels.
 
 Closed world: the only steps are tick, silent fork and silent sync.
 Edge labels are StepLabel values carrying the move kind plus which
-actors moved and which summands or branches they chose.
+actors moved and which summands or branches they chose. One
+``Explorer`` serves each exploration of the closed world, filing each
+body's offers once.
 
 Interface: the subject additionally interacts with an environment that
 knows some of the global channels through the handle map h (a tuple of
@@ -58,7 +60,7 @@ import gc
 from bisect import bisect, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import arena
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
@@ -227,31 +229,16 @@ SILENT_TAGS = frozenset({"sync", "fork"})
 # --------------------------------------------------- closed-world steps
 
 
-def _replace(state: State, created: int, moved: dict[int, tuple]) -> State:
-    """The successor in which actor i became the avatars moved[i]: each
-    avatar is checked and inserted among the unmoved actors, already
-    sorted and checked, so the result is the ``State.of`` of the same
-    actors (equal actors are equal values)."""
-    num_channels = state.num_channels + created
-    actors = [a for i, a in enumerate(state.actors) if i not in moved]
-    for avatars in moved.values():
-        for a in avatars:
-            for c in a.attach:
-                if not 1 <= c <= num_channels:
-                    raise ValueError(f"attachment {c} outside 1..{num_channels}")
-            insort(actors, a)
-    return State(num_channels, tuple(actors))
-
-
 def _file_offers(side: type, body) -> tuple:
-    """The body, its offers as an actor of ``side`` reads them, and each
-    group filed under the rule that consumes it: tick groups, (slot,
-    group) receives, (channel slot, object slot, group) sends, and the
-    (left, right) fork halves when the body offers both, else None."""
-    offers = side.offers(body)
+    """The body, then its offers as an actor of ``side`` reads them,
+    each group filed under the rule that consumes it: tick groups,
+    (slot, group) receives, (channel slot, object slot, group) sends,
+    and the (left, right) fork halves when the body offers both, else
+    None. A filing kept by the body's id holds the body, so the id
+    stays the body's."""
     ticks, ins, outs = [], [], []
     left = right = None
-    for key, group in offers:
+    for key, group in side.offers(body):
         tag = key[0]
         if tag == "heart":
             ticks.append(group)
@@ -263,96 +250,95 @@ def _file_offers(side: type, body) -> tuple:
             left = group
         else:
             right = group
-    return body, offers, ticks, ins, outs, (left, right) if left and right else None
+    return body, ticks, ins, outs, (left, right) if left and right else None
 
 
-def _scan(state: State, filed: Optional[dict]) -> tuple[list, ...]:
-    """Every actor's attachment and offers, each group filed under the
-    rule that consumes it, for the closed steps. Offers depend on the
-    actor's body alone, so ``filed`` maps the id of each body met to its
-    filing, which holds the body and so keeps the id; one closed graph
-    build or verdict search keeps one such dict, and None files afresh."""
-    if filed is None:
-        filed = {}
-    ticks, forks, outs, ins = [], [], [], []
-    for p, actor in enumerate(state.actors):
-        attach = actor.attach
-        filing = filed.get(id(actor.body))
+class Explorer:
+    """One exploration of the closed world: a closed graph build, a fair
+    witness search, a strict check or an arena replay. Offers depend on
+    an actor's body alone, so the explorer files each body it meets
+    once, by id.
+
+    A move is a (kind, actors, choice, created, avatars) tuple: actor
+    ``actors[i]`` of the state becomes the avatars ``avatars[i]``, and
+    ``created`` fresh channels are added. A state's moves come in
+    enumeration order: ticks by actor, then forks by actor, then syncs
+    by sender then receiver, the choices of each step innermost."""
+
+    def __init__(self) -> None:
+        self.filed: dict[int, tuple] = {}  # id of a body -> its filing
+
+    def filing(self, actor) -> tuple:
+        """``_file_offers`` of ``actor``'s body, filed once."""
+        filing = self.filed.get(id(actor.body))
         if filing is None:
-            filing = filed[id(actor.body)] = _file_offers(type(actor), actor.body)
-        _, _, t, i, o, fork = filing
-        for group in t:
-            ticks.append((p, actor, attach, group))
-        for a, group in i:
-            ins.append((p, actor, attach, a, group))
-        for c, d, group in o:
-            outs.append((p, actor, attach, c, d, group))
-        if fork:
-            forks.append((p, actor, attach, *fork))
-    return ticks, forks, outs, ins
+            filing = self.filed[id(actor.body)] = _file_offers(type(actor), actor.body)
+        return filing
 
+    def can_tick(self, state: State) -> bool:
+        """Whether one of ``state``'s actors offers a tick."""
+        filing = self.filing
+        return any(filing(actor)[1] for actor in state.actors)
 
-def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[tuple]:
-    """Forks by actor, then syncs by sender then receiver, the choices
-    of each step innermost, as (kind, actors, choice, created, avatars)
-    tuples: actor ``actors[i]`` becomes the avatars ``avatars[i]``."""
-    steps: list[tuple] = []
-    fresh = state.num_channels + 1
-    for p, actor, attach, lefts, rights in forks:
-        kind = _fork(len(attach))
-        grown = attach + (fresh,)
-        for cl, dl in lefts:
-            for cr, dr in rights:
-                av = (actor.avatar(grown, dl), actor.avatar(grown, dr))
-                steps.append((kind, (p,), cl + cr, 1, (av,)))
-    for q, sender, sattach, c, d, sends in outs:
-        shared, obj = sattach[c - 1], sattach[d - 1]
-        for p, receiver, rattach, a, recvs in ins:
-            if p == q or rattach[a - 1] != shared:
-                continue
-            kind = _sync(len(rattach), a, len(sattach), c, d)
-            for cs, ds in sends:
-                for cr, dr in recvs:
-                    send_av = (sender.avatar(sattach, ds),)
-                    recv_av = (receiver.avatar(rattach + (obj,), dr),)
-                    steps.append((kind, (q, p), cs + cr, 0, (send_av, recv_av)))
-    return steps
+    def moves(self, state: State) -> list[tuple]:
+        """``state``'s moves in enumeration order."""
+        moves: list[tuple] = []
+        forks, outs, ins = [], [], []
+        for p, actor in enumerate(state.actors):
+            attach = actor.attach
+            _, ticks, i, o, fork = self.filing(actor)
+            for group in ticks:
+                kind = _heartbeat(len(attach))
+                for choice, cont in group:
+                    moves.append((kind, (p,), choice, 0, ((actor.avatar(attach, cont),),)))
+            for a, group in i:
+                ins.append((p, actor, attach, a, group))
+            for c, d, group in o:
+                outs.append((p, actor, attach, c, d, group))
+            if fork:
+                forks.append((p, actor, attach, *fork))
+        fresh = state.num_channels + 1
+        for p, actor, attach, lefts, rights in forks:
+            kind = _fork(len(attach))
+            grown = attach + (fresh,)
+            for cl, dl in lefts:
+                for cr, dr in rights:
+                    av = (actor.avatar(grown, dl), actor.avatar(grown, dr))
+                    moves.append((kind, (p,), cl + cr, 1, (av,)))
+        for q, sender, sattach, c, d, sends in outs:
+            shared, obj = sattach[c - 1], sattach[d - 1]
+            for p, receiver, rattach, a, recvs in ins:
+                if p == q or rattach[a - 1] != shared:
+                    continue
+                kind = _sync(len(rattach), a, len(sattach), c, d)
+                for cs, ds in sends:
+                    for cr, dr in recvs:
+                        send_av = (sender.avatar(sattach, ds),)
+                        recv_av = (receiver.avatar(rattach + (obj,), dr),)
+                        moves.append((kind, (q, p), cs + cr, 0, (send_av, recv_av)))
+        return moves
 
+    @staticmethod
+    def successor(state: State, move: tuple) -> State:
+        """The state after ``move``: each avatar is checked and inserted
+        among the unmoved actors, already sorted and checked, so the
+        result is the ``State.of`` of the same actors (equal actors are
+        equal values)."""
+        _, moved, _, created, avatars = move
+        num_channels = state.num_channels + created
+        actors = [a for i, a in enumerate(state.actors) if i not in moved]
+        for group in avatars:
+            for a in group:
+                for c in a.attach:
+                    if not 1 <= c <= num_channels:
+                        raise ValueError(f"attachment {c} outside 1..{num_channels}")
+                insort(actors, a)
+        return State(num_channels, tuple(actors))
 
-def _closed_moves(state: State, filed: Optional[dict]) -> list[tuple]:
-    """Every closed step as a (kind, actors, choice, created, avatars)
-    tuple, as ``_silent_steps`` gives them: ticks by actor, then the
-    forks and syncs. ``filed`` is as for ``_scan``."""
-    ticks, forks, outs, ins = _scan(state, filed)
-    moves: list[tuple] = []
-    for p, actor, attach, group in ticks:
-        kind = _heartbeat(len(attach))
-        for choice, cont in group:
-            moves.append((kind, (p,), choice, 0, ((actor.avatar(attach, cont),),)))
-    return moves + _silent_steps(state, forks, outs, ins)
-
-
-def _labelled(state: State, moves: list[tuple]) -> list[tuple[StepLabel, State]]:
-    """The (label, successor) pair of each of ``state``'s moves."""
-    return [
-        (StepLabel(kind, actors, choice), _replace(state, created, dict(zip(actors, avatars))))
-        for kind, actors, choice, created, avatars in moves
-    ]
-
-
-def closed_world_steps(state: State, filed: Optional[dict] = None) -> list[tuple[StepLabel, State]]:
-    """Closed steps as (label, successor) pairs in enumeration order:
-    ticks by actor, then forks by actor, then syncs by sender then
-    receiver, the choices of each step innermost. ``filed`` is as for
-    ``_scan``."""
-    return _labelled(state, _closed_moves(state, filed))
-
-
-def tick_free_steps(state: State, filed: Optional[dict] = None) -> tuple[bool, list[tuple[StepLabel, State]]]:
-    """Whether ``state`` can tick, and its forks and syncs as (label,
-    successor) pairs in the order of ``closed_world_steps``."""
-    ticks, forks, outs, ins = _scan(state, filed)
-    return bool(ticks), _labelled(state, _silent_steps(state, forks, outs, ins))
+    def steps(self, state: State) -> list[tuple[StepLabel, State]]:
+        """Each of ``state``'s moves as a (label, successor) pair."""
+        successor = self.successor
+        return [(StepLabel(*move[:3]), successor(state, move)) for move in self.moves(state)]
 
 
 # ----------------------------------------------------- interface engine
@@ -651,8 +637,7 @@ def build_graph(root, successors: Callable) -> LtsGraph:
 
 
 def closed_graph(state: State) -> LtsGraph:
-    filed: dict = {}
-    return build_graph(state, lambda s: closed_world_steps(s, filed))
+    return build_graph(state, Explorer().steps)
 
 
 def interface_graph(root: State, enable_link: bool = False) -> LtsGraph:
@@ -872,9 +857,9 @@ def arena_position(g: State) -> arena.Position:
 def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
     """Replay closed steps chosen by index as an arena play.
 
-    Index k selects the k-th step of ``closed_world_steps``: ticks by
-    player, then forks by player, then syncs by sender then receiver,
-    each player's entries in table order and summand products innermost.
+    Index k selects the k-th of ``Explorer.moves``: ticks by player,
+    then forks by player, then syncs by sender then receiver, each
+    player's entries in table order and summand products innermost.
     Channel and player traces are exact identity embeddings, so the
     resulting moves compose on the nose.
     """
@@ -882,8 +867,9 @@ def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
     pids = [arena.new_id() for _ in state.actors]
     pos = _position(state, chan_ids, pids)
     play = arena.identity_play(pos)
+    world = Explorer()
     for idx in indices:
-        moves = _closed_moves(state, None)
+        moves = world.moves(state)
         if not 0 <= idx < len(moves):
             raise IndexError(
                 f"edge index {idx} out of range: state has {len(moves)} raw steps"
@@ -892,7 +878,7 @@ def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
         if created:
             chan_ids[state.num_channels + 1] = arena.new_id()
         repl = dict(zip(actors, avatars))
-        nxt = _replace(state, created, repl)
+        nxt = world.successor(state, moves[idx])
         pairs: list[tuple[PlayerState, int]] = []
         player_map: dict[int, tuple[int, ...]] = {}
         for i, ps in enumerate(state.actors):

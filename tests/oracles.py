@@ -5,21 +5,12 @@ exhaustive path enumeration instead of the algorithms under test.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from actorgame.arena import Move, Player, Position
-from actorgame.lts import (
-    _CLOSED_TAG,
-    PlayerState,
-    State,
-    Thread,
-    _file_offers,
-    _label,
-    _replace,
-    _silent_steps,
-    build_graph,
-)
+from actorgame.arena import Fork, Heartbeat, Move, Player, Position, Sync
+from actorgame.lts import ALab, PlayerState, State, StepLabel, Thread, build_graph
 from actorgame.term import Recv, Send, Sum
 
 
@@ -197,6 +188,102 @@ def renamed(move: Move, ren: dict[int, int]) -> Move:
     return Move(move.kind, position(move.initial), position(move.final), move.player_map)
 
 
+# The closed-world steps with every body filed afresh at every state:
+# the reference that ``lts.Explorer``'s moves and steps are checked
+# against.
+
+
+def _file_offers(side: type, body) -> tuple:
+    """The body, its offers as an actor of ``side`` reads them, and each
+    group filed under the rule that consumes it: tick groups, (slot,
+    group) receives, (channel slot, object slot, group) sends, and the
+    (left, right) fork halves when the body offers both, else None."""
+    offers = side.offers(body)
+    ticks, ins, outs = [], [], []
+    left = right = None
+    for key, group in offers:
+        tag = key[0]
+        if tag == "heart":
+            ticks.append(group)
+        elif tag == "in":
+            ins.append((key[1], group))
+        elif tag == "out":
+            outs.append((key[1], key[2], group))
+        elif tag == "forkL":
+            left = group
+        else:
+            right = group
+    return body, offers, ticks, ins, outs, (left, right) if left and right else None
+
+
+def _replace(state: State, created: int, moved: dict[int, tuple]) -> State:
+    """The successor in which actor i became the avatars moved[i]."""
+    num_channels = state.num_channels + created
+    actors = [a for i, a in enumerate(state.actors) if i not in moved]
+    for avatars in moved.values():
+        for a in avatars:
+            for c in a.attach:
+                if not 1 <= c <= num_channels:
+                    raise ValueError(f"attachment {c} outside 1..{num_channels}")
+            insort(actors, a)
+    return State(num_channels, tuple(actors))
+
+
+def _silent_steps(state: State, forks: list, outs: list, ins: list) -> list[tuple]:
+    """Forks by actor, then syncs by sender then receiver, the choices
+    of each step innermost, as (kind, actors, choice, created, avatars)
+    tuples: actor ``actors[i]`` becomes the avatars ``avatars[i]``."""
+    steps: list[tuple] = []
+    fresh = state.num_channels + 1
+    for p, actor, attach, lefts, rights in forks:
+        kind = Fork(len(attach))
+        grown = attach + (fresh,)
+        for cl, dl in lefts:
+            for cr, dr in rights:
+                av = (actor.avatar(grown, dl), actor.avatar(grown, dr))
+                steps.append((kind, (p,), cl + cr, 1, (av,)))
+    for q, sender, sattach, c, d, sends in outs:
+        shared, obj = sattach[c - 1], sattach[d - 1]
+        for p, receiver, rattach, a, recvs in ins:
+            if p == q or rattach[a - 1] != shared:
+                continue
+            kind = Sync(len(rattach), a, len(sattach), c, d)
+            for cs, ds in sends:
+                for cr, dr in recvs:
+                    send_av = (sender.avatar(sattach, ds),)
+                    recv_av = (receiver.avatar(rattach + (obj,), dr),)
+                    steps.append((kind, (q, p), cs + cr, 0, (send_av, recv_av)))
+    return steps
+
+
+def closed_moves(state: State) -> list[tuple]:
+    """Every closed step as a (kind, actors, choice, created, avatars)
+    tuple: ticks by actor, then the forks and syncs of ``_silent_steps``."""
+    moves, forks, outs, ins = [], [], [], []
+    for p, actor in enumerate(state.actors):
+        attach = actor.attach
+        _, _, ticks, i, o, fork = _file_offers(type(actor), actor.body)
+        for group in ticks:
+            for choice, cont in group:
+                av = actor.avatar(attach, cont)
+                moves.append((Heartbeat(len(attach)), (p,), choice, 0, ((av,),)))
+        for a, group in i:
+            ins.append((p, actor, attach, a, group))
+        for c, d, group in o:
+            outs.append((p, actor, attach, c, d, group))
+        if fork:
+            forks.append((p, actor, attach, *fork))
+    return moves + _silent_steps(state, forks, outs, ins)
+
+
+def closed_steps(state: State) -> list[tuple[StepLabel, State]]:
+    """The (label, successor) pair of each of ``closed_moves``."""
+    return [
+        (StepLabel(kind, actors, choice), _replace(state, created, dict(zip(actors, avatars))))
+        for kind, actors, choice, created, avatars in closed_moves(state)
+    ]
+
+
 # The concrete interface engine: states hold the actors themselves, and
 # each step inserts new actor values. The package builds the same graphs
 # over int-coded states; ``decoded`` maps those back.
@@ -223,15 +310,15 @@ def _entry(actor, fresh: int) -> tuple:
     for key, group in filing[1]:
         tag, ch = key[0], None
         if tag == "heart":
-            label, ext, after, created = _label("tick"), (), attach, 0
+            label, ext, after, created = ALab("tick"), (), attach, 0
         elif tag == "forkL" or tag == "forkR":
-            label, ext, after, created = _label(tag), (fresh,), grown, 1
+            label, ext, after, created = ALab(tag), (fresh,), grown, 1
         elif tag == "in":
             ch = attach[key[1] - 1]
-            label, ext, after, created = _label("in", ch), (fresh,), grown, 1
+            label, ext, after, created = ALab("in", (ch,)), (fresh,), grown, 1
         else:
             ch, obj = attach[key[1] - 1], attach[key[2] - 1]
-            label, ext, after, created = _label("out", ch, obj), (obj,), attach, 0
+            label, ext, after, created = ALab("out", (ch, obj)), (obj,), attach, 0
         avatars = tuple(actor.avatar(after, cont) for _, cont in group)
         moves.append((ch, label, ext, created, avatars))
         if tag == "in":
@@ -274,12 +361,12 @@ def interface_steps(ast: AState, enable_link: bool = False, filed: Optional[dict
                 if ch not in known:
                     continue
                 for src in sorted(known - {ch}):
-                    label = _label("link", ch, fresh, src)
+                    label = ALab("link", (ch, fresh, src))
                     for av in avatars:
                         steps.append((label, AState(h, _replace(state, 1, {p: (av,)}))))
     for kind, actors, _, created, avatars in _silent_steps(state, forks, outs, ins):
         nxt = _replace(state, created, dict(zip(actors, avatars)))
-        steps.append((_label(_CLOSED_TAG[type(kind)]), AState(h, nxt)))
+        steps.append((ALab("fork" if isinstance(kind, Fork) else "sync"), AState(h, nxt)))
     return steps
 
 

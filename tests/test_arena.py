@@ -23,7 +23,7 @@ from actorgame.arena import (
     seed,
     to_dot,
 )
-from actorgame.lts import arena_trace, closed_world_steps, root_strategy
+from actorgame.lts import Explorer, arena_trace, root_strategy
 from oracles import renamed
 
 
@@ -346,9 +346,9 @@ def _derivable_moves(corpus):
             root = root_strategy(t, gamma)
             for pick in range(3):
                 # follow the pick-th step (mod the count) four times
-                state, indices = root, []
+                state, indices, world = root, [], Explorer()
                 for _ in range(4):
-                    steps = closed_world_steps(state)
+                    steps = world.steps(state)
                     if not steps:
                         break
                     indices.append(pick % len(steps))

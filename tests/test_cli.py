@@ -265,10 +265,12 @@ def test_module_entry_point():
 # command runs in a process of its own.
 DEEP_LIMITS = [
     (247, "parse {f}"),
-    (165, "interp {f}"),
+    (198, "interp {f}"),
     (329, "lts {f} --side strategy"),
     (329, "lts {f} --side process"),
-    (163, "fair {f} --test {f} --side strategy"),
+    (329, "lts {f} --world closed --side strategy"),
+    (329, "lts {f} --world closed --side process"),
+    (196, "fair {f} --test {f} --side strategy"),
     (196, "fair {f} --test {f} --side process"),
 ]
 

@@ -22,8 +22,8 @@ from actorgame.fairtest import (
     passes,
 )
 from actorgame.lts import (
+    Explorer,
     closed_graph,
-    closed_world_steps,
     interface_graph,
     process_lts,
     root_process,
@@ -245,7 +245,7 @@ def test_search_matches_full_graph_verdict(drawn):
             reject()
         # without a tick the root cannot reach one, and no successor of
         # the root has one
-        first = min(label for label, _ in closed_world_steps(root))
+        first = min(label for label, _ in Explorer().steps(root))
         assert decide(root) == Verdict(False, ())
         assert decide(root, "strict") == Verdict(False, (first.render(),))
         assert not holds(root) and not holds(root, "strict")

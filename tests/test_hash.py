@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from actorgame.fairtest import compose
 from actorgame.lts import (
     ALab,
+    Explorer,
     PlayerState,
     State,
     StepLabel,
     Thread,
     _Interface,
-    closed_world_steps,
     root_process,
     root_strategy,
 )
@@ -76,7 +76,7 @@ def values(roots):
     found, stack = [], []
     for root in roots:
         stack.append(root)
-        stack.extend(closed_world_steps(root))
+        stack.extend(Explorer().steps(root))
         engine = _Interface(root)
         stack.extend(engine.steps(engine.root))
     while stack:

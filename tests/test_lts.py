@@ -15,32 +15,37 @@ from actorgame.cli import main
 from actorgame.lts import (
     SILENT_TAGS,
     ALab,
+    Explorer,
     LtsGraph,
     PlayerState,
     State,
     StepLabel,
     Thread,
-    _closed_moves,
-    _file_offers,
     _Interface,
     _rank_bodies,
     arena_position,
     arena_trace,
     build_graph,
     closed_graph,
-    closed_world_steps,
     interface_graph,
     process_lts,
     root_process,
     root_strategy,
     strategy_lts,
-    tick_free_steps,
     weak_bisim,
 )
 from actorgame.strategy import Definite, interpret
 from actorgame.term import NIL, Sum, Tick, parse
 from gen import typed_terms
-from oracles import AState, concrete_interface_graph, decoded, interface_steps, naive_weak_equiv
+from oracles import (
+    AState,
+    closed_moves,
+    closed_steps,
+    concrete_interface_graph,
+    decoded,
+    interface_steps,
+    naive_weak_equiv,
+)
 
 RELAY = "ctx 1. snd(2,2).0 | rcv(2).tick.0"
 
@@ -83,7 +88,7 @@ def test_steps_check_the_attachments_of_a_state_built_as_a_tuple(side):
     actor = PlayerState((5,), interpret(tick, 1)) if side == "strategy" else Thread(tick, (5,))
     state = State(1, (actor,))
     with pytest.raises(ValueError, match=r"^attachment 5 outside 1\.\.1$"):
-        closed_world_steps(state)
+        Explorer().steps(state)
     with pytest.raises(ValueError, match=r"^attachment 5 outside 1\.\.1$"):
         interface_graph(state)
 
@@ -95,7 +100,7 @@ def test_steps_check_the_arity_of_a_player_built_as_a_tuple():
     state = State(1, (tuple.__new__(PlayerState, (2, (1, 1), tick)),))
     arity = r"^player attached to 2 channels runs a strategy of arity 1$"
     with pytest.raises(ValueError, match=arity):
-        closed_world_steps(state)
+        Explorer().steps(state)
     with pytest.raises(ValueError, match=arity):
         interface_graph(state)
 
@@ -130,7 +135,7 @@ def test_closed_chain_process_side_same_shape():
 
 def test_tick_steps_per_branch():
     _, s = roots("ctx 0. tick.tick.0 + tick.0")
-    steps = closed_world_steps(s)
+    steps = Explorer().steps(s)
     assert len(steps) == 2
     assert all(label.is_tick for label, _ in steps)
     assert len({target for _, target in steps}) == 2
@@ -138,11 +143,11 @@ def test_tick_steps_per_branch():
 
 def test_fork_creates_shared_channel():
     g, s = roots("ctx 1. 0 | 0")
-    (label_g, nxt_g), = closed_world_steps(g)
+    (label_g, nxt_g), = Explorer().steps(g)
     assert label_g.kind == Fork(1)
     assert nxt_g.num_channels == 2
     assert all(p.attach == (1, 2) for p in nxt_g.actors)
-    (label_s, nxt_s), = closed_world_steps(s)
+    (label_s, nxt_s), = Explorer().steps(s)
     assert nxt_s.num_channels == 2
     assert all(t.attach == (1, 2) for t in nxt_s.actors)
 
@@ -150,15 +155,15 @@ def test_fork_creates_shared_channel():
 def test_sync_moves_object_channel():
     g, s = roots("ctx 2. snd(1,2).0 | rcv(1).snd(3,3).0")
     # fork first, then the receiver gains the sender's object channel
-    (_, g1), = closed_world_steps(g)
-    sync_steps = [x for x in closed_world_steps(g1) if x[0].tag == "sync"]
+    (_, g1), = Explorer().steps(g)
+    sync_steps = [x for x in Explorer().steps(g1) if x[0].tag == "sync"]
     assert len(sync_steps) == 1
     label, g2 = sync_steps[0]
     assert label.kind == Sync(3, 1, 3, 1, 2)
     receiver = next(p for p in g2.actors if len(p.attach) == 4)
     assert receiver.attach == (1, 2, 3, 2)
-    (_, s1), = closed_world_steps(s)
-    sl, s2 = next(x for x in closed_world_steps(s1) if x[0].tag == "sync")
+    (_, s1), = Explorer().steps(s)
+    sl, s2 = next(x for x in Explorer().steps(s1) if x[0].tag == "sync")
     recv_thread = next(t for t in s2.actors if len(t.attach) == 4)
     assert recv_thread.attach == (1, 2, 3, 2)
 
@@ -166,13 +171,13 @@ def test_sync_moves_object_channel():
 def test_sync_needs_distinct_actors():
     # a lone thread with both a send and a receive cannot talk to itself
     _, s = roots("ctx 1. snd(1,1).0 + rcv(1).0")
-    assert closed_world_steps(s) == []
+    assert Explorer().steps(s) == []
 
 
 def test_sync_between_identical_twins():
     g, _ = roots("ctx 1. (snd(2,2).0 + rcv(2).0) | (snd(2,2).0 + rcv(2).0)")
-    (_, g1), = closed_world_steps(g)
-    syncs = [x for x in closed_world_steps(g1) if x[0].tag == "sync"]
+    (_, g1), = Explorer().steps(g)
+    syncs = [x for x in Explorer().steps(g1) if x[0].tag == "sync"]
     # either twin may send to the other
     assert len(syncs) == 2
 
@@ -219,12 +224,12 @@ def test_random_terms_give_acyclic_graphs(tg):
 
 
 def fork_successors(state):
-    return [nxt for label, nxt in closed_world_steps(state) if isinstance(label.kind, Fork)]
+    return [nxt for label, nxt in Explorer().steps(state) if isinstance(label.kind, Fork)]
 
 
 def test_normal_form_drops_inert_actors():
     for root in roots("ctx 1. 0 | tick.0"):
-        (_, state), = closed_world_steps(root)
+        (_, state), = Explorer().steps(root)
         ranks = _Ranks()
         n, actors = ranks.form(state)
         assert len(state.actors) == 2
@@ -269,10 +274,11 @@ def test_normal_form_keeps_tick_flag_and_step_count(small_corpus):
         ranks = _Ranks()
         for t in terms[:12]:
             for root in (root_strategy(t, gamma), root_process(t, gamma)):
+                world = Explorer()
                 for state in closed_graph(root).states:
-                    can_tick, steps = tick_free_steps(state)
+                    silent = [label for label, _ in world.steps(state) if not label.is_tick]
                     form_tick, form_steps = ranks.steps(ranks.form(state))
-                    assert (can_tick, len(steps)) == (form_tick, len(form_steps))
+                    assert (world.can_tick(state), len(silent)) == (form_tick, len(form_steps))
 
 
 # ------------------------------------------------------------ interface
@@ -525,35 +531,50 @@ def test_large_interface_dumps_match_golden_digests(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def assert_explorer_matches_the_reference(root):
+    # one explorer serves every state of the closed graph; its moves,
+    # steps and tick flag equal those of a fresh explorer and of the
+    # reference, which files every body afresh at every state, and each
+    # successor is State.of of the unmoved actors and the avatars
+    world = Explorer()
+    for state in closed_graph(root).states:
+        moves, steps = world.moves(state), world.steps(state)
+        assert moves == Explorer().moves(state) == closed_moves(state)
+        assert steps == Explorer().steps(state) == closed_steps(state)
+        assert world.can_tick(state) == any(label.is_tick for label, _ in steps)
+        for (label, nxt), (kind, actors, choice, created, avatars) in zip(steps, moves):
+            assert label == StepLabel(kind, actors, choice)
+            kept = [a for i, a in enumerate(state.actors) if i not in actors]
+            moved = [a for av in avatars for a in av]
+            assert nxt == State.of(state.num_channels + created, kept + moved)
+
+
+def test_explorer_matches_the_reference_on_the_corpus(corpus):
+    for gamma, terms in corpus.items():
+        for t in terms:
+            assert_explorer_matches_the_reference(root_strategy(t, gamma))
+            assert_explorer_matches_the_reference(root_process(t, gamma))
+
+
+@settings(max_examples=40, deadline=None)
+@given(typed_terms())
+def test_explorer_matches_the_reference_on_random_terms(tg):
+    t, gamma = tg
+    assert_explorer_matches_the_reference(root_strategy(t, gamma))
+    assert_explorer_matches_the_reference(root_process(t, gamma))
+
+
 @settings(max_examples=40, deadline=None)
 @given(typed_terms())
 def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
-    # closed world: one dict of filed offers serves every state; each
-    # actor's filing equals a fresh one, steps and moves equal those
-    # found with a fresh dict, and each successor equals State.of of the
-    # source's unmoved actors and the avatars. Interface: on every coded
-    # state of the link-enabled graph, with and without the link rule,
-    # the steps equal those of an engine with no entries yet and,
-    # decoded, those of the concrete engine in order; each entry equals
-    # a fresh one, each successor's actors are sorted, and each
-    # observable successor holds the avatar object of the moved actor's
-    # entry
+    # on every coded state of the link-enabled graph, with and without
+    # the link rule, the steps equal those of an engine with no entries
+    # yet and, decoded, those of the concrete engine in order; each
+    # entry equals a fresh one, each successor's actors are sorted, and
+    # each observable successor holds the avatar object of the moved
+    # actor's entry
     t, gamma = tg
     for root in (root_strategy(t, gamma), root_process(t, gamma)):
-        filed = {}
-        for state in closed_graph(root).states:
-            steps = closed_world_steps(state, filed)
-            moves = _closed_moves(state, filed)
-            for actor in state.actors:
-                assert filed[id(actor.body)] == _file_offers(type(actor), actor.body)
-            assert steps == closed_world_steps(state)
-            assert moves == _closed_moves(state, None)
-            assert len(steps) == len(moves)
-            for (label, nxt), (kind, actors, choice, created, avatars) in zip(steps, moves):
-                assert label == StepLabel(kind, actors, choice)
-                kept = [a for i, a in enumerate(state.actors) if i not in actors]
-                moved = [a for av in avatars for a in av]
-                assert nxt == State.of(state.num_channels + created, kept + moved)
         graph = interface_graph(root, enable_link=True)
         concrete = dict(zip(graph.states, decoded(root, graph.states)))
         for link in (True, False):
@@ -895,5 +916,5 @@ def test_arena_trace_positions_track_states():
     play = arena_trace(g, [0, 0])
     assert type(play.moves[0].kind).__name__ == "Fork"
     assert play.moves[1].kind == Heartbeat(1)
-    _, state1 = closed_world_steps(g)[0]
+    _, state1 = Explorer().steps(g)[0]
     assert to_dot(play.moves[0].final) == to_dot(arena_position(state1))
