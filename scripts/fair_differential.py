@@ -4,14 +4,16 @@ closed graph, and the suite's one-run-per-key memo against a suite run
 without it.
 
 Every composite is decided in both modes by ``decide``, the search over
-channel-normalised states that ``passes`` uses, by ``holds``, the same
-search without a failure witness that ``eq_check`` uses, and by
+int-coded forms that ``passes`` uses, by ``holds``, the same search
+without a failure witness that ``eq_check`` uses, and by
 ``in_bot(closed_graph(root))``. The composites are the four subjects of
 acceptance criterion 6 against every test of the context-1, depth-2
 suite on both sides (86776 composites), and the three large closed
 composites of the benchmark's ``closed`` workload on both sides. The
 ``decide`` verdicts must agree with the graph's on pass or fail and on
-the failure witness, and the ``holds`` flags on pass or fail.
+the failure witness, and the ``holds`` flags on pass or fail. The walk
+that gives a weak failure's witness must meet no form that the search
+for its distance did not.
 
 The memo checks: for each of the six pairs of the four subjects, on
 both sides and in both modes, ``eq_check`` must return, field by field,
@@ -22,9 +24,9 @@ the memo printed.
 
     PYTHONPATH=src python3 scripts/fair_differential.py
 
-Takes about 55 s on a 2-vCPU host; prints the composites and verdicts
-checked, the mismatches of each search and of the memo checks, each
-mismatch, and the time. Exits 1 on any mismatch.
+Takes about 50 s on a 2-vCPU host; prints the composites and verdicts
+checked, the mismatches of each search, of the witness walk and of the
+memo checks, each mismatch, and the time. Exits 1 on any mismatch.
 """
 
 import contextlib
@@ -38,7 +40,7 @@ import time
 from pathlib import Path
 
 from actorgame import cli
-from actorgame.fairtest import EqResult, compose, decide, eq_check, gen_tests, holds, in_bot
+from actorgame.fairtest import EqResult, _Search, compose, decide, eq_check, gen_tests, holds, in_bot
 from actorgame.lts import ROOTS, closed_graph
 from actorgame.term import parse
 
@@ -106,6 +108,19 @@ def composites():
             yield f"{name} {side}", None, compose(root(term(subject), 1), root(term(test), 1), (1,))
 
 
+def walk_meets_a_new_form(root) -> bool:
+    """Whether walking the witness of a weak failure meets a form that the
+    search for its distance did not."""
+    search = _Search()
+    top = search.distance(root)
+    met = len(search.forms)
+    try:
+        search.witness(root, int(top))
+    except KeyError:  # the walk read a form the search never met
+        return True
+    return len(search.forms) != met
+
+
 def reference_eq(left, right, side, mode, flags):
     """``eq_check`` of two subjects on the suite without the memo: the
     ``holds`` flags of every test's two composites, compared in suite
@@ -158,7 +173,7 @@ def fair_gen_mismatches() -> int:
 
 def main() -> int:
     start = time.perf_counter()
-    checked = verdicts = decide_mismatches = holds_mismatches = 0
+    checked = verdicts = decide_mismatches = holds_mismatches = walk_mismatches = 0
     flags = {}  # (subject, side, mode) -> holds flag of each suite test
     for name, suite, root in composites():
         checked += 1
@@ -172,15 +187,18 @@ def main() -> int:
             if passed != want.passed:
                 holds_mismatches += 1
                 print(f"mismatch {name} {mode}: holds {passed}, graph {want.render()!r}")
+            if mode == "weak" and not want.passed and walk_meets_a_new_form(root):
+                walk_mismatches += 1
+                print(f"mismatch {name}: the witness walk met a new form")
             if suite:
                 flags.setdefault((*suite, mode), []).append(passed)
     memo = eq_mismatches(flags) + fair_gen_mismatches()
     elapsed = time.perf_counter() - start
     print(
         f"composites {checked}, verdicts {verdicts}, mismatches {decide_mismatches} (decide) "
-        f"{holds_mismatches} (holds) {memo} (memo), {elapsed:.1f}s"
+        f"{holds_mismatches} (holds) {walk_mismatches} (walk) {memo} (memo), {elapsed:.1f}s"
     )
-    return 1 if decide_mismatches or holds_mismatches or memo else 0
+    return 1 if decide_mismatches or holds_mismatches or walk_mismatches or memo else 0
 
 
 if __name__ == "__main__":

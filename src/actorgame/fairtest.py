@@ -34,9 +34,9 @@ form's ticks, deadlocks and distances are those of every state it
 stands for. Forms live for one decision; a rank table depends on bodies
 alone, so within ``shared_ranks``, which ``eq_check`` and ``fair --gen``
 enter, one table serves every decision of the suite. On a failure, a
-breadth-first search over concrete states that keeps only successors on
-shortest paths to a failing form rebuilds the witness ``in_bot`` would
-give.
+walk down the search's distances over concrete states, taking each time
+the least step one nearer a failing form, gives the witness ``in_bot``
+would give.
 """
 
 from __future__ import annotations
@@ -293,9 +293,8 @@ class _Search:
 
     Each form met so far has an index into ``forms``; ``dist`` holds its
     tick-free distance to a form that cannot reach a tick: 0 for such a
-    form, UNBOUNDED when none is reachable, None until known. Forms and
-    the concrete states of a witness search both count against
-    ``lts.MAX_STATES``, read when the search is set up.
+    form, UNBOUNDED when none is reachable, None until known. At most
+    ``lts.MAX_STATES`` forms, read when the search is set up, may be met.
     """
 
     def __init__(self):
@@ -304,18 +303,14 @@ class _Search:
         self.forms: list[tuple] = []
         self.dist: list[Optional[float]] = []
         self.max_states = lts.MAX_STATES
-        self.states = 0
-
-    def admit(self) -> None:
-        if self.states >= self.max_states:
-            raise RuntimeError(f"state space exceeds {self.max_states} states")
-        self.states += 1
 
     def index_of(self, form: tuple) -> int:
         i = self.index.get(form)
         if i is None:
-            self.admit()
-            i = self.index[form] = len(self.forms)
+            i = len(self.forms)
+            if i >= self.max_states:
+                raise RuntimeError(f"state space exceeds {self.max_states} states")
+            self.index[form] = i
             self.forms.append(form)
             self.dist.append(None)
         return i
@@ -345,33 +340,24 @@ class _Search:
                     dist[i] = 1 + min(ds, default=UNBOUNDED) if can_tick or any(ds) else 0
         return dist[top]
 
-    def witness(self, root: State, top: int) -> tuple[str, ...]:
-        """The failure witness of ``in_bot``: breadth first over concrete
-        states with each state's steps in label order, keeping at depth
-        k only the unseen successors at distance ``top - k - 1``. These
-        are exactly the states on shortest paths to the forms that
-        cannot reach a tick, met in ``in_bot``'s queue order with its
-        parent pointers."""
-        world = Explorer()
-        parent: dict[State, tuple[State, StepLabel]] = {}
-        seen = {root}
-        level = [root]
-        for depth in range(top):
-            below, want = [], top - depth - 1
-            for u in level:
-                for label, nxt in sorted(world.steps(u), key=lambda step: step[0]):
-                    if not label.is_tick and nxt not in seen and self.distance(nxt) == want:
-                        self.admit()
-                        seen.add(nxt)
-                        parent[nxt] = (u, label)
-                        below.append(nxt)
-            level = below
-        v = level[0]
-        labels = []
-        while v in parent:
-            v, label = parent[v]
+    def witness(self, state: State, top: int) -> tuple[str, ...]:
+        """The failure witness of ``in_bot`` from ``state``, at distance
+        ``top``: ``top`` times the least tick-free step in label order
+        whose successor's form is one nearer. ``in_bot`` meets each
+        depth's states in the order of their least label paths, so the
+        first failing state it dequeues ends the least shortest path to
+        any, and each step the walk keeps extends to that path. Every
+        form on the walk was expanded when its distance was found, so
+        the walk meets no new form."""
+        world, labels = Explorer(), []
+        for want in range(top - 1, -1, -1):
+            label, state = next(
+                (label, nxt)
+                for label, nxt in sorted(world.steps(state), key=lambda step: step[0])
+                if not label.is_tick and self.dist[self.index[self.ranks.form(nxt)]] == want
+            )
             labels.append(label.render())
-        return tuple(reversed(labels))
+        return tuple(labels)
 
 
 def _strict_witness(state: State) -> tuple[str, ...]:
@@ -395,9 +381,9 @@ def holds(state: State, mode: str = "weak") -> bool:
 def decide(state: State, mode: str = "weak") -> Verdict:
     """``in_bot(closed_graph(state), mode)``, found without building the
     graph: weak by the search over int-coded forms, strict from
-    the root's steps in label order. A weak failure's witness is searched
-    for at once; its states count against ``lts.MAX_STATES`` along with
-    the decision's forms, and exceeding it raises ``RuntimeError``."""
+    the root's steps in label order. A weak failure's witness is walked
+    down the search's own distances, meeting no new form; meeting more
+    than ``lts.MAX_STATES`` forms raises ``RuntimeError``."""
     if mode == "strict":
         witness = _strict_witness(state)
         return Verdict(not witness, witness)

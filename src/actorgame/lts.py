@@ -255,7 +255,7 @@ def _file_offers(side: type, body) -> tuple:
 
 class Explorer:
     """One exploration of the closed world: a closed graph build, a fair
-    witness search, a strict check or an arena replay. Offers depend on
+    witness walk, a strict check or an arena replay. Offers depend on
     an actor's body alone, so the explorer files each body it meets
     once, by id.
 

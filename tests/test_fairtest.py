@@ -182,26 +182,44 @@ def test_verdicts_match_golden_digest():
     assert h.hexdigest() == GOLDEN_VERDICTS
 
 
+# the benchmark's failing closed composite, about 9500 closed states per side
+FAIL_SUBJECT = term("ctx 1. snd(1,1).rcv(1).0 + rcv(1).snd(1,1).0")
+FAIL_TEST = FTest(
+    (1,),
+    1,
+    term(
+        "ctx 1. ((rcv(1).tick.0 | rcv(1).0) | (snd(2,1).0 | rcv(2).0)) "
+        "| ((rcv(2).0 | snd(2,2).0) | (snd(1,1).0 | rcv(3).0))"
+    ),
+)
+
+
 def test_large_composite_fail_witnesses():
-    # about 9500 closed states per side; the witnesses are shortest
-    # tick-free paths, ties broken by label order
-    subject = term("ctx 1. snd(1,1).rcv(1).0 + rcv(1).snd(1,1).0")
-    test = FTest(
-        (1,),
-        1,
-        term(
-            "ctx 1. ((rcv(1).tick.0 | rcv(1).0) | (snd(2,1).0 | rcv(2).0)) "
-            "| ((rcv(2).0 | snd(2,2).0) | (snd(1,1).0 | rcv(3).0))"
-        ),
-    )
-    assert passes(subject, 1, test, "strategy").render() == (
+    # the witnesses are shortest tick-free paths, ties broken by label order
+    assert passes(FAIL_SUBJECT, 1, FAIL_TEST, "strategy").render() == (
         "fail witness: fork(1)@0#0,0;fork(2)@1#0,0;fork(2)@1#0,0;fork(3)@1#0,0;"
         "fork(3)@3#0,0;sync(1;1|4;1,1)@6,0#0,0;sync(4;1|2;1,1)@0,3#0,0"
     )
-    assert passes(subject, 1, test, "process").render() == (
+    assert passes(FAIL_SUBJECT, 1, FAIL_TEST, "process").render() == (
         "fail witness: fork(1)@1#;fork(2)@1#;fork(2)@3#;fork(3)@1#;"
         "fork(3)@4#;sync(1;1|4;1,1)@3,4#0,1;sync(4;1|2;1,1)@4,1#0,0"
     )
+
+
+def test_witness_walk_breaks_ties_as_the_graph_search():
+    # at five of the witness's seven levels two steps lead one nearer a
+    # failing form, so the walk must take the least in label order, as
+    # the breadth-first search of in_bot does; it walks forms the
+    # verdict's search has already met
+    for root in ROOTS:
+        state = composite(root, FAIL_SUBJECT, 1, FAIL_TEST)
+        search = fairtest._Search()
+        top = search.distance(state)
+        met = len(search.forms)
+        witness = search.witness(state, int(top))
+        assert len(search.forms) == met
+        assert len(witness) == 7
+        assert decide(state) == in_bot(closed_graph(state)) == Verdict(False, witness)
 
 
 def has_tick(p):
@@ -263,7 +281,7 @@ def test_search_matches_full_graph_verdict(drawn):
     assert in_bot(g).passed == all(g.edges[v] for v in reached)
 
 
-def test_search_counts_forms_and_witness_states(monkeypatch):
+def test_search_counts_forms_only(monkeypatch):
     def cap(n):
         monkeypatch.setattr(lts, "MAX_STATES", n)
 
@@ -274,17 +292,16 @@ def test_search_counts_forms_and_witness_states(monkeypatch):
     cap(2)
     with pytest.raises(RuntimeError, match="state space exceeds 2 states"):
         decide(relay)
-    # root, forked and deadlocked forms, then two witness states
+    # root, forked and deadlocked forms; the witness walks them and
+    # meets no fourth
     late = composite(root_process, term("ctx 1. snd(2,2).0 | rcv(2).0 + tick.0"), 1, EMPTY1)
-    cap(5)
-    verdict = decide(late)
-    assert not verdict.passed and len(verdict.witness) == 2
-    # the flag alone needs only the three forms
     cap(3)
     assert not holds(late)
-    cap(4)
-    with pytest.raises(RuntimeError, match="state space exceeds 4 states"):
-        decide(late)
+    assert decide(late) == Verdict(False, ("fork(1)@1#", "sync(2;2|2;2,2)@2,1#0,0"))
+    cap(2)
+    for verdict_of in (holds, decide):
+        with pytest.raises(RuntimeError, match="state space exceeds 2 states"):
+            verdict_of(late)
 
 
 def test_tick_nest_meets_the_same_forms_on_both_sides(monkeypatch):
