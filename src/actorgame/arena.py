@@ -33,15 +33,16 @@ Seed shapes:
 
 Fork, Sync and Heartbeat are the closed-world kinds; ForkL, ForkR,
 Input, Output and Heartbeat are the basic kinds a single strategy table
-indexes. Kinds order by class name, then field by field.
+indexes. A kind is the tuple of its class name and its fields, so
+kinds hash, compare and order in C: by class name, then field by
+field. Kinds of two classes are never equal, even with equal fields.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Union
+from operator import itemgetter
 
 _ids = itertools.count(1)
 
@@ -75,60 +76,64 @@ class Position:
 # ---------------------------------------------------------------- kinds
 
 
-class _Kind:
-    @cached_property
-    def _key(self) -> tuple:
-        """The sort key: class name, then fields. It is computed once
-        per kind, and the engine interns its kinds."""
-        return (type(self).__name__, *vars(self).values())
+class MoveKind(tuple):
+    """A move kind: the tuple of its class name, then its fields. Each
+    kind class names its fields in ``_fields``, in constructor order."""
 
-    def __lt__(self, other: MoveKind) -> bool:
-        return self._key < other._key
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls) -> None:
+        for i, name in enumerate(cls._fields, 1):
+            setattr(cls, name, property(itemgetter(i)))
 
-@dataclass(frozen=True)
-class Fork(_Kind):
-    n: int
+    def __new__(cls, *fields: int) -> MoveKind:
+        if len(fields) != len(cls._fields):
+            names = ", ".join(cls._fields)
+            raise TypeError(f"{cls.__name__}({names}) got {len(fields)} values")
+        return tuple.__new__(cls, (cls.__name__, *fields))
 
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
 
-@dataclass(frozen=True)
-class ForkL(_Kind):
-    n: int
-
-
-@dataclass(frozen=True)
-class ForkR(_Kind):
-    n: int
-
-
-@dataclass(frozen=True)
-class Input(_Kind):
-    n: int
-    a: int
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Output(_Kind):
-    m: int
-    c: int
-    d: int
+class Fork(MoveKind):
+    __slots__ = ()
+    _fields = ("n",)
 
 
-@dataclass(frozen=True)
-class Heartbeat(_Kind):
-    n: int
+class ForkL(MoveKind):
+    __slots__ = ()
+    _fields = ("n",)
 
 
-@dataclass(frozen=True)
-class Sync(_Kind):
-    n: int
-    a: int
-    m: int
-    c: int
-    d: int
+class ForkR(MoveKind):
+    __slots__ = ()
+    _fields = ("n",)
 
 
-MoveKind = Union[Fork, ForkL, ForkR, Input, Output, Heartbeat, Sync]
+class Input(MoveKind):
+    __slots__ = ()
+    _fields = ("n", "a")
+
+
+class Output(MoveKind):
+    __slots__ = ()
+    _fields = ("m", "c", "d")
+
+
+class Heartbeat(MoveKind):
+    __slots__ = ()
+    _fields = ("n",)
+
+
+class Sync(MoveKind):
+    __slots__ = ()
+    _fields = ("n", "a", "m", "c", "d")
 
 
 def kind_label(kind: MoveKind) -> str:

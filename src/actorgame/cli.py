@@ -203,6 +203,8 @@ def cmd_dot(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"bad --trace {args.trace!r}: expected comma separated step indices")
     if args.what == "move":
+        if args.trace == "":
+            raise ValueError("--trace is empty: --what move draws the last move of a trace")
         play = arena_trace(root, indices or [args.index or 0])
         sys.stdout.write(to_dot(play.moves[-1]))
         return 0

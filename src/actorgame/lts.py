@@ -10,9 +10,9 @@ these labels.
 
 Closed world: the only steps are tick, silent fork and silent sync.
 Edge labels are StepLabel values carrying the move kind plus which
-actors moved and which summands or branches they chose. One
-``Explorer`` serves each exploration of the closed world, filing each
-body's offers once.
+actors moved and which summands or branches they chose; they are
+interned, so equal labels are one object. One ``Explorer`` serves each
+exploration of the closed world, filing each body's offers once.
 
 Interface: the subject additionally interacts with an environment that
 knows some of the global channels through the handle map h (a tuple of
@@ -50,8 +50,10 @@ once per fresh channel and shared by every state that holds it.
 
 States, actors and labels are named tuples, so hashing, comparing and
 sorting them runs in C. A player's leading ``arity`` field makes tuple
-order the player order: arity, attachment, strategy. Interface labels
-and closed move kinds are interned: edges share one object per value.
+order the player order: arity, attachment, strategy. Move kinds are
+tuples too (see ``arena``). Interface labels, closed step labels and
+closed move kinds are interned: edges share one object per value, and a
+dump renders each distinct label once.
 """
 
 from __future__ import annotations
@@ -175,7 +177,8 @@ ROOTS = {"strategy": root_strategy, "process": root_process}
 
 _CLOSED_TAG = {Heartbeat: "tick", Fork: "fork", Sync: "sync"}
 
-# The closed move kinds, interned: equal kinds are one object.
+# The closed move kinds, interned: equal kinds are one object, and a
+# cache hit costs less than a kind's Python-level construction.
 _heartbeat = lru_cache(maxsize=None)(Heartbeat)
 _fork = lru_cache(maxsize=None)(Fork)
 _sync = lru_cache(maxsize=None)(Sync)
@@ -201,6 +204,10 @@ class StepLabel(NamedTuple):
         a = ",".join(str(i) for i in self.actors)
         ch = ",".join(str(i) for i in self.choice)
         return f"{kind_label(self.kind)}@{a}#{ch}"
+
+
+# The closed step labels, interned: edges share one object per label.
+_step_label = lru_cache(maxsize=None)(StepLabel)
 
 
 class ALab(NamedTuple):
@@ -338,7 +345,7 @@ class Explorer:
     def steps(self, state: State) -> list[tuple[StepLabel, State]]:
         """Each of ``state``'s moves as a (label, successor) pair."""
         successor = self.successor
-        return [(StepLabel(*move[:3]), successor(state, move)) for move in self.moves(state)]
+        return [(_step_label(*move[:3]), successor(state, move)) for move in self.moves(state)]
 
 
 # ----------------------------------------------------- interface engine
@@ -593,12 +600,18 @@ class LtsGraph:
         return sum(len(e) for e in self.edges)
 
     def dump(self) -> str:
+        """The graph as text, one line per edge; each distinct label is
+        rendered once."""
         lines = [
             f"lts-v1 vertices={len(self.states)} edges={self.num_edges} root=0"
         ]
+        arrows: dict = {}  # label -> its rendered arrow
         for src in range(len(self.states)):
             for label, dst in self.edges[src]:
-                lines.append(f"{src} -{label.render()}-> {dst}")
+                arrow = arrows.get(label)
+                if arrow is None:
+                    arrow = arrows[label] = f" -{label.render()}-> "
+                lines.append(f"{src}{arrow}{dst}")
         return "\n".join(lines) + "\n"
 
 

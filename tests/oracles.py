@@ -9,7 +9,18 @@ from bisect import insort
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from actorgame.arena import Fork, Heartbeat, Move, Player, Position, Sync
+from actorgame.arena import (
+    Fork,
+    ForkL,
+    ForkR,
+    Heartbeat,
+    Input,
+    Move,
+    Output,
+    Player,
+    Position,
+    Sync,
+)
 from actorgame.lts import ALab, PlayerState, State, StepLabel, Thread, build_graph
 from actorgame.term import Recv, Send, Sum
 
@@ -160,8 +171,20 @@ def player_key(ps) -> tuple:
     return (len(ps.attach), ps.attach, ps.body)
 
 
+# each move kind's fields, in the order its constructor takes them
+KIND_FIELDS = {
+    Fork: ("n",),
+    ForkL: ("n",),
+    ForkR: ("n",),
+    Heartbeat: ("n",),
+    Input: ("n", "a"),
+    Output: ("m", "c", "d"),
+    Sync: ("n", "a", "m", "c", "d"),
+}
+
+
 def kind_key(kind) -> tuple:
-    return (type(kind).__name__,) + tuple(getattr(kind, f) for f in kind.__dataclass_fields__)
+    return (type(kind).__name__,) + tuple(getattr(kind, f) for f in KIND_FIELDS[type(kind)])
 
 
 def step_label_key(label) -> tuple:

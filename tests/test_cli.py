@@ -499,6 +499,17 @@ def test_dot_empty_move(capsys, write):
     assert code == 2 and "error:" in err
 
 
+def test_dot_move_of_an_empty_trace_is_refused(capsys, write):
+    # an empty trace has no last move; as a play it is the start position
+    f = write(RELAY)
+    code, out, err = run(capsys, "dot", f, "--what", "move", "--trace", "")
+    assert code == 2 and out == ""
+    assert err == "error: --trace is empty: --what move draws the last move of a trace\n"
+    code, out, _ = run(capsys, "dot", f, "--what", "play", "--trace", "")
+    assert code == 0 and out.startswith("digraph play {") and '"0: start"' in out
+    assert "1: " not in out
+
+
 def test_bad_numeric_options_name_the_option(capsys, write):
     f = write(RELAY)
     code, out, err = run(capsys, "dot", f, "--what", "play", "--trace", "x")

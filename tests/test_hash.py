@@ -1,10 +1,11 @@
 """Every value hashes as the tuple of its compared fields, whether or not
 it keeps its hash after the first use; equal values built apart hash
-equal, and no value has a ``__dict__``. The engine's states, actors and
-labels are tuples, so two more things are checked of them: values of
-different classes never compare equal, and copies and pickles come back
-equal and of their class. Interface graph states are int-coded plain
-tuples, so only their labels are engine values here."""
+equal, and no value has a ``__dict__``. A move kind's compared fields
+lead with its class name. The engine's states, actors and labels and
+the move kinds are tuples, so two more things are checked of them:
+values of different classes never compare equal, and copies and pickles
+come back equal and of their class. Interface graph states are int-coded
+plain tuples, so only their labels are engine values here."""
 
 import copy
 import dataclasses
@@ -13,6 +14,7 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actorgame.arena import Fork, ForkL, ForkR, Heartbeat, Input, Output, Sync
 from actorgame.fairtest import compose
 from actorgame.lts import (
     ALab,
@@ -28,25 +30,33 @@ from actorgame.lts import (
 from actorgame.strategy import Definite
 from actorgame.term import Par, Recv, Send, Sum, Tick, parse
 from gen import terms
+from oracles import KIND_FIELDS
 
-TUPLES = (PlayerState, Thread, State, StepLabel, ALab)
+KINDS = (Fork, ForkL, ForkR, Input, Output, Heartbeat, Sync)
+TUPLES = (PlayerState, Thread, State, StepLabel, ALab) + KINDS
 SLOTTED = (Send, Recv, Tick, Sum, Par, Definite) + TUPLES
+
+# the kinds of a single strategy's moves, which no closed step makes
+BASIC_KINDS = {ForkL, ForkR, Input, Output}
 
 # the fields a constructor takes, where they are not all of the fields
 BUILT_FROM = {PlayerState: ("attach", "body")}
 
 # classes whose values sit side by side in one table
-MIXED = ((State, Thread), (ALab, StepLabel))
+MIXED = ((State, Thread), (ALab, StepLabel), KINDS)
 
 
 def field_names(x):
+    if isinstance(x, KINDS):
+        return KIND_FIELDS[type(x)]
     if isinstance(x, TUPLES):
         return x._fields
     return tuple(f.name for f in dataclasses.fields(x) if f.compare)
 
 
 def compared(x):
-    return tuple(getattr(x, f) for f in field_names(x))
+    fields = tuple(getattr(x, f) for f in field_names(x))
+    return (type(x).__name__, *fields) if isinstance(x, KINDS) else fields
 
 
 def as_tuples(x):
@@ -145,21 +155,37 @@ def test_engine_values_of_different_classes_never_compare_equal(roots):
 
 
 def composed_roots():
+    """A composite on each side and its successors: the composite syncs
+    either way, and then one successor ticks and the other forks."""
     subject, gamma = parse("ctx 1. rcv(1).tick.0 + snd(1,1).(0 | tick.0)")
-    test, ctx = parse("ctx 1. snd(1,1).0")
-    return [compose(root(subject, gamma), root(test, ctx), (1,)) for root in (root_strategy, root_process)]
+    test, ctx = parse("ctx 1. snd(1,1).0 + rcv(1).0")
+    roots = [compose(root(subject, gamma), root(test, ctx), (1,)) for root in (root_strategy, root_process)]
+    return roots + [nxt for root in roots for _, nxt in Explorer().steps(root)]
 
 
 def test_every_value_class_is_slotted_and_keeps_the_contract():
     roots = composed_roots()
-    assert check_hash_contract(roots) == set(SLOTTED)
+    assert check_hash_contract(roots) == set(SLOTTED) - BASIC_KINDS
     check_classes_apart(values(roots))
 
 
 def test_engine_values_copy_and_pickle_as_themselves():
     found = values(composed_roots())
-    assert {type(x) for x in found} >= set(TUPLES)
+    assert {type(x) for x in found} >= set(TUPLES) - BASIC_KINDS
     check_copies(found)
     player = next(x for x in found if isinstance(x, PlayerState))
     assert player.arity == len(player.attach) == player.body.arity
     assert copy.copy(player) == player == pickle.loads(pickle.dumps(player))
+
+
+def test_move_kinds_keep_the_contract():
+    """All seven kinds, built directly: each hashes as its class name and
+    fields, has no ``__dict__`` and copies and pickles as itself, and
+    kinds of different classes with equal fields are never equal."""
+    kinds = [Fork(2), ForkL(2), ForkR(2), Heartbeat(2), Input(2, 1), Output(2, 1, 2), Sync(1, 1, 2, 1, 2)]
+    for k in kinds:
+        assert hash(k) == hash(compared(k)) == hash(rebuild(k))
+        assert not hasattr(k, "__dict__")
+    check_copies(kinds)
+    check_classes_apart(kinds)
+    assert len(set(kinds[:4])) == 4

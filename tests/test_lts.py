@@ -475,10 +475,11 @@ def test_build_graph_deterministic():
 
 def test_edges_share_interned_labels_and_kinds():
     # equal interface labels are one object, and so are equal closed
-    # move kinds
+    # step labels and equal closed move kinds
     for root in roots("ctx 1. (snd(1,1).0 | rcv(1).tick.0) | tick.0"):
         for values in (
             [l for e in interface_graph(root).edges for l, _ in e],
+            [l for e in closed_graph(root).edges for l, _ in e],
             [l.kind for e in closed_graph(root).edges for l, _ in e],
         ):
             assert len(values) > len(set(values)) > 1
