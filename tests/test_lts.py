@@ -477,10 +477,11 @@ def test_edges_share_interned_labels_and_kinds():
     # equal interface labels are one object, and so are equal closed
     # step labels and equal closed move kinds
     for root in roots("ctx 1. (snd(1,1).0 | rcv(1).tick.0) | tick.0"):
+        closed = [l for e in closed_graph(root).edges for l, _ in e]
         for values in (
             [l for e in interface_graph(root).edges for l, _ in e],
-            [l for e in closed_graph(root).edges for l, _ in e],
-            [l.kind for e in closed_graph(root).edges for l, _ in e],
+            closed,
+            [l.kind for l in closed],
         ):
             assert len(values) > len(set(values)) > 1
             assert len({id(v) for v in values}) == len(set(values))
