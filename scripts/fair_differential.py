@@ -40,7 +40,17 @@ import time
 from pathlib import Path
 
 from actorgame import cli
-from actorgame.fairtest import EqResult, _Search, compose, decide, eq_check, gen_tests, holds, in_bot
+from actorgame.fairtest import (
+    EqResult,
+    _Ranks,
+    _Search,
+    compose,
+    decide,
+    eq_check,
+    gen_tests,
+    holds,
+    in_bot,
+)
 from actorgame.lts import ROOTS, closed_graph
 from actorgame.term import parse
 
@@ -111,8 +121,8 @@ def composites():
 def walk_meets_a_new_form(root) -> bool:
     """Whether walking the witness of a weak failure meets a form that the
     search for its distance did not."""
-    search = _Search()
-    top = search.distance(root)
+    search = _Search(_Ranks())
+    top = search.distance(search.ranks.form(root))
     met = len(search.forms)
     try:
         search.witness(root, int(top))

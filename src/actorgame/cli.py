@@ -27,12 +27,11 @@ from .fairtest import (
     Test,
     Verdict,
     composites,
-    decide,
     eq_check,
     gen_tests,
     identity_test,
     passes,
-    shared_ranks,
+    settle,
 )
 from .lts import (
     ROOTS,
@@ -146,14 +145,13 @@ def cmd_fair(args: argparse.Namespace) -> int:
     failures, passed = 0, set()
     # a test with the key of one that passed passes too (see composites);
     # a failing test is decided on its own composite, for its own witness
-    with shared_ranks():
-        for k, (_, key, states) in enumerate(composites([subject], gamma, tests, args.side, passed)):
-            verdict = Verdict(True) if states is None else decide(states[0], args.bot)
-            if verdict.passed:
-                passed.add(key)
-            else:
-                failures += 1
-            print(f"test#{k} {verdict.render()}")
+    for k, (_, key, roots) in enumerate(composites([subject], gamma, tests, args.side, passed)):
+        verdict = Verdict(True) if roots is None else settle(*roots[0], args.bot)[1]()
+        if verdict.passed:
+            passed.add(key)
+        else:
+            failures += 1
+        print(f"test#{k} {verdict.render()}")
     print(f"RESULT {len(tests) - failures}/{len(tests)} pass")
     return 0 if failures == 0 else 1
 

@@ -11,43 +11,36 @@ The weak verdict holds when every state reachable from the root by
 tick-free steps can still reach, by tick-free steps, a state with an
 outgoing tick. The strict verdict asks that every immediate successor
 of the root have a direct tick available; a root with no steps passes
-vacuously.
+vacuously. Every graph of this calculus is acyclic, since each step
+consumes a prefix or a parallel node, so the weak verdict is deadlock
+reachability over tick-free steps.
 
-``in_bot`` reads both verdicts off a built closed graph. ``decide``
+``in_bot`` reads both verdicts off a built closed graph; ``settle``
 reaches the same verdict, failure witness included, without building
-one; ``holds`` reaches only whether the composite passed, searching for
-no witness, and ``eq_check`` reads it on the composites of every
-distinct test (see ``composites``). Every graph of this calculus is
-acyclic, since each step consumes a prefix or a parallel node, so a
-state that cannot reach a tick has a tick-free path to a deadlock: the
-weak verdict is deadlock reachability over tick-free steps.
+one. The weak search runs over int-coded forms of ranked bodies (see
+``_Ranks`` and ``_form``): a successor form is built from the filed
+moves alone, with no concrete state or label, and since the step rules
+are equivariant under channel renaming, a form's ticks, deadlocks and
+distances are those of every state it stands for. Forms live for one
+decision; a rank table depends on bodies alone, so one table serves
+every decision of a suite.
 
-The weak search runs over int-coded forms, ``(num_channels, ((rank,
-attach), ...))``. A body's rank numbers it in the order a rank table
-first met it, and the table files each ranked body's tick flag and
-tick-free moves with continuation ranks. A form holds the live actors
-sorted by rank and attachment, channels renumbered by first occurrence
-in that order, inert actors and unheld channels dropped. A successor
-form is built from the filed moves alone, with no concrete state or
-label. The step rules are equivariant under channel renaming, so a
-form's ticks, deadlocks and distances are those of every state it
-stands for. Forms live for one decision; a rank table depends on bodies
-alone, so within ``shared_ranks``, which ``eq_check`` and ``fair --gen``
-enter, one table serves every decision of the suite. On a failure, a
-walk down the search's distances over concrete states, taking each time
-the least step one nearer a failing form, gives the witness ``in_bot``
-would give.
+A suite verdict starts from a root form built from the subject's and
+the test's ranked bodies (``composites``, which ``eq_check`` and ``fair
+--gen`` read); a concrete composite is built only for the labels that
+the strict verdict and a weak failure's witness read. ``holds`` and
+``decide`` settle a concrete state, ranking its bodies afresh.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from . import lts
-from .lts import ROOTS, Explorer, LtsGraph, State, StepLabel, _file_offers
+from .lts import ROOTS, Explorer, LtsGraph, PlayerState, State, StepLabel, Thread, _file_offers
+from .strategy import interpret
 from .term import Process, canonical, enumerate_terms, typecheck
 
 
@@ -179,7 +172,7 @@ class _Ranks:
     halves as a (left ranks, right ranks) pair, or None; slot indices
     count from 0. A body is filed when a form holding it is first
     expanded. Filings depend on bodies alone, so one table can serve
-    every verdict of a suite (see ``shared_ranks``).
+    every verdict of a suite (see ``composites``).
     """
 
     def __init__(self):
@@ -270,26 +263,9 @@ def _form(actors: list[tuple[int, tuple[int, ...]]]) -> tuple:
     return len(names), tuple(live)
 
 
-_shared: Optional[_Ranks] = None  # the table of the running suite, if any
-
-
-@contextmanager
-def shared_ranks() -> Iterator[None]:
-    """Within the block, every verdict reads one rank table, and the
-    table is dropped when the block ends. A suite's verdicts meet the
-    same bodies again and again; a verdict outside such a block files
-    its bodies afresh."""
-    global _shared
-    outer = _shared
-    _shared = outer or _Ranks()
-    try:
-        yield
-    finally:
-        _shared = outer
-
-
 class _Search:
-    """One weak verdict's search over int-coded forms.
+    """One weak verdict's search over int-coded forms of the rank table
+    ``ranks``.
 
     Each form met so far has an index into ``forms``; ``dist`` holds its
     tick-free distance to a form that cannot reach a tick: 0 for such a
@@ -297,8 +273,8 @@ class _Search:
     ``lts.MAX_STATES`` forms, read when the search is set up, may be met.
     """
 
-    def __init__(self):
-        self.ranks = _shared or _Ranks()
+    def __init__(self, ranks: _Ranks):
+        self.ranks = ranks
         self.index: dict[tuple, int] = {}
         self.forms: list[tuple] = []
         self.dist: list[Optional[float]] = []
@@ -320,12 +296,12 @@ class _Search:
         children = [self.index_of(form) for form in succ]
         return i, can_tick, children, iter(children)
 
-    def distance(self, state: State) -> float:
-        """The distance of ``state``'s form, found depth first below it
-        if no earlier search met that form; every graph is acyclic, so
-        each form is finished after all of its successors."""
+    def distance(self, form: tuple) -> float:
+        """The distance of ``form``, found depth first below it if no
+        earlier search met it; every graph is acyclic, so each form is
+        finished after all of its successors."""
         dist = self.dist
-        top = self.index_of(self.ranks.form(state))
+        top = self.index_of(form)
         if dist[top] is None:
             stack = [self.frame(top)]
             while stack:
@@ -360,40 +336,41 @@ class _Search:
         return tuple(labels)
 
 
-def _strict_witness(state: State) -> tuple[str, ...]:
-    """The strict verdict's witness: the first of the root's steps, in
-    label order, after which no tick is directly available, or ()."""
-    world = Explorer()
-    for label, nxt in sorted(world.steps(state), key=lambda step: step[0]):
-        if not world.can_tick(nxt):
-            return (label.render(),)
-    return ()
+def settle(
+    ranks: _Ranks, form: tuple, composite: Callable[[], State], mode: str
+) -> tuple[bool, Callable[[], Verdict]]:
+    """Whether the composite of root form ``form``, in the table
+    ``ranks``, passes, and what gives its verdict with the witness, read
+    off the concrete composite that ``composite`` builds: the first root
+    step, in label order, after which no tick is direct (strict), or a
+    walk down the distances of the search that decided it (weak).
+    Meeting more than ``lts.MAX_STATES`` forms raises ``RuntimeError``."""
+    if mode == "strict":
+        world = Explorer()
+        steps = sorted(world.steps(composite()), key=lambda step: step[0])
+        witness = next(((label.render(),) for label, nxt in steps if not world.can_tick(nxt)), ())
+        return not witness, lambda: Verdict(not witness, witness)
+    if mode != "weak":
+        raise ValueError(f"unknown verdict mode {mode!r}")
+    search = _Search(ranks)
+    top = search.distance(form)
+    if top == UNBOUNDED:
+        return True, lambda: Verdict(True)
+    return False, lambda: Verdict(False, search.witness(composite(), int(top)))
 
 
 def holds(state: State, mode: str = "weak") -> bool:
     """``decide(state, mode).passed``, found in the weak mode without
     searching for a failure witness."""
-    if mode != "weak":
-        return decide(state, mode).passed
-    return _Search().distance(state) == UNBOUNDED
+    ranks = _Ranks()
+    return settle(ranks, ranks.form(state), lambda: state, mode)[0]
 
 
 def decide(state: State, mode: str = "weak") -> Verdict:
     """``in_bot(closed_graph(state), mode)``, found without building the
-    graph: weak by the search over int-coded forms, strict from
-    the root's steps in label order. A weak failure's witness is walked
-    down the search's own distances, meeting no new form; meeting more
-    than ``lts.MAX_STATES`` forms raises ``RuntimeError``."""
-    if mode == "strict":
-        witness = _strict_witness(state)
-        return Verdict(not witness, witness)
-    if mode != "weak":
-        raise ValueError(f"unknown verdict mode {mode!r}")
-    search = _Search()
-    top = search.distance(state)
-    if top == UNBOUNDED:
-        return Verdict(True)
-    return Verdict(False, search.witness(state, int(top)))
+    graph (see ``settle``)."""
+    ranks = _Ranks()
+    return settle(ranks, ranks.form(state), lambda: state, mode)[1]()
 
 
 def composites(
@@ -402,11 +379,14 @@ def composites(
     tests: Iterable[Test],
     side: str = "strategy",
     settled: Container[tuple] = frozenset(),
-) -> Iterator[tuple[Test, tuple, Optional[tuple[State, ...]]]]:
-    """Each test, drawn when asked for, with its key and every subject
-    composed with it. Each subject's root is built once per suite, each
-    test's once; a test whose key the caller has put in ``settled``
-    comes with no composites, and its root is not built.
+) -> Iterator[tuple[Test, tuple, Optional[tuple[tuple[_Ranks, tuple, Callable[[], State]], ...]]]]:
+    """Each test, drawn when asked for, with its key and, for every
+    subject, the rank table, root form and concrete-composite builder
+    that ``settle`` reads. One table serves the whole suite and goes
+    with it. Each subject's root is built and ranked once per suite,
+    each test's body (its term, or on the strategy side its strategy)
+    ranked once; a test whose key the caller has put in ``settled``
+    comes with no composites, and its body is not ranked.
 
     A test's key is its term with every choice's summands in canonical
     order, its context and its handle map. Tests with one key pass or
@@ -416,22 +396,35 @@ def composites(
     failure witness, which prints labels, can tell them apart."""
     if side not in ROOTS:
         raise ValueError(f"unknown side {side!r}")
-    root = ROOTS[side]
+    root, ranks = ROOTS[side], _Ranks()
+    kind = PlayerState if side == "strategy" else Thread
     roots = [root(s, gamma) for s in subjects]
+    ranked = [ranks.of(kind, r.actors[0].body) for r in roots]
+
+    def build(subject: State, test: Test) -> Callable[[], State]:
+        return lambda: compose(subject, root(test.proc, test.ctx), test.h)
+
     for test in tests:
         key = (canonical(test.proc), test.ctx, test.h)
         if key in settled:
             yield test, key, None
-        else:
-            env = root(test.proc, test.ctx)
-            yield test, key, tuple(compose(s, env, test.h) for s in roots)
+            continue
+        if len(test.h) != gamma:
+            raise ValueError(
+                f"subject arity {gamma} does not match handle map of length {len(test.h)}"
+            )
+        body = interpret(test.proc, test.ctx) if kind is PlayerState else test.proc
+        env = (ranks.of(kind, body), tuple(range(1, test.ctx + 1)))
+        yield test, key, tuple(
+            (ranks, _form([(r, test.h), env]), build(s, test)) for r, s in zip(ranked, roots)
+        )
 
 
 def passes(
     subject: Process, gamma: int, test: Test, side: str = "strategy", mode: str = "weak"
 ) -> Verdict:
-    [(_, _, (state,))] = composites([subject], gamma, [test], side)
-    return decide(state, mode)
+    [(_, _, (root,))] = composites([subject], gamma, [test], side)
+    return settle(*root, mode)[1]()
 
 
 # ----------------------------------------------------------- test sets
@@ -482,12 +475,11 @@ def eq_check(
     failure witnesses."""
     count, seen = 0, set()
     suite = composites((left, right), gamma, tests, side, seen)
-    with shared_ranks():
-        for count, (test, key, pair) in enumerate(suite, 1):
-            if pair is None:
-                continue
-            sl, sr = pair
-            if holds(sl, mode) != holds(sr, mode):
-                return EqResult(False, count, test, decide(sl, mode), decide(sr, mode))
-            seen.add(key)
+    for count, (test, key, pair) in enumerate(suite, 1):
+        if pair is None:
+            continue
+        (pl, vl), (pr, vr) = (settle(*root, mode) for root in pair)
+        if pl != pr:
+            return EqResult(False, count, test, vl(), vr())
+        seen.add(key)
     return EqResult(True, count)

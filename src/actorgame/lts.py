@@ -275,25 +275,24 @@ class Explorer:
     def __init__(self) -> None:
         self.filed: dict[int, tuple] = {}  # id of a body -> its filing
 
-    def filing(self, actor) -> tuple:
-        """``_file_offers`` of ``actor``'s body, filed once."""
-        filing = self.filed.get(id(actor.body))
-        if filing is None:
-            filing = self.filed[id(actor.body)] = _file_offers(type(actor), actor.body)
+    def file(self, actor) -> tuple:
+        """``_file_offers`` of ``actor``'s body, which ``filed`` misses."""
+        filing = self.filed[id(actor.body)] = _file_offers(type(actor), actor.body)
         return filing
 
     def can_tick(self, state: State) -> bool:
         """Whether one of ``state``'s actors offers a tick."""
-        filing = self.filing
-        return any(filing(actor)[1] for actor in state.actors)
+        filed = self.filed
+        return any((filed.get(id(a.body)) or self.file(a))[1] for a in state.actors)
 
     def moves(self, state: State) -> list[tuple]:
         """``state``'s moves in enumeration order."""
         moves: list[tuple] = []
         forks, outs, ins = [], [], []
+        filed = self.filed
         for p, actor in enumerate(state.actors):
             attach = actor.attach
-            _, ticks, i, o, fork = self.filing(actor)
+            _, ticks, i, o, fork = filed.get(id(actor.body)) or self.file(actor)
             for group in ticks:
                 kind = _heartbeat(len(attach))
                 for choice, cont in group:

@@ -57,25 +57,22 @@ _REGISTRY: dict[tuple, bool] = {}
 
 @contextmanager
 def _recording():
-    """Capture every composite root, with its mode, that is handed to
-    ``holds`` or ``decide``, and whether it passed there."""
-    orig_holds, orig_decide = fairtest_mod.holds, fairtest_mod.decide
+    """Capture every composite, with its mode, whose verdict ``settle``
+    decides, and whether it passed there. The suite hands ``settle`` a
+    root form and what builds the concrete composite; ``holds`` and
+    ``decide`` hand it a state."""
+    orig_settle = fairtest_mod.settle
 
-    def holds(state, mode="weak"):
-        passed = orig_holds(state, mode)
-        _REGISTRY.setdefault((state, mode), passed)
-        return passed
+    def settle(ranks, form, composite, mode):
+        passed, verdict = orig_settle(ranks, form, composite, mode)
+        _REGISTRY.setdefault((composite(), mode), passed)
+        return passed, verdict
 
-    def decide(state, mode="weak"):
-        verdict = orig_decide(state, mode)
-        _REGISTRY.setdefault((state, mode), verdict.passed)
-        return verdict
-
-    fairtest_mod.holds, fairtest_mod.decide = holds, decide
+    fairtest_mod.settle = settle
     try:
         yield
     finally:
-        fairtest_mod.holds, fairtest_mod.decide = orig_holds, orig_decide
+        fairtest_mod.settle = orig_settle
 
 
 def _report(num, ok, detail):

@@ -7,7 +7,7 @@ import pytest
 
 import actorgame
 from actorgame.cli import main
-from actorgame.fairtest import decide
+from actorgame.fairtest import settle
 from actorgame.term import MAX_CONTEXT, MAX_DIGITS
 
 RELAY = "ctx 1. snd(2,2).0 | rcv(2).tick.0"
@@ -193,11 +193,11 @@ def test_fair_suite_decides_each_repeat_that_fails(capsys, write, monkeypatch):
     # passing one is not
     decided = []
 
-    def counting_decide(state, mode):
-        decided.append(state)
-        return decide(state, mode)
+    def counting_settle(ranks, form, composite, mode):
+        decided.append(form)
+        return settle(ranks, form, composite, mode)
 
-    monkeypatch.setattr(actorgame.cli, "decide", counting_decide)
+    monkeypatch.setattr(actorgame.cli, "settle", counting_settle)
     f = write("ctx 1. snd(1,1).0")
     code, out, _ = run(capsys, "fair", f, "--gen", "2", "--limit", "29", "--side", "process")
     lines = out.splitlines()

@@ -213,8 +213,8 @@ def test_witness_walk_breaks_ties_as_the_graph_search():
     # verdict's search has already met
     for root in ROOTS:
         state = composite(root, FAIL_SUBJECT, 1, FAIL_TEST)
-        search = fairtest._Search()
-        top = search.distance(state)
+        search = fairtest._Search(fairtest._Ranks())
+        top = search.distance(search.ranks.form(state))
         met = len(search.forms)
         witness = search.witness(state, int(top))
         assert len(search.forms) == met
@@ -325,14 +325,14 @@ def test_no_rank_table_outlives_eq_check(monkeypatch):
     # every verdict of one eq_check reads one table, which goes when the
     # call returns or raises
     tables, ids = [], set()
-    orig_holds = fairtest.holds
+    orig_settle = fairtest.settle
 
-    def spying_holds(state, mode):
-        tables.append(weakref.ref(fairtest._shared))
-        ids.add(id(fairtest._shared))
-        return orig_holds(state, mode)
+    def spying_settle(ranks, form, composite, mode):
+        tables.append(weakref.ref(ranks))
+        ids.add(id(ranks))
+        return orig_settle(ranks, form, composite, mode)
 
-    monkeypatch.setattr(fairtest, "holds", spying_holds)
+    monkeypatch.setattr(fairtest, "settle", spying_settle)
     c, d = term("ctx 1. rcv(1).0 + rcv(1).0"), term("ctx 1. rcv(1).0")
     suite = list(itertools.islice(gen_tests(1, 2), 40))
     cap = lts.MAX_STATES
@@ -348,7 +348,7 @@ def test_no_rank_table_outlives_eq_check(monkeypatch):
             else:
                 assert eq_check(c, d, 1, suite, side).equivalent
                 assert len(tables) > 40
-            assert len(ids) == 1 and fairtest._shared is None and tables[0]() is None
+            assert len(ids) == 1 and tables[0]() is None
 
 
 def test_state_bound_is_an_input_error(tmp_path, monkeypatch, capsys):
@@ -474,10 +474,12 @@ def test_eq_check_reports_first_difference_in_suite_order():
 def test_suite_builds_each_root_once_and_draws_tests_lazily(monkeypatch):
     # the first 53 tests hold repeats, such as tests 22 and 24, which
     # differ only in the order of their summands; a repeat counts but
-    # builds no root
+    # is not composed. A test is composed as a root form from its
+    # ranked body, and its root is built only for a failure witness
     a = term("ctx 1. snd(1,1).0")
     b = term("ctx 1. snd(1,1).snd(1,1).0")
-    built, drawn = [], []
+    built, drawn, forms = [], [], []
+    orig_settle = fairtest.settle
 
     def root(p, gamma):
         built.append(p)
@@ -488,24 +490,48 @@ def test_suite_builds_each_root_once_and_draws_tests_lazily(monkeypatch):
             drawn.append(t)
             yield t
 
+    def spying_settle(ranks, form, composite, mode):
+        forms.append(form)
+        return orig_settle(ranks, form, composite, mode)
+
     monkeypatch.setitem(lts.ROOTS, "process", root)
+    monkeypatch.setattr(fairtest, "settle", spying_settle)
     res = eq_check(a, b, 1, tests(), side="process")
     assert not res.equivalent and len(drawn) == res.checked == 53
     firsts = {}
     for t in drawn:
         firsts.setdefault((canonical(t.proc), t.ctx, t.h), t.proc)
-    assert len(firsts) == 50
-    assert built == [a, b] + list(firsts.values())
+    assert len(firsts) == 50 and len(forms) == 2 * 50
+    # one of the distinguishing test's two verdicts fails, with a witness
+    assert [v.passed for v in (res.verdict_left, res.verdict_right)].count(False) == 1
+    assert built == [a, b, drawn[-1].proc]
     settled = set()
     for test, key, pair in composites([a, b], 1, drawn, "process", settled):
         assert (pair is None) == (key in settled)
         if pair is not None:
-            assert tuple(map(decide, pair)) == (
+            assert tuple(orig_settle(*root, "weak")[1]() for root in pair) == (
                 passes(a, 1, test, "process"),
                 passes(b, 1, test, "process"),
             )
             settled.add(key)
     assert len(settled) == 50
+
+
+def test_suite_root_forms_are_the_composites_forms():
+    # in the suite's rank table, the root form built from subject, test
+    # and handle map is the form of the concrete composite, at the same
+    # distance: over the canonical suite and a merged-map block
+    cases = [
+        (term("ctx 1. rcv(1).tick.0 + snd(1,1).0"), 1, list(gen_tests(1, 2))),
+        (term("ctx 2. rcv(1).snd(2,2).0 + tick.0"), 2, list(gen_tests(2, 1))[count_terms(2, 1, 2) :]),
+    ]
+    assert {t.h for t in cases[1][2]} == {(1, 1)}
+    for side, root in lts.ROOTS.items():
+        for subject, gamma, tests in cases:
+            for test, _, ((ranks, form, build),) in composites([subject], gamma, tests, side):
+                old = ranks.form(compose(root(subject, gamma), root(test.proc, test.ctx), test.h))
+                assert form == old == ranks.form(build())
+                assert fairtest._Search(ranks).distance(form) == fairtest._Search(ranks).distance(old)
 
 
 CRITERION_6 = [
@@ -541,37 +567,62 @@ def test_permuting_summands_keeps_every_verdict(proc, rng):
 
 def test_eq_check_searches_for_no_witness(monkeypatch):
     # C and D of criterion 6 fail alike on many tests; eq_check reads
-    # only whether each composite passed, and decides with a witness
-    # only the two composites of the test that tells A from B
+    # only whether each composite passed, and builds a concrete
+    # composite, for a witness, only where a verdict of the test that
+    # tells A from B fails
     a = term("ctx 1. rcv(1).tick.0")
     b = term("ctx 1. rcv(1).tick.0 + rcv(1).0")
     c = term("ctx 1. rcv(1).0 + rcv(1).0")
     d = term("ctx 1. rcv(1).0")
-    failed, decided = [], []
-    orig_holds, orig_decide = fairtest.holds, fairtest.decide
+    failed, composed = [], []
+    orig_settle, orig_compose = fairtest.settle, fairtest.compose
 
-    def counting_holds(state, mode):
-        passed = orig_holds(state, mode)
+    def counting_settle(ranks, form, composite, mode):
+        passed, verdict = orig_settle(ranks, form, composite, mode)
         failed.append(not passed)
-        return passed
+        return passed, verdict
 
-    def counting_decide(state, mode):
-        decided.append(state)
-        return orig_decide(state, mode)
+    def counting_compose(subject, env, h):
+        composed.append(orig_compose(subject, env, h))
+        return composed[-1]
 
-    monkeypatch.setattr(fairtest, "holds", counting_holds)
-    monkeypatch.setattr(fairtest, "decide", counting_decide)
+    monkeypatch.setattr(fairtest, "settle", counting_settle)
+    monkeypatch.setattr(fairtest, "compose", counting_compose)
     suite = list(itertools.islice(gen_tests(1, 2), 0, None, 20))
     for side in ("strategy", "process"):
         assert eq_check(c, d, 1, suite, side).equivalent
-    assert sum(failed) > 100 and decided == []
+    assert sum(failed) > 100 and composed == []
     for side in ("strategy", "process"):
         res = eq_check(a, b, 1, suite, side)
         assert not res.equivalent
-        assert decided == [
-            composite(lts.ROOTS[side], subject, 1, res.test) for subject in (a, b)
-        ]
-        decided.clear()
+        failing = [s for s, v in ((a, res.verdict_left), (b, res.verdict_right)) if not v.passed]
+        assert len(failing) == 1
+        assert composed == [composite(lts.ROOTS[side], s, 1, res.test) for s in failing]
+        composed.clear()
+
+
+def test_fair_gen_composes_only_failing_tests(tmp_path, monkeypatch, capsys):
+    # fair --gen decides each test from its root form, and builds a
+    # concrete composite only for a failing test's witness
+    b = "ctx 1. rcv(1).tick.0 + rcv(1).0"
+    path = tmp_path / "b.act"
+    path.write_text(b + "\n")
+    suite = list(itertools.islice(gen_tests(1, 2), 400))
+    composed = []
+    orig_compose = fairtest.compose
+
+    def counting_compose(subject, env, h):
+        composed.append(orig_compose(subject, env, h))
+        return composed[-1]
+
+    monkeypatch.setattr(fairtest, "compose", counting_compose)
+    for side, root in lts.ROOTS.items():
+        composed.clear()
+        assert cli.main(["fair", str(path), "--gen", "2", "--limit", "400", "--side", side]) == 1
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        failing = [k for k, line in enumerate(lines) if line.startswith(f"test#{k} fail")]
+        assert 0 < len(failing) < len(lines) == len(suite)
+        assert composed == [composite(root, term(b), 1, suite[k]) for k in failing]
 
 
 def test_distinguishing_verdicts_carry_their_witnesses():
