@@ -15,11 +15,14 @@ side for the closed graph of BIG (3362 states a side), then one
 ``bisim`` line for each of two ``weak_bisim`` calls: the two sides of
 the term, and its strategy graph against the process graph of the
 variant. Exits 1 if any line differs from its pinned value. Takes about
-six seconds.
+six seconds. Each graph build's and each ``weak_bisim`` call's wall
+seconds go to stderr, one ``<what> <seconds>s`` line each, so that a
+log shows their trend; stdout holds only the digests.
 """
 
 import hashlib
 import sys
+import time
 
 from actorgame.lts import (
     closed_graph,
@@ -61,8 +64,16 @@ PINNED_BISIM = [
 ]
 
 
+def timed(what: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its wall seconds printed on stderr."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    print(f"{what} {time.perf_counter() - start:.3f}s", file=sys.stderr)
+    return result
+
+
 def bisim_line(names: str, g1, g2) -> str:
-    res = weak_bisim(g1, g2)
+    res = timed(f"weak_bisim {names}", weak_bisim, g1, g2)
     verdict = "equivalent" if res.equivalent else "witness=" + ";".join(res.witness)
     return f"bisim {names} {verdict} blocks={res.num_blocks}"
 
@@ -79,15 +90,18 @@ def main() -> int:
     ok = True
     graphs = {}
     for side, build in (("process", process_lts), ("strategy", strategy_lts)):
-        graphs[side] = build(p, gamma)
+        graphs[side] = timed(f"build {side}", build, p, gamma)
         ok = check_dump(side, graphs[side]) and ok
     v, v_gamma = parse(VARIANT)
     for side, root in (("process", root_process), ("strategy", root_strategy)):
-        ok = check_dump(side + ".link", interface_graph(root(v, v_gamma), enable_link=True)) and ok
+        name = side + ".link"
+        graph = timed(f"build {name}", interface_graph, root(v, v_gamma), enable_link=True)
+        ok = check_dump(name, graph) and ok
     big, big_gamma = parse(BIG)
     for side, root in (("process", root_process), ("strategy", root_strategy)):
-        ok = check_dump(side + ".closed", closed_graph(root(big, big_gamma))) and ok
-    variant = process_lts(v, v_gamma)
+        name = side + ".closed"
+        ok = check_dump(name, timed(f"build {name}", closed_graph, root(big, big_gamma))) and ok
+    variant = timed("build variant-process", process_lts, v, v_gamma)
     lines = [
         bisim_line("process strategy", graphs["process"], graphs["strategy"]),
         bisim_line("strategy variant-process", graphs["strategy"], variant),

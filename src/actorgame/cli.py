@@ -21,6 +21,7 @@ import argparse
 import itertools
 import random
 import sys
+from typing import Iterable
 
 from .arena import to_dot
 from .fairtest import (
@@ -46,9 +47,10 @@ from .strategy import dump, interpret
 from .term import IllTyped, ParseError, parse, typecheck, unparse
 
 
-def _suite(args: argparse.Namespace, gamma: int) -> list[Test]:
+def _suite(args: argparse.Namespace, gamma: int) -> Iterable[Test]:
     """The generated suite: depth ``--gen`` and width ``--width``, 2 unless
-    given, cut at ``--limit``, shuffled by ``--seed``."""
+    given, cut at ``--limit``. Its tests are drawn as they are asked
+    for, unless ``--seed`` shuffles them: then they are listed first."""
     for option, value in (("--gen", args.gen), ("--width", args.width), ("--limit", args.limit)):
         if value is not None and value < 0:
             raise ValueError(f"{option} must be at least 0, got {value}")
@@ -56,9 +58,10 @@ def _suite(args: argparse.Namespace, gamma: int) -> list[Test]:
     stream = gen_tests(gamma, depth, 2 if args.width is None else args.width)
     if args.limit is not None:
         stream = itertools.islice(stream, args.limit)
+    if args.seed is None:
+        return stream
     tests = list(stream)
-    if args.seed is not None:
-        random.Random(args.seed).shuffle(tests)
+    random.Random(args.seed).shuffle(tests)
     return tests
 
 
@@ -141,18 +144,18 @@ def cmd_fair(args: argparse.Namespace) -> int:
         verdict = passes(subject, gamma, test, args.side, args.bot)
         print(f"RESULT {verdict.render()}")
         return 0 if verdict.passed else 1
-    tests = _suite(args, gamma)
-    failures, passed = 0, set()
+    drawn, failures, passed = 0, 0, set()
+    suite = composites([subject], gamma, _suite(args, gamma), args.side, passed)
     # a test with the key of one that passed passes too (see composites);
     # a failing test is decided on its own composite, for its own witness
-    for k, (_, key, roots) in enumerate(composites([subject], gamma, tests, args.side, passed)):
+    for drawn, (_, key, roots) in enumerate(suite, 1):
         verdict = Verdict(True) if roots is None else settle(*roots[0], args.bot)[1]()
         if verdict.passed:
             passed.add(key)
         else:
             failures += 1
-        print(f"test#{k} {verdict.render()}")
-    print(f"RESULT {len(tests) - failures}/{len(tests)} pass")
+        print(f"test#{drawn - 1} {verdict.render()}")
+    print(f"RESULT {drawn - failures}/{drawn} pass")
     return 0 if failures == 0 else 1
 
 

@@ -170,23 +170,25 @@ class _Ranks:
     (slot index, continuation ranks) pairs, its sends as (channel slot
     index, object slot index, continuation ranks) triples, and its fork
     halves as a (left ranks, right ranks) pair, or None; slot indices
-    count from 0. A body is filed when a form holding it is first
-    expanded. Filings depend on bodies alone, so one table can serve
-    every verdict of a suite (see ``composites``).
+    count from 0. A body's offers are read once, when it is ranked, and
+    it is filed from them when a form holding it is first expanded.
+    Filings depend on bodies alone, so one table can serve every
+    verdict of a suite (see ``composites``).
     """
 
     def __init__(self):
         self.rank: dict = {}
-        self.met: list[Optional[tuple]] = []  # rank -> side and body, until filed
+        self.met: list[Optional[tuple]] = []  # rank -> side, body and offers, until filed
         self.filings: list[Optional[tuple]] = []
 
     def of(self, side: type, body) -> int:
         r = self.rank.get(body)
         if r is None:
             r = _INERT
-            if side.offers(body):
+            offers = side.offers(body)
+            if offers:
                 r = len(self.met)
-                self.met.append((side, body))
+                self.met.append((side, body, offers))
                 self.filings.append(None)
             self.rank[body] = r
         return r
@@ -195,9 +197,9 @@ class _Ranks:
         return tuple([self.of(side, cont) for _, cont in group])
 
     def _file(self, r: int) -> tuple:
-        side, body = self.met[r]
+        side, body, offers = self.met[r]
         self.met[r] = None  # the rank dict keeps the body
-        _, ticks, ins, outs, fork = _file_offers(side, body)
+        _, ticks, ins, outs, fork = _file_offers(body, offers)
         conts = self._conts
         filing = self.filings[r] = (
             bool(ticks),

@@ -46,7 +46,10 @@ flat int keys so that no comparison recurses; a thread is coded
 ``(rank, attach)`` and a player ``(arity, attach, rank)``, so coded
 actors order as the actors do, and successors, vertex numbering and
 dumps are those of the concrete states. Each actor's moves are built
-once per fresh channel and shared by every state that holds it.
+once per fresh channel and shared by every state that holds it, and
+each state's moves, but for the channel each needs the environment to
+know, once per channel count and actors: states that differ only in h
+filter one list of moves by their h and share its successors' actors.
 
 States, actors and labels are named tuples, so hashing, comparing and
 sorting them runs in C. A player's leading ``arity`` field makes tuple
@@ -236,16 +239,15 @@ SILENT_TAGS = frozenset({"sync", "fork"})
 # --------------------------------------------------- closed-world steps
 
 
-def _file_offers(side: type, body) -> tuple:
-    """The body, then its offers as an actor of ``side`` reads them,
-    each group filed under the rule that consumes it: tick groups,
-    (slot, group) receives, (channel slot, object slot, group) sends,
-    and the (left, right) fork halves when the body offers both, else
-    None. A filing kept by the body's id holds the body, so the id
-    stays the body's."""
+def _file_offers(body, offers: list) -> tuple:
+    """The body, then its ``offers``, each group filed under the rule
+    that consumes it: tick groups, (slot, group) receives, (channel
+    slot, object slot, group) sends, and the (left, right) fork halves
+    when the body offers both, else None. A filing kept by the body's
+    id holds the body, so the id stays the body's."""
     ticks, ins, outs = [], [], []
     left = right = None
-    for key, group in side.offers(body):
+    for key, group in offers:
         tag = key[0]
         if tag == "heart":
             ticks.append(group)
@@ -277,7 +279,8 @@ class Explorer:
 
     def file(self, actor) -> tuple:
         """``_file_offers`` of ``actor``'s body, which ``filed`` misses."""
-        filing = self.filed[id(actor.body)] = _file_offers(type(actor), actor.body)
+        body = actor.body
+        filing = self.filed[id(body)] = _file_offers(body, actor.offers(body))
         return filing
 
     def can_tick(self, state: State) -> bool:
@@ -446,7 +449,14 @@ class _Interface:
     avatars) and its receives as (channel, avatars, attachment, offer
     group, avatars by object) for the link and sync rules.
     Each avatar is checked when its entry is built, against the channel
-    count that the fresh channel fixes."""
+    count that the fresh channel fixes.
+
+    Most states differ from others only in h, and a state's moves, but
+    for the channel each needs h to know, depend on its channel count
+    and actors alone. So ``shared`` keeps the moves of each
+    ``(num_channels, actors)`` pair met, built once from the entries
+    (``fill``), and states that differ only in h share their
+    successors' actor tuples."""
 
     def __init__(self, root: State, enable_link: bool = False):
         actors = root.actors
@@ -454,6 +464,7 @@ class _Interface:
         self.player = player = side is PlayerState
         self.link = enable_link
         self.entries: dict[int, dict] = {}  # fresh channel -> actor -> entry
+        self.shared: dict[tuple, list] = {}  # (n, actors) -> moves
         self.rank, self.filings, self.arities = _rank_bodies(side, actors)
         coded = []
         for a in actors:
@@ -519,39 +530,36 @@ class _Interface:
                             forks.append((a, b))
         return moves, forks, sends, receives
 
-    def steps(self, state: tuple) -> list[tuple]:
-        """Observable steps actor by actor in offer order, each actor's
-        link steps after its other steps, then the silent forks by actor
-        and syncs by sender then receiver, as (label, successor) pairs."""
-        h, n, actors = state
+    def fill(self, moves: list, n: int, actors: tuple) -> None:
+        """Fill ``moves`` with the moves of every state ``(h, n,
+        actors)``, whatever its h, in the order of ``steps``: one
+        (channel the environment must know or None, label, handle
+        extension, channel count, successor actors) tuple per avatar,
+        and with the link rule on, after each actor's other moves, one
+        (channel, None, (), channel count, successor actors of each
+        avatar) tuple per receive."""
         fresh = n + 1
-        known = {*h, None}  # None stands for no channel to know
         entries = self.entries.get(fresh)
         if entries is None:
             entries = self.entries[fresh] = {}
         link = self.link
-        steps: list[tuple] = []
         forks, sends, receives = [], [], []
         for p, actor in enumerate(actors):
             entry = entries.get(actor)
             if entry is None:
                 entry = entries[actor] = self.entry(actor, fresh)
-            moves, pairs, outs, ins = entry
-            if not moves:
+            own, pairs, outs, ins = entry
+            if not own:
                 continue  # an inert actor: no forks, sends or receives either
             rest = actors[:p] + actors[p + 1 :]
-            for ch, label, ext, created, avatars in moves:
-                if ch in known:
-                    for av in avatars:
-                        i = bisect(rest, av)
-                        steps.append((label, (h + ext, n + created, rest[:i] + (av,) + rest[i:])))
+            for ch, label, ext, created, avatars in own:
+                for av in avatars:
+                    i = bisect(rest, av)
+                    moves.append((ch, label, ext, n + created, rest[:i] + (av,) + rest[i:]))
             if link:
                 for ch, avatars, *_ in ins:
-                    if ch in known:
-                        for src in sorted(known - {ch, None}):
-                            label = _label("link", ch, fresh, src)
-                            for av in avatars:
-                                steps.append((label, (h, fresh, _inserted(rest, (av,)))))
+                    linked = tuple([_inserted(rest, (av,)) for av in avatars])
+                    moves.append((ch, None, (), fresh, linked))
             if pairs:
                 forks.append((rest, pairs))
             for out in outs:
@@ -562,7 +570,7 @@ class _Interface:
             label = _label("fork")
             for rest, pairs in forks:
                 for pair in pairs:
-                    steps.append((label, (h, fresh, _inserted(rest, pair))))
+                    moves.append((None, label, (), fresh, _inserted(rest, pair)))
         if sends and receives:
             label = _label("sync")
             for q, (ch, obj, sent) in sends:
@@ -576,7 +584,30 @@ class _Interface:
                     rest = actors[:lo] + actors[lo + 1 : hi] + actors[hi + 1 :]
                     for sent_av in sent:
                         for got_av in got:
-                            steps.append((label, (h, n, _inserted(rest, (sent_av, got_av)))))
+                            moves.append((None, label, (), n, _inserted(rest, (sent_av, got_av))))
+
+    def steps(self, state: tuple) -> list[tuple]:
+        """Observable steps actor by actor in offer order, each actor's
+        link steps after its other steps, then the silent forks by actor
+        and syncs by sender then receiver, as (label, successor) pairs:
+        those of the shared moves of ``(n, actors)`` whose channel h
+        knows, with h extended."""
+        h, n, actors = state
+        miss: list[tuple] = []
+        moves = self.shared.setdefault((n, actors), miss)  # the key is hashed once
+        if moves is miss:
+            self.fill(moves, n, actors)
+        known = {*h, None}  # None stands for no channel to know
+        steps: list[tuple] = []
+        for ch, label, ext, m, succ in moves:
+            if ch in known:
+                if label is not None:
+                    steps.append((label, (h + ext, m, succ)))
+                    continue
+                for src in sorted(known - {ch, None}):
+                    label = _label("link", ch, m, src)
+                    for linked in succ:
+                        steps.append((label, (h, m, linked)))
         return steps
 
 
@@ -680,6 +711,19 @@ class BisimResult:
 WITNESS_DEPTH = 16
 
 
+class _Offsets(dict):
+    """Label -> its offset in ``weak_bisim``'s step code: 0 for a
+    silent label, and for an observable one the next multiple of
+    ``unit``, given when the label is first looked up."""
+
+    def __init__(self, unit: int):
+        self.unit = unit
+
+    def __missing__(self, label) -> int:
+        off = self[label] = 0 if label.tag in SILENT_TAGS else (len(self) + 1) * self.unit
+        return off
+
+
 def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     """Decide weak bisimilarity of the two roots.
 
@@ -689,15 +733,16 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     step consumes a prefix or a parallel node. A cycle raises
     ValueError.
 
-    One depth-first pass classifies each vertex after all of its
-    successors, in the rank-based style of Dovier, Piazza & Policriti
-    (TCS 311, 2004). A vertex's weak behaviour is read off its
-    successors' classes: T, the classes it reaches in one or more silent
-    steps, and O, the (label, class) pairs it reaches by a weak
-    observable step. A class keeps its O and its T plus itself. The
-    vertex stutters into a class in its T that has the same O and whose
-    T plus itself is the vertex's T; otherwise it joins, or founds, the
-    class of its (O, T). Blocks are numbered by their first vertex, the
+    One flat depth-first pass over each graph's own edge lists
+    classifies each vertex inline after all of its successors, with no
+    Python-level call per vertex, in the rank-based style of Dovier,
+    Piazza & Policriti (TCS 311, 2004). A vertex's weak behaviour is
+    read off its successors' classes: T, the classes it reaches in one
+    or more silent steps, and O, the (label, class) pairs it reaches by
+    a weak observable step. A class keeps its O and its T plus itself.
+    The vertex stutters into a class in its T that has the same O and
+    whose T plus itself is the vertex's T; otherwise it joins, or
+    founds, the class of its (O, T). Blocks are numbered by their first vertex, the
     first graph's vertices first.
 
     When the roots differ the witness is a label sequence tracing one
@@ -707,23 +752,11 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     n1 = len(g1.states)
     n = n1 + len(g2.states)
 
-    def out(v: int) -> tuple[tuple, int]:
-        """Vertex v's own edges, and the offset of their targets in the union."""
-        return (g1.edges[v], 0) if v < n1 else (g2.edges[v - n1], n1)
-
     # A step, a (label, class) pair, is the int offset + class. There
     # are at most n classes, so with offset 0 for a silent label and a
     # distinct positive multiple of n for each observable one, given
     # when the label is first met, divmod(step, n) decodes a step.
-    offsets: dict[object, int] = {}
-
-    def offset_of(label) -> int:
-        off = offsets.get(label)
-        if off is None:
-            off = 0 if label.tag in SILENT_TAGS else (len(offsets) + 1) * n
-            offsets[label] = off
-        return off
-
+    offsets = _Offsets(n)
     reach: list[frozenset[int]] = []  # per class: its T plus itself
     weak_pairs: list[frozenset[int]] = []  # per class: its O
     # A class is found under the (O, T) of the vertex that founded it,
@@ -732,64 +765,62 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     classes: dict[tuple, int] = {}
     by_steps: dict[frozenset[int], int] = {}  # a vertex's own steps -> class
 
-    def classify(v: int) -> int:
-        edges, base = out(v)
-        steps = frozenset([offset_of(label) + cls[base + w] for label, w in edges])
-        c = by_steps.get(steps)
-        if c is not None:
-            return c
-        t: set[int] = set()
-        o: set[int] = set()
-        for step in steps:
-            a, d = divmod(step, n)
-            if a == 0:
-                t |= reach[d]
-                o |= weak_pairs[d]
-            else:
-                o.update(step - d + e for e in reach[d])
-        key = (frozenset(o), frozenset(t))
-        c = classes.get(key)
-        if c is None:
-            c = len(reach)
-            t.add(c)
-            reach.append(frozenset(t))
-            weak_pairs.append(key[0])
-            classes[key] = classes[key[0], reach[c]] = c
-        by_steps[steps] = c
-        return c
-
     unseen, open_ = -1, -2
-    cls = [unseen] * n
-    for root in range(n):
-        if cls[root] != unseen:
-            continue
-        cls[root] = open_
-        edges, base = out(root)
-        stack = [(root, iter(edges), base)]
-        while stack:
-            v, succ, base = stack[-1]
-            for _, w in succ:
-                w += base
-                if cls[w] == unseen:
-                    cls[w] = open_
-                    edges, base = out(w)
-                    stack.append((w, iter(edges), base))
-                    break
-                if cls[w] == open_:
-                    side, vertex = (1, w) if w < n1 else (2, w - n1)
-                    raise ValueError(
-                        f"weak_bisim needs acyclic graphs: vertex {vertex} of "
-                        f"graph {side} lies on a cycle"
-                    )
-            else:
-                stack.pop()
-                cls[v] = classify(v)
+    cls1, cls2 = [unseen] * n1, [unseen] * (n - n1)  # per vertex of each graph
+    for side, edges, cls in ((1, g1.edges, cls1), (2, g2.edges, cls2)):
+        for root in range(len(cls)):
+            if cls[root] != unseen:
+                continue
+            cls[root] = open_
+            stack = [(root, iter(edges[root]))]
+            while stack:
+                v, succ = stack[-1]
+                for _, w in succ:
+                    c = cls[w]
+                    if c == unseen:
+                        cls[w] = open_
+                        stack.append((w, iter(edges[w])))
+                        break
+                    if c == open_:
+                        raise ValueError(
+                            f"weak_bisim needs acyclic graphs: vertex {w} of "
+                            f"graph {side} lies on a cycle"
+                        )
+                else:
+                    stack.pop()
+                    # classify v from its successors' classes
+                    steps = frozenset([offsets[label] + cls[w] for label, w in edges[v]])
+                    c = by_steps.get(steps)
+                    if c is None:
+                        t: set[int] = set()
+                        o: set[int] = set()
+                        for step in steps:
+                            a, d = divmod(step, n)
+                            if a == 0:
+                                t |= reach[d]
+                                o |= weak_pairs[d]
+                            else:
+                                o.update(step - d + e for e in reach[d])
+                        key = (frozenset(o), frozenset(t))
+                        c = classes.get(key)
+                        if c is None:
+                            c = len(reach)
+                            t.add(c)
+                            reach.append(frozenset(t))
+                            weak_pairs.append(key[0])
+                            classes[key] = classes[key[0], reach[c]] = c
+                        by_steps[steps] = c
+                    cls[v] = c
 
     first: dict[int, int] = {}
-    block = [first.setdefault(c, len(first)) for c in cls]
+    block = [first.setdefault(c, len(first)) for cls in (cls1, cls2) for c in cls]
     r1, r2 = 0, n1
     if block[r1] == block[r2]:
         return BisimResult(True, (), len(first))
+
+    def out(v: int) -> tuple[tuple, int]:
+        """Vertex v's own edges, and the offset of their targets in the union."""
+        return (g1.edges[v], 0) if v < n1 else (g2.edges[v - n1], n1)
 
     def closure(vs: Iterable[int]) -> set[int]:
         seen = set(vs)

@@ -7,7 +7,7 @@ import pytest
 
 import actorgame
 from actorgame.cli import main
-from actorgame.fairtest import settle
+from actorgame.fairtest import gen_tests, settle
 from actorgame.term import MAX_CONTEXT, MAX_DIGITS
 
 RELAY = "ctx 1. snd(2,2).0 | rcv(2).tick.0"
@@ -159,6 +159,24 @@ def test_eq_suite_distinguishes(capsys, write):
     lines = out.splitlines()
     assert lines[0].startswith("test#2 h=(1) ctx 1. snd(1,1).0 left=pass right=fail")
     assert lines[-1] == "RESULT distinguished test#2"
+
+
+def test_eq_suite_draws_no_test_past_the_distinguishing_one(capsys, write, monkeypatch):
+    # without --seed the suite is not listed: its tests are generated
+    # as eq asks for them
+    drawn = []
+
+    def counting_gen_tests(*args):
+        for test in gen_tests(*args):
+            drawn.append(test)
+            yield test
+
+    monkeypatch.setattr(actorgame.cli, "gen_tests", counting_gen_tests)
+    a = write("ctx 1. rcv(1).tick.0", "a.act")
+    b = write("ctx 1. rcv(1).tick.0 + rcv(1).0", "b.act")
+    code, out, _ = run(capsys, "eq", a, b, "--gen", "2")
+    assert code == 1 and out.splitlines()[-1] == "RESULT distinguished test#2"
+    assert len(drawn) == 3
 
 
 def test_eq_suite_equivalent(capsys, write):

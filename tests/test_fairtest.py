@@ -351,6 +351,27 @@ def test_no_rank_table_outlives_eq_check(monkeypatch):
             assert len(ids) == 1 and tables[0]() is None
 
 
+def test_a_suite_reads_each_bodys_offers_once(monkeypatch):
+    # the rank table files a body from the offers it read to rank it
+    read = []
+
+    def counted(offers):
+        def reading(body):
+            read.append(body)
+            return offers(body)
+
+        return staticmethod(reading)
+
+    for kind in (lts.PlayerState, lts.Thread):
+        monkeypatch.setattr(kind, "offers", counted(kind.offers))
+    c, d = term("ctx 1. rcv(1).0 + rcv(1).0"), term("ctx 1. rcv(1).0")
+    suite = list(itertools.islice(gen_tests(1, 2), 200))
+    for side in ("strategy", "process"):
+        read.clear()
+        assert eq_check(c, d, 1, suite, side).equivalent
+        assert len(read) == len(set(read)) > 100
+
+
 def test_state_bound_is_an_input_error(tmp_path, monkeypatch, capsys):
     big = (
         "ctx 1. ((rcv(1).0 | snd(2,1).0) | (rcv(2).tick.0 | snd(2,2).0)) "
