@@ -8,10 +8,16 @@ graphs of a sample prefix get.
 
 import argparse
 import itertools
+import sys
 from collections import Counter
+from pathlib import Path
 
 from actorgame.lts import closed_graph, process_lts, root_strategy, strategy_lts
-from actorgame.term import enumerate_terms, term_depth, term_size
+from actorgame.term import enumerate_terms
+
+# term size and depth are test-side helpers, kept beside the oracles
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import term_depth, term_size  # noqa: E402
 
 
 def count_exact(gamma: int, depth: int, width: int) -> int:

@@ -2,10 +2,12 @@
 silent run can still reach a tick.
 
 A test is a term together with a handle map h wiring the subject's
-interface channels into the test's context. Composition is closed
-world: the subject (as a strategy player or as a thread) and the test
-run side by side over the test's channels, and the only observation is
-the tick.
+interface channels into the test's context: a ``Test``, a named tuple
+checked once, when built. A generated suite's tests share one handle
+tuple per map, so drawing a test costs no more than its check.
+Composition is closed world: the subject (as a strategy player or as a
+thread) and the test run side by side over the test's channels, and the
+only observation is the tick.
 
 The weak verdict holds when every state reachable from the root by
 tick-free steps can still reach, by tick-free steps, a state with an
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import lts
 from .lts import ROOTS, Explorer, LtsGraph, PlayerState, State, StepLabel, Thread, _file_offers
@@ -44,21 +46,28 @@ from .strategy import interpret
 from .term import Process, canonical, enumerate_terms, typecheck
 
 
-@dataclass(frozen=True)
-class Test:
-    """A testing context: h wires subject interface channel i to test
-    channel h[i-1]; proc is the test's own behavior at context ctx.
-    A test is checked once, when it is built."""
-
+class _Test(NamedTuple):
     h: tuple[int, ...]
     ctx: int
     proc: Process
 
-    def __post_init__(self) -> None:
-        for i, c in enumerate(self.h, 1):
-            if not 1 <= c <= self.ctx:
-                raise ValueError(f"handle {i} wired to {c}, outside 1..{self.ctx}")
-        typecheck(self.proc, self.ctx)
+
+class Test(_Test):
+    """A testing context, a named tuple built as ``Test(h, ctx, proc)``:
+    h wires subject interface channel i to test channel h[i-1]; proc is
+    the test's own behavior at context ctx. A test is checked once, when
+    it is built (handles in 1..ctx, then ``typecheck``), and keeps h as
+    a tuple, so any sequence of handles makes a hashable test."""
+
+    __slots__ = ()
+
+    def __new__(cls, h: Sequence[int], ctx: int, proc: Process) -> Test:
+        h = tuple(h)
+        for i, c in enumerate(h, 1):
+            if not 1 <= c <= ctx:
+                raise ValueError(f"handle {i} wired to {c}, outside 1..{ctx}")
+        typecheck(proc, ctx)
+        return tuple.__new__(cls, (h, ctx, proc))
 
 
 def identity_test(gamma: int, proc: Process) -> Test:
@@ -443,14 +452,13 @@ def merge_map(gamma: int, i: int, j: int) -> tuple[int, ...]:
 def gen_tests(gamma: int, depth: int, width: int = 2) -> Iterator[Test]:
     """Deterministic test stream: identity-wired tests over all terms at
     context gamma first, then for each pair i < j the same stream at
-    context gamma-1 with channels i and j identified."""
-    for t in enumerate_terms(gamma, depth, width):
-        yield identity_test(gamma, t)
-    for j in range(2, gamma + 1):
-        for i in range(1, j):
-            h = merge_map(gamma, i, j)
-            for t in enumerate_terms(gamma - 1, depth, width):
-                yield Test(h, gamma - 1, t)
+    context gamma-1 with channels i and j identified. The tests of one
+    handle map share its tuple."""
+    maps = [(tuple(range(1, gamma + 1)), gamma)]
+    maps += [(merge_map(gamma, i, j), gamma - 1) for j in range(2, gamma + 1) for i in range(1, j)]
+    for h, ctx in maps:
+        for t in enumerate_terms(ctx, depth, width):
+            yield Test(h, ctx, t)
 
 
 @dataclass(frozen=True)

@@ -125,11 +125,6 @@ class IllTyped(Exception):
         self.gamma = gamma
 
 
-def ctx_after(prefix: Prefix, gamma: int) -> int:
-    """Context size of the continuation behind ``prefix``."""
-    return gamma + 1 if isinstance(prefix, Recv) else gamma
-
-
 def typecheck(p: Process, gamma: int) -> None:
     """Raise IllTyped unless ``p`` is well formed in a context of size
     ``gamma``. A success is remembered, so checking a term again costs
@@ -141,29 +136,40 @@ def typecheck(p: Process, gamma: int) -> None:
 def _checked(p: Process, gamma: int) -> None:
     if gamma < 0:
         raise IllTyped("context size must be nonnegative", (), gamma)
-    _check(p, gamma, ())
+    _check(p, gamma)
 
 
-def _check(p: Process, gamma: int, path: tuple[str, ...]) -> None:
+def _check(p: Process, gamma: int) -> None:
+    # a success builds no path: a failure's path grows as it unwinds
     if isinstance(p, Sum):
         for i, (prefix, cont) in enumerate(p.branches):
-            here = path + (f"branch{i}",)
-            if isinstance(prefix, Send):
-                if not 1 <= prefix.subject <= gamma:
-                    raise IllTyped(f"send subject {prefix.subject} out of range", here, gamma)
-                if not 1 <= prefix.obj <= gamma:
-                    raise IllTyped(f"send object {prefix.obj} out of range", here, gamma)
-            elif isinstance(prefix, Recv):
-                if not 1 <= prefix.subject <= gamma:
-                    raise IllTyped(f"receive subject {prefix.subject} out of range", here, gamma)
-            elif not isinstance(prefix, Tick):
-                raise IllTyped(f"not a prefix: {prefix!r}", here, gamma)
-            _check(cont, ctx_after(prefix, gamma), here)
+            try:
+                if isinstance(prefix, Send):
+                    if not 1 <= prefix.subject <= gamma:
+                        raise IllTyped(f"send subject {prefix.subject} out of range", (), gamma)
+                    if not 1 <= prefix.obj <= gamma:
+                        raise IllTyped(f"send object {prefix.obj} out of range", (), gamma)
+                    _check(cont, gamma)
+                elif isinstance(prefix, Recv):
+                    if not 1 <= prefix.subject <= gamma:
+                        raise IllTyped(f"receive subject {prefix.subject} out of range", (), gamma)
+                    _check(cont, gamma + 1)
+                elif isinstance(prefix, Tick):
+                    _check(cont, gamma)
+                else:
+                    raise IllTyped(f"not a prefix: {prefix!r}", (), gamma)
+            except IllTyped as e:
+                raise IllTyped(e.msg, (f"branch{i}",) + e.path, e.gamma) from None
     elif isinstance(p, Par):
-        _check(p.left, gamma + 1, path + ("left",))
-        _check(p.right, gamma + 1, path + ("right",))
+        side = "left"
+        try:
+            _check(p.left, gamma + 1)
+            side = "right"
+            _check(p.right, gamma + 1)
+        except IllTyped as e:
+            raise IllTyped(e.msg, (side,) + e.path, e.gamma) from None
     else:
-        raise IllTyped(f"not a process node: {p!r}", path, gamma)
+        raise IllTyped(f"not a process node: {p!r}", (), gamma)
 
 
 # ---------------------------------------------------------------- parsing
@@ -389,20 +395,6 @@ def canonical(p: Process) -> Process:
 # is 1, a choice is 1 plus (1 + size of continuation) per branch, a
 # parallel is 1 plus both sides. Sum width is bounded by ``width``;
 # parallels are binary and not width constrained.
-
-def term_size(p: Process) -> int:
-    if isinstance(p, Sum):
-        return 1 + sum(1 + term_size(c) for _, c in p.branches)
-    return 1 + term_size(p.left) + term_size(p.right)
-
-
-def term_depth(p: Process) -> int:
-    if isinstance(p, Sum):
-        if not p.branches:
-            return 0
-        return 1 + max(term_depth(c) for _, c in p.branches)
-    return 1 + max(term_depth(p.left), term_depth(p.right))
-
 
 def max_term_size(depth: int, width: int) -> int:
     s = 1

@@ -1,12 +1,13 @@
-"""Hypothesis generators for random well-typed terms, and a stream of
-the strategies that terms denote."""
+"""Hypothesis generators for random well-typed and possibly ill-typed
+terms, and a stream of the strategies that terms denote."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
 from actorgame.strategy import interpret
-from actorgame.term import NIL, Par, Recv, Send, Sum, Tick, canonical, ctx_after, enumerate_terms
+from actorgame.term import NIL, Par, Recv, Send, Sum, Tick, canonical, enumerate_terms
+from oracles import ctx_after
 
 
 @st.composite
@@ -41,6 +42,33 @@ def terms(draw, gamma: int, depth: int = 3, width: int = 2):
         prefix = draw(prefixes(gamma))
         cont = draw(terms(ctx_after(prefix, gamma), depth - 1, width))
         branches.append((prefix, cont))
+    return Sum(tuple(branches))
+
+
+@st.composite
+def loose_terms(draw, gamma: int, depth: int = 3):
+    """A random process whose channel indices range over 0..gamma+1 at
+    each node, and which now and then holds a process where a prefix
+    belongs or a prefix where a process belongs: it may be ill typed at
+    any node, or well typed."""
+    shape = draw(st.sampled_from(["nil", "sum", "sum", "sum", "par", "par", "junk"]))
+    if depth == 0 or shape == "nil":
+        return NIL
+    if shape == "junk":
+        return Tick()
+    if shape == "par":
+        return Par(draw(loose_terms(gamma + 1, depth - 1)), draw(loose_terms(gamma + 1, depth - 1)))
+    index = st.integers(0, gamma + 1)
+    branches = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["recv", "send", "tick", "recv", "send", "tick", "junk"]))
+        if kind == "recv":
+            prefix, inner = Recv(draw(index)), gamma + 1
+        elif kind == "send":
+            prefix, inner = Send(draw(index), draw(index)), gamma
+        else:
+            prefix, inner = (Tick() if kind == "tick" else NIL), gamma
+        branches.append((prefix, draw(loose_terms(inner, depth - 1))))
     return Sum(tuple(branches))
 
 

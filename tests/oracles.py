@@ -22,7 +22,7 @@ from actorgame.arena import (
     Sync,
 )
 from actorgame.lts import ALab, PlayerState, State, StepLabel, Thread, build_graph
-from actorgame.term import Recv, Send, Sum
+from actorgame.term import IllTyped, Par, Recv, Send, Sum, Tick
 
 
 @lru_cache(maxsize=None)
@@ -49,6 +49,57 @@ def count_branches(gamma: int, depth: int, width: int) -> int:
     recv = gamma * count_terms(gamma + 1, depth - 1, width)
     send_or_tick = (gamma * gamma + 1) * count_terms(gamma, depth - 1, width)
     return recv + send_or_tick
+
+
+def term_size(p) -> int:
+    """The node count by which ``term.enumerate_terms`` streams terms."""
+    if isinstance(p, Sum):
+        return 1 + sum(1 + term_size(c) for _, c in p.branches)
+    return 1 + term_size(p.left) + term_size(p.right)
+
+
+def term_depth(p) -> int:
+    if isinstance(p, Sum):
+        if not p.branches:
+            return 0
+        return 1 + max(term_depth(c) for _, c in p.branches)
+    return 1 + max(term_depth(p.left), term_depth(p.right))
+
+
+def ctx_after(prefix, gamma: int) -> int:
+    """Context size of the continuation behind ``prefix``."""
+    return gamma + 1 if isinstance(prefix, Recv) else gamma
+
+
+def typecheck_with_paths(p, gamma: int) -> None:
+    """The reference for ``term.typecheck``: every branch extends the
+    path on the way down, so a failure raises with its path already
+    built. Nothing is remembered."""
+    if gamma < 0:
+        raise IllTyped("context size must be nonnegative", (), gamma)
+    _check_with_paths(p, gamma, ())
+
+
+def _check_with_paths(p, gamma: int, path: tuple[str, ...]) -> None:
+    if isinstance(p, Sum):
+        for i, (prefix, cont) in enumerate(p.branches):
+            here = path + (f"branch{i}",)
+            if isinstance(prefix, Send):
+                if not 1 <= prefix.subject <= gamma:
+                    raise IllTyped(f"send subject {prefix.subject} out of range", here, gamma)
+                if not 1 <= prefix.obj <= gamma:
+                    raise IllTyped(f"send object {prefix.obj} out of range", here, gamma)
+            elif isinstance(prefix, Recv):
+                if not 1 <= prefix.subject <= gamma:
+                    raise IllTyped(f"receive subject {prefix.subject} out of range", here, gamma)
+            elif not isinstance(prefix, Tick):
+                raise IllTyped(f"not a prefix: {prefix!r}", here, gamma)
+            _check_with_paths(cont, ctx_after(prefix, gamma), here)
+    elif isinstance(p, Par):
+        _check_with_paths(p.left, gamma + 1, path + ("left",))
+        _check_with_paths(p.right, gamma + 1, path + ("right",))
+    else:
+        raise IllTyped(f"not a process node: {p!r}", path, gamma)
 
 
 def brute_in_bot(graph) -> bool:

@@ -1,6 +1,8 @@
+import copy
 import gc
 import hashlib
 import itertools
+import pickle
 import weakref
 
 import pytest
@@ -54,8 +56,30 @@ def composite(root, subject, gamma, test):
 def test_test_validation():
     with pytest.raises(ValueError, match=r"^handle 1 wired to 3, outside 1\.\.2$"):
         FTest((3,), 2, term("ctx 2. 0"))
-    with pytest.raises(IllTyped):
+    with pytest.raises(IllTyped, match=r"^send subject 2 out of range \(at branch0, context size 1\)$"):
         FTest((1,), 1, term("ctx 2. snd(2,2).0"))
+
+
+def test_a_test_is_a_checked_named_tuple():
+    proc = term("ctx 2. snd(2,1).0")
+    test = FTest((2,), 2, proc)
+    assert isinstance(test, tuple) and FTest._fields == ("h", "ctx", "proc")
+    assert (test.h, test.ctx, test.proc) == ((2,), 2, proc)
+    assert repr(test) == f"Test(h=(2,), ctx=2, proc={proc!r})"
+    twin = FTest((2,), 2, term("ctx 2. snd(2,1).0"))
+    assert twin == test and hash(twin) == hash(test)
+    assert FTest((1,), 2, proc) != test
+    for again in (copy.copy(test), copy.deepcopy(test), pickle.loads(pickle.dumps(test))):
+        assert type(again) is FTest and again == test
+
+
+def test_a_test_keeps_its_handle_map_as_a_tuple():
+    h = (1,)
+    assert FTest(h, 1, term("ctx 1. 0")).h is h
+    listed = FTest([1], 1, term("ctx 1. rcv(1).tick.0"))
+    assert listed.h == (1,) and type(listed.h) is tuple
+    # a suite keys each test by (canonical term, ctx, h), so h must hash
+    assert passes(term("ctx 1. snd(1,1).0"), 1, listed).passed
 
 
 def test_compose_game_shapes():
@@ -455,6 +479,12 @@ def test_gen_tests_merge_block():
     idn = count_terms(2, 1, 2)
     assert len(suite) == idn + count_terms(1, 1, 2)
     assert suite[idn].h == (1, 1) and suite[idn].ctx == 1
+
+
+def test_gen_tests_share_one_handle_tuple_per_map():
+    tests = list(gen_tests(2, 1))
+    assert {t.h for t in tests} == {(1, 2), (1, 1)}
+    assert len({id(t.h) for t in tests}) == 2
 
 
 def test_gen_tests_size_matches_enumeration_counts():

@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actorgame.term import (
     NIL,
@@ -13,18 +15,15 @@ from actorgame.term import (
     Sum,
     Tick,
     canonical,
-    ctx_after,
     enumerate_terms,
     max_term_size,
     parse,
     pretty,
-    term_depth,
-    term_size,
     typecheck,
     unparse,
 )
-from gen import typed_terms
-from oracles import count_terms
+from gen import loose_terms, typed_terms
+from oracles import count_terms, ctx_after, term_depth, term_size, typecheck_with_paths
 
 
 # ------------------------------------------------------------- parsing
@@ -170,6 +169,33 @@ def test_typecheck_rejects(p, gamma, message):
     with pytest.raises(IllTyped) as exc:
         typecheck(p, gamma)
     assert str(exc.value) == message
+
+
+def _outcome(check, p, gamma):
+    try:
+        check(p, gamma)
+    except IllTyped as e:
+        return str(e), e.msg, e.path, e.gamma
+    return "well typed"
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda g: st.tuples(loose_terms(g), st.integers(-1, g + 1))))
+def test_typecheck_agrees_with_the_path_building_reference(case):
+    # terms built at one context are checked at it and at the others
+    p, gamma = case
+    assert _outcome(typecheck, p, gamma) == _outcome(typecheck_with_paths, p, gamma)
+
+
+def test_typecheck_agrees_with_the_reference_on_the_suite_terms():
+    outcomes = Counter()
+    for t in enumerate_terms(1, 2, 2):
+        for gamma in (0, 1):
+            got = _outcome(typecheck, t, gamma)
+            assert got == _outcome(typecheck_with_paths, t, gamma)
+            outcomes[gamma, got == "well typed"] += 1
+    # at context 0 the well-typed ones are the context-0 stream
+    assert outcomes == {(1, True): 10847, (0, True): count_terms(0, 2, 2), (0, False): 10630}
 
 
 def test_ctx_after():
