@@ -15,9 +15,10 @@ side for the closed graph of BIG (3362 states a side), then one
 ``bisim`` line for each of two ``weak_bisim`` calls: the two sides of
 the term, and its strategy graph against the process graph of the
 variant. Exits 1 if any line differs from its pinned value. Takes about
-six seconds. Each graph build's and each ``weak_bisim`` call's wall
-seconds go to stderr, one ``<what> <seconds>s`` line each, so that a
-log shows their trend; stdout holds only the digests.
+two seconds. Each graph build's and each ``weak_bisim`` call's wall
+seconds go to stderr, one ``<what> <seconds>s`` line each, a build's
+followed by ``vertices=<n> edges=<m>``, so that a log shows their trend
+and the work behind it; stdout holds only the digests.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ import sys
 import time
 
 from actorgame.lts import (
+    LtsGraph,
     closed_graph,
     interface_graph,
     process_lts,
@@ -65,10 +67,14 @@ PINNED_BISIM = [
 
 
 def timed(what: str, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, its wall seconds printed on stderr."""
+    """``fn(*args, **kwargs)``, its wall seconds printed on stderr, and a
+    graph's vertex and edge counts beside them."""
     start = time.perf_counter()
     result = fn(*args, **kwargs)
-    print(f"{what} {time.perf_counter() - start:.3f}s", file=sys.stderr)
+    line = f"{what} {time.perf_counter() - start:.3f}s"
+    if isinstance(result, LtsGraph):
+        line += f" vertices={len(result.states)} edges={result.num_edges}"
+    print(line, file=sys.stderr)
     return result
 
 

@@ -69,6 +69,11 @@ class Test(_Test):
         typecheck(proc, ctx)
         return tuple.__new__(cls, (h, ctx, proc))
 
+    @classmethod
+    def _make(cls, fields: Iterable) -> Test:
+        """The checked test of ``(h, ctx, proc)``, for ``_replace`` too."""
+        return cls(*fields)
+
 
 def identity_test(gamma: int, proc: Process) -> Test:
     return Test(tuple(range(1, gamma + 1)), gamma, proc)

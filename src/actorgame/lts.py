@@ -40,16 +40,11 @@ strategy side and carry branch indices, or nothing for a fork, on the
 process side.
 
 Interface graphs are built over int-coded states ``(h, num_channels,
-actors)``, and their ``states`` stay coded. One build ranks every body
-reachable from the root through its offers in body order, comparing
-flat int keys so that no comparison recurses; a thread is coded
-``(rank, attach)`` and a player ``(arity, attach, rank)``, so coded
-actors order as the actors do, and successors, vertex numbering and
-dumps are those of the concrete states. Each actor's moves are built
-once per fresh channel and shared by every state that holds it, and
-each state's moves, but for the channel each needs the environment to
-know, once per channel count and actors: states that differ only in h
-filter one list of moves by their h and share its successors' actors.
+actors)``, and their ``states`` stay coded: bodies are ranked in body
+order, so coded actors order as the actors do, and successors, vertex
+numbering and dumps are those of the concrete states. One breadth-first
+loop builds a graph: states that differ only in h share the moves of
+their channel count and actors, and each state filters them by its h.
 
 States, actors and labels are named tuples, so hashing, comparing and
 sorting them runs in C. A player's leading ``arity`` field makes tuple
@@ -63,6 +58,7 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect, insort
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -102,6 +98,14 @@ class PlayerState(_Player):
 
     def __getnewargs__(self) -> tuple:
         return self.attach, self.body
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> PlayerState:
+        """The checked player of ``(arity, attach, body)``, for ``_replace`` too."""
+        arity, attach, body = fields
+        if arity != len(attach):
+            raise ValueError(f"player of arity {arity} attached to {len(attach)} channels")
+        return cls(attach, body)
 
     @staticmethod
     def offers(body: Definite) -> list[Offer]:
@@ -442,21 +446,11 @@ class _Interface:
     successors and their order are the concrete state's.
 
     An actor's moves depend on it and the next fresh channel alone, so
-    ``entries`` keeps one entry per fresh channel and coded actor: its
-    observable moves in offer order as (channel the environment must
-    know or None, label, handle extension, channels created, avatars)
-    tuples, its fork avatar pairs, its sends as (channel, object,
-    avatars) and its receives as (channel, avatars, attachment, offer
-    group, avatars by object) for the link and sync rules.
-    Each avatar is checked when its entry is built, against the channel
-    count that the fresh channel fixes.
-
-    Most states differ from others only in h, and a state's moves, but
-    for the channel each needs h to know, depend on its channel count
-    and actors alone. So ``shared`` keeps the moves of each
-    ``(num_channels, actors)`` pair met, built once from the entries
-    (``fill``), and states that differ only in h share their
-    successors' actor tuples."""
+    ``entries`` keeps them per fresh channel and coded actor (``entry``).
+    A state's moves, but for the channel each needs h to know, depend on
+    its channel count and actors alone, so ``shared`` keeps them per
+    ``(num_channels, actors)`` pair (``fill``): states that differ only
+    in h share them, and ``build`` filters them by each state's h."""
 
     def __init__(self, root: State, enable_link: bool = False):
         actors = root.actors
@@ -496,7 +490,12 @@ class _Interface:
         return tuple(avatars)
 
     def entry(self, actor: tuple, fresh: int) -> tuple:
-        """``actor``'s entry in a state whose next fresh channel is ``fresh``."""
+        """``actor``'s entry in a state whose next fresh channel is
+        ``fresh``: its observable moves in offer order as (channel h must
+        know or None, label, handle extension, channels created, avatars),
+        its fork avatar pairs, its sends as (channel, object, avatars) and
+        its receives as (channel, avatars, attachment, offer group,
+        avatars by object) for the link and sync rules."""
         r, attach = (actor[2], actor[1]) if self.player else actor
         filing = self.filings[r]
         if not filing:
@@ -532,16 +531,15 @@ class _Interface:
 
     def fill(self, moves: list, n: int, actors: tuple) -> None:
         """Fill ``moves`` with the moves of every state ``(h, n,
-        actors)``, whatever its h, in the order of ``steps``: one
-        (channel the environment must know or None, label, handle
-        extension, channel count, successor actors) tuple per avatar,
-        and with the link rule on, after each actor's other moves, one
+        actors)``, whatever its h, in step order: observable moves actor
+        by actor in offer order, then silent forks by actor and syncs by
+        sender then receiver. An observable move is one (channel h must
+        know or None, label, handle extension, channel count, successor
+        actors) tuple per avatar; with the link rule on, each receive adds
         (channel, None, (), channel count, successor actors of each
-        avatar) tuple per receive."""
+        avatar) after its actor's other moves."""
         fresh = n + 1
-        entries = self.entries.get(fresh)
-        if entries is None:
-            entries = self.entries[fresh] = {}
+        entries = self.entries.setdefault(fresh, {})
         link = self.link
         forks, sends, receives = [], [], []
         for p, actor in enumerate(actors):
@@ -586,29 +584,49 @@ class _Interface:
                         for got_av in got:
                             moves.append((None, label, (), n, _inserted(rest, (sent_av, got_av))))
 
-    def steps(self, state: tuple) -> list[tuple]:
-        """Observable steps actor by actor in offer order, each actor's
-        link steps after its other steps, then the silent forks by actor
-        and syncs by sender then receiver, as (label, successor) pairs:
-        those of the shared moves of ``(n, actors)`` whose channel h
-        knows, with h extended."""
-        h, n, actors = state
+    def build(self) -> LtsGraph:
+        """The graph from ``root``, numbered and capped as by ``build_graph``:
+        a state's steps are its pair's shared moves whose channel h knows,
+        with h extended, and only two or more are deduplicated and sorted."""
+        max_states = MAX_STATES
+        index = {self.root: 0}
+        states = [self.root]
+        edges: list[tuple] = []
+        shared, fill = self.shared, self.fill
         miss: list[tuple] = []
-        moves = self.shared.setdefault((n, actors), miss)  # the key is hashed once
-        if moves is miss:
-            self.fill(moves, n, actors)
-        known = {*h, None}  # None stands for no channel to know
-        steps: list[tuple] = []
-        for ch, label, ext, m, succ in moves:
-            if ch in known:
-                if label is not None:
-                    steps.append((label, (h + ext, m, succ)))
-                    continue
-                for src in sorted(known - {ch, None}):
-                    label = _label("link", ch, m, src)
-                    for linked in succ:
-                        steps.append((label, (h, m, linked)))
-        return steps
+        with _collector_paused():
+            for h, n, actors in states:  # the loop meets every state appended
+                moves = shared.setdefault((n, actors), miss)  # the key is hashed once
+                if moves is miss:
+                    fill(moves, n, actors)
+                    miss = []
+                known = None  # set(h), built when a move needs a channel known
+                out = []
+                for ch, label, ext, m, succ in moves:
+                    if ch is not None:
+                        if known is None:
+                            known = set(h)
+                        if ch not in known:
+                            continue
+                        if label is None:  # a receive's link steps
+                            for src in sorted(known - {ch}):
+                                label = _label("link", ch, m, src)
+                                for linked in succ:
+                                    nxt = (h, m, linked)
+                                    dst = index.setdefault(nxt, len(states))
+                                    if dst == len(states):
+                                        states.append(nxt)
+                                    out.append((label, dst))
+                            continue
+                    nxt = (h + ext, m, succ)
+                    dst = index.setdefault(nxt, len(states))
+                    if dst == len(states):
+                        states.append(nxt)
+                    out.append((label, dst))
+                if len(states) > max_states:
+                    raise RuntimeError(f"state space exceeds {max_states} states")
+                edges.append(tuple(sorted(set(out))) if len(out) > 1 else tuple(out))
+        return LtsGraph(states, edges)
 
 
 # -------------------------------------------------------------- graphs
@@ -620,10 +638,7 @@ class LtsGraph:
 
     states: list
     edges: list[tuple]
-
-    @property
-    def root(self) -> int:
-        return 0
+    root = 0  # a class constant, not a field
 
     @property
     def num_edges(self) -> int:
@@ -645,24 +660,32 @@ class LtsGraph:
         return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector for a graph build, and leave it as
+    found: states and labels are tuples that make no reference cycle, so
+    the collector would only rescan the state table."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def build_graph(root, successors: Callable) -> LtsGraph:
     """BFS the reachable states, at most ``MAX_STATES`` of them, read
-    when the build starts. Successor lists are deduplicated and
-    sorted by label then target, so vertex numbering and edge order are
-    functions of the root alone. The cyclic garbage collector is paused
-    meanwhile, and left as found: states and labels are immutable tuples
-    that make no reference cycle, so reference counting frees all a
-    build drops, and the collector would only rescan the state table."""
+    when the build starts, with the collector paused. Successor lists
+    are deduplicated and sorted by label then target, so vertex
+    numbering and edge order are functions of the root alone. Closed
+    graphs are built here; interface graphs by ``_Interface.build``."""
     max_states = MAX_STATES
     index = {root: 0}
     states = [root]
     edges: list[tuple] = []
-    frontier = 0
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        while frontier < len(states):
-            state = states[frontier]
+    with _collector_paused():
+        for state in states:  # the loop meets every state appended
             outs: set[tuple] = set()
             for label, nxt in successors(state):
                 dst = index.setdefault(nxt, len(states))
@@ -672,10 +695,6 @@ def build_graph(root, successors: Callable) -> LtsGraph:
                     states.append(nxt)
                 outs.add((label, dst))
             edges.append(tuple(sorted(outs)))
-            frontier += 1
-    finally:
-        if collecting:
-            gc.enable()
     return LtsGraph(states, edges)
 
 
@@ -686,8 +705,7 @@ def closed_graph(state: State) -> LtsGraph:
 def interface_graph(root: State, enable_link: bool = False) -> LtsGraph:
     """The interface graph of a root whose every channel the environment
     knows. Its states are int-coded, as ``_Interface`` gives them."""
-    engine = _Interface(root, enable_link)
-    return build_graph(engine.root, engine.steps)
+    return _Interface(root, enable_link).build()
 
 
 def strategy_lts(p: Process, gamma: int) -> LtsGraph:
@@ -742,8 +760,10 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     a weak observable step. A class keeps its O and its T plus itself.
     The vertex stutters into a class in its T that has the same O and
     whose T plus itself is the vertex's T; otherwise it joins, or
-    founds, the class of its (O, T). Blocks are numbered by their first vertex, the
-    first graph's vertices first.
+    founds, the class of its (O, T). The class of a vertex's own steps
+    is remembered, keyed by its one step's int code when it has one
+    edge and by the set of its steps' codes otherwise. Blocks are
+    numbered by their first vertex, the first graph's vertices first.
 
     When the roots differ the witness is a label sequence tracing one
     spine of a distinguishing experiment, at most WITNESS_DEPTH labels
@@ -763,7 +783,7 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     # and under (O, T plus itself), the (O, T) of a vertex stuttering
     # into it.
     classes: dict[tuple, int] = {}
-    by_steps: dict[frozenset[int], int] = {}  # a vertex's own steps -> class
+    by_steps: dict[object, int] = {}  # a vertex's one step, or set of steps -> class
 
     unseen, open_ = -1, -2
     cls1, cls2 = [unseen] * n1, [unseen] * (n - n1)  # per vertex of each graph
@@ -789,12 +809,17 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
                 else:
                     stack.pop()
                     # classify v from its successors' classes
-                    steps = frozenset([offsets[label] + cls[w] for label, w in edges[v]])
+                    arcs = edges[v]
+                    if len(arcs) == 1:
+                        [(label, w)] = arcs
+                        steps = offsets[label] + cls[w]  # a lone step keys itself
+                    else:
+                        steps = frozenset([offsets[label] + cls[w] for label, w in arcs])
                     c = by_steps.get(steps)
                     if c is None:
                         t: set[int] = set()
                         o: set[int] = set()
-                        for step in steps:
+                        for step in (steps,) if type(steps) is int else steps:
                             a, d = divmod(step, n)
                             if a == 0:
                                 t |= reach[d]

@@ -82,6 +82,23 @@ def test_a_test_keeps_its_handle_map_as_a_tuple():
     assert passes(term("ctx 1. snd(1,1).0"), 1, listed).passed
 
 
+def test_a_test_built_from_its_fields_is_checked():
+    # _make and _replace build through the constructor: the same checks,
+    # with the same messages, and h kept as a tuple
+    proc = term("ctx 1. rcv(1).tick.0")
+    test = FTest._make(([1], 1, proc))
+    assert test == FTest((1,), 1, proc) and type(test.h) is tuple
+    listed = FTest((1,), 1, term("ctx 1. 0"))._replace(h=[1], proc=proc)
+    assert type(listed) is FTest and listed == test
+    assert passes(term("ctx 1. snd(1,1).0"), 1, listed).passed
+    with pytest.raises(ValueError, match=r"^handle 1 wired to 9, outside 1\.\.1$"):
+        FTest._make(([9], 1, proc))
+    with pytest.raises(ValueError, match=r"^handle 1 wired to 9, outside 1\.\.1$"):
+        test._replace(h=(9,))
+    with pytest.raises(IllTyped, match=r"^send subject 2 out of range \(at branch0, context size 1\)$"):
+        test._replace(proc=term("ctx 2. snd(2,2).0"))
+
+
 def test_compose_game_shapes():
     # on both sides: the test's actor on the identity, the subject's wired by h
     for root in ROOTS:

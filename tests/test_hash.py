@@ -23,7 +23,7 @@ from actorgame.lts import (
     State,
     StepLabel,
     Thread,
-    _Interface,
+    interface_graph,
     root_process,
     root_strategy,
 )
@@ -87,8 +87,7 @@ def values(roots):
     for root in roots:
         stack.append(root)
         stack.extend(Explorer().steps(root))
-        engine = _Interface(root)
-        stack.extend(engine.steps(engine.root))
+        stack.extend(interface_graph(root).edges[0])
     while stack:
         x = stack.pop()
         if isinstance(x, SLOTTED):

@@ -25,7 +25,6 @@ from actorgame.lts import (
     _rank_bodies,
     arena_position,
     arena_trace,
-    build_graph,
     closed_graph,
     interface_graph,
     process_lts,
@@ -73,6 +72,24 @@ def test_game_state_rejects_arity_mismatch():
         State.of(2, [PlayerState((1, 2), Definite(1))])
     with pytest.raises(ValueError, match=r"^attachment 2 outside 1\.\.1$"):
         State.of(1, [PlayerState((2,), Definite(1))])
+
+
+def test_a_player_built_from_its_fields_is_checked():
+    # _make and _replace build through the constructor, and _make also
+    # checks the arity field against the attachment
+    s = interpret(parse("ctx 1. tick.0")[0], 1)
+    player = PlayerState((1,), s)
+    assert PlayerState._make((1, (1,), s)) == player
+    assert type(player._replace(attach=(2,))) is PlayerState
+    with pytest.raises(ValueError, match=r"^player of arity 5 attached to 1 channels$"):
+        PlayerState._make((5, (1,), s))
+    arity = r"^player attached to 2 channels runs a strategy of arity 1$"
+    with pytest.raises(ValueError, match=arity):
+        PlayerState._make((2, (1, 2), s))
+    with pytest.raises(ValueError, match=r"^player of arity 1 attached to 2 channels$"):
+        player._replace(attach=(1, 2))
+    with pytest.raises(ValueError, match=arity):
+        player._replace(arity=2, attach=(1, 2))
 
 
 def test_proc_state_rejects_bad_env():
@@ -380,10 +397,11 @@ def test_link_rule_only_behind_flag():
 
 def test_link_steps_follow_the_actors_other_steps():
     # the in step of a receive comes first, its link steps after every
-    # other step of the same thread
+    # other step of the same thread: a build numbers successors in step
+    # order
     p, gamma = parse("ctx 2. rcv(1).0 + tick.0")
-    engine = _Interface(root_process(p, gamma), enable_link=True)
-    tags = [label.tag for label, _ in engine.steps(engine.root)]
+    graph = interface_graph(root_process(p, gamma), enable_link=True)
+    tags = [label.tag for label, _ in sorted(graph.edges[0], key=lambda e: e[1])]
     assert tags == ["in", "tick", "link"]
 
 
@@ -401,7 +419,8 @@ def test_noninjective_h_duplicates_are_one_edge():
     p, gamma = parse("ctx 1. rcv(1).0")
     engine = _Interface(root_process(p, gamma))
     _, num_channels, actors = engine.root
-    graph = build_graph(((1, 1), num_channels, actors), engine.steps)
+    engine.root = ((1, 1), num_channels, actors)
+    graph = engine.build()
     ins = [l for e in graph.edges for l, _ in e if l.tag == "in"]
     assert ins == [ALab("in", (1,))]
 
@@ -487,11 +506,23 @@ def test_edges_share_interned_labels_and_kinds():
             assert len({id(v) for v in values}) == len(set(values))
 
 
+# the graph builders: closed graphs through build_graph, interface
+# graphs through their own loop
+BUILDS = (
+    strategy_lts,
+    process_lts,
+    lambda p, g: closed_graph(root_strategy(p, g)),
+    lambda p, g: closed_graph(root_process(p, g)),
+)
+
+
 def test_build_graph_max_states(monkeypatch):
     p, gamma = parse(RELAY)
+    assert len(closed_graph(root_strategy(p, gamma)).states) > 3
     monkeypatch.setattr(lts, "MAX_STATES", 3)
-    with pytest.raises(RuntimeError):
-        strategy_lts(p, gamma)
+    for build in BUILDS:
+        with pytest.raises(RuntimeError, match="^state space exceeds 3 states$"):
+            build(p, gamma)
 
 
 def test_build_graph_leaves_the_collector_as_it_found_it(monkeypatch):
@@ -499,14 +530,15 @@ def test_build_graph_leaves_the_collector_as_it_found_it(monkeypatch):
     collecting = gc.isenabled()
     try:
         for enabled in (True, False):
-            gc.enable() if enabled else gc.disable()
-            strategy_lts(p, gamma)
-            assert gc.isenabled() == enabled
-            with monkeypatch.context() as m:
-                m.setattr(lts, "MAX_STATES", 3)
-                with pytest.raises(RuntimeError, match="^state space exceeds 3 states$"):
-                    process_lts(p, gamma)
-            assert gc.isenabled() == enabled
+            for build in BUILDS:
+                gc.enable() if enabled else gc.disable()
+                build(p, gamma)
+                assert gc.isenabled() == enabled
+                with monkeypatch.context() as m:
+                    m.setattr(lts, "MAX_STATES", 3)
+                    with pytest.raises(RuntimeError, match="^state space exceeds 3 states$"):
+                        build(p, gamma)
+                assert gc.isenabled() == enabled
     finally:
         gc.enable() if collecting else gc.disable()
 
@@ -572,23 +604,26 @@ def test_explorer_matches_the_reference_on_random_terms(tg):
 # objects: its successors hold those objects in place of its unmoved ones
 @example(parse("ctx 1. (0 | 0) | tick.0 + snd(1,1).0"))
 def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
-    # on every coded state of the link-enabled graph, with and without
-    # the link rule, the steps equal those of an engine with no entries
-    # yet and, decoded, those of the concrete engine in order; each
-    # entry equals a fresh one, each successor's actors are sorted, and
-    # each observable successor holds the unmoved actors, compared by
-    # value, and the avatar object of the moved actor's entry
+    # on every coded state of a build, with and without the link rule:
+    # its edges, decoded, are the concrete engine's steps; the shared
+    # moves of its (n, actors) equal those of an engine with no entries
+    # yet, and each entry equals a fresh one; each successor's actors
+    # are sorted, and each observable successor holds the unmoved
+    # actors, compared by value, and the avatar object of the moved
+    # actor's entry
     t, gamma = tg
     for root in (root_strategy(t, gamma), root_process(t, gamma)):
-        graph = interface_graph(root, enable_link=True)
-        concrete = dict(zip(graph.states, decoded(root, graph.states)))
         for link in (True, False):
             engine = _Interface(root, link)
-            for state in graph.states:
-                _, n, actors = state
-                steps = engine.steps(state)
-                assert steps == _Interface(root, link).steps(state)
-                assert [(l, concrete[s]) for l, s in steps] == interface_steps(concrete[state], link)
+            graph = engine.build()
+            concrete = decoded(root, graph.states)
+            for v, (_, n, actors) in enumerate(graph.states):
+                steps = {(l, concrete[w]) for l, w in graph.edges[v]}
+                assert steps == set(interface_steps(concrete[v], link))
+                shared = engine.shared[n, actors]
+                fresh_moves = []
+                _Interface(root, link).fill(fresh_moves, n, actors)
+                assert shared == fresh_moves
                 entries = {}
                 for actor in actors:
                     moves, forks, sends, receives = engine.entries[n + 1][actor]
@@ -600,13 +635,15 @@ def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
                             assert avatars == engine.avatars(group, attach + (obj,), n)
                     entries[actor] = {id(av) for *_, avatars in moves for av in avatars}
                 before = Counter(actors)
-                for label, (_, _, nxt) in steps:
-                    assert list(nxt) == sorted(nxt)
-                    if label.tag in SILENT_TAGS:
-                        continue
-                    after = Counter(nxt)
-                    [gone], [avatar] = before - after, after - before
-                    assert any(id(a) in entries[gone] for a in nxt if a == avatar)
+                for _, label, _, _, succ in shared:
+                    # a link move holds the successor of each avatar
+                    for nxt in succ if label is None else (succ,):
+                        assert list(nxt) == sorted(nxt)
+                        if label is not None and label.tag in SILENT_TAGS:
+                            continue
+                        after = Counter(nxt)
+                        [gone], [avatar] = before - after, after - before
+                        assert any(id(a) in entries[gone] for a in nxt if a == avatar)
 
 
 def assert_matches_the_concrete_engine(root):
@@ -615,11 +652,15 @@ def assert_matches_the_concrete_engine(root):
         oracle = concrete_interface_graph(root, enable_link=link)
         assert graph.dump() == oracle.dump()
         assert decoded(root, graph.states) == oracle.states
+        # each vertex's edges are sorted, with no (label, target) twice
+        for edges in graph.edges:
+            assert all(a < b for a, b in zip(edges, edges[1:])), edges
 
 
 def test_coded_interface_graphs_match_the_concrete_engine(corpus):
-    # the dump, and the state of every vertex decoded through ranks that
-    # plain sorted gives, on both sides, with and without the link rule
+    # the dump, the state of every vertex decoded through ranks that
+    # plain sorted gives and strictly increasing edges, on both sides,
+    # with and without the link rule
     for gamma, terms in corpus.items():
         for t in terms:
             assert_matches_the_concrete_engine(root_strategy(t, gamma))
@@ -632,6 +673,17 @@ def test_coded_interface_graphs_match_the_concrete_engine_on_random_terms(tg):
     t, gamma = tg
     assert_matches_the_concrete_engine(root_strategy(t, gamma))
     assert_matches_the_concrete_engine(root_process(t, gamma))
+
+
+def test_equal_steps_are_one_edge():
+    # the root's two tick branches make two equal steps, which a build
+    # keeps as one edge on both sides, with and without the link rule
+    for root in roots("ctx 0. tick.0 + tick.0"):
+        for link in (False, True):
+            engine = _Interface(root, link)
+            graph = engine.build()
+            assert len(engine.shared[engine.root[1:]]) == 2
+            assert graph.edges == [((ALab("tick"), 1),), ()]
 
 
 def test_deep_bodies_rank_and_build_without_recursion():
@@ -852,13 +904,22 @@ def test_weak_bisim_matches_naive_oracle_on_silent_pairs(corpus):
 @st.composite
 def small_dags(draw):
     """A graph on up to seven vertices whose edges all point at a later
-    vertex, labelled sync (silent), tick or in(1)."""
+    vertex, labelled sync (silent), tick or in(1). Sometimes a vertex
+    has a second edge with the label of one of its edges, into another
+    vertex with the same edges as that edge's target: two edges that
+    make one step."""
     labels = [ALab("sync"), ALab("tick"), ALab("in", (1,))]
     n = draw(st.integers(2, 7))
     edges = [()] * n
-    for v in range(n - 1):
+    for v in reversed(range(n - 1)):
         later = st.tuples(st.sampled_from(labels), st.integers(v + 1, n - 1))
-        edges[v] = tuple(draw(st.sets(later, max_size=3)))
+        out = draw(st.sets(later, max_size=3))
+        if out and draw(st.booleans()):
+            label, w = draw(st.sampled_from(sorted(out)))
+            twins = [u for u in range(v + 1, n) if u != w and set(edges[u]) == set(edges[w])]
+            if twins:
+                out.add((label, draw(st.sampled_from(twins))))
+        edges[v] = tuple(out)
     return LtsGraph(list(range(n)), edges)
 
 
@@ -871,6 +932,16 @@ def test_weak_bisim_matches_naive_oracle_on_random_dags(g):
     subgraphs = [rerooted(g, v) for v in range(len(g.states))]
     for g1, g2 in itertools.combinations(subgraphs, 2):
         assert weak_bisim(g1, g2).equivalent == naive_weak_equiv(g1, g2)
+
+
+def test_weak_bisim_keys_one_edge_and_two_equal_steps_alike():
+    # two tick edges into two leaves make one step, as one tick edge
+    # into one leaf does: the roots share a class, beside the leaves'
+    tick = ALab("tick")
+    two = LtsGraph([0, 1, 2], [((tick, 1), (tick, 2)), (), ()])
+    one = LtsGraph([0, 1], [((tick, 1),), ()])
+    for g1, g2 in ((two, one), (one, two)):
+        assert weak_bisim(g1, g2) == lts.BisimResult(True, (), 2)
 
 
 # SHA-256 over (equivalent, num_blocks, witness) of every pair below,
