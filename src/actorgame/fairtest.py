@@ -20,12 +20,13 @@ reachability over tick-free steps.
 ``in_bot`` reads both verdicts off a built closed graph; ``settle``
 reaches the same verdict, failure witness included, without building
 one. The weak search runs over int-coded forms of ranked bodies (see
-``_Ranks`` and ``_form``): a successor form is built from the filed
-moves alone, with no concrete state or label, and since the step rules
-are equivariant under channel renaming, a form's ticks, deadlocks and
-distances are those of every state it stands for. Forms live for one
-decision; a rank table depends on bodies alone, so one table serves
-every decision of a suite.
+``_Ranks`` and ``_form``): a rank's filing is the ``lts`` step core's
+with each continuation coded as its rank, and a successor form is built
+from the core's fork pairs and sync matches alone, with no concrete
+state or label. Since the step rules are equivariant under channel
+renaming, a form's ticks, deadlocks and distances are those of every
+state it stands for. Forms live for one decision; a rank table depends
+on bodies alone, so one table serves every decision of a suite.
 
 A suite verdict starts from a root form built from the subject's and
 the test's ranked bodies (``composites``, which ``eq_check`` and ``fair
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import lts
-from .lts import ROOTS, Explorer, LtsGraph, PlayerState, State, StepLabel, Thread, _file_offers
+from .lts import ROOTS, Explorer, LtsGraph, PlayerState, State, StepLabel, Thread, _filing, _silent_rules
 from .strategy import interpret
 from .term import Process, canonical, enumerate_terms, typecheck
 
@@ -180,47 +181,46 @@ class _Ranks:
     bodies met before it, and a body that offers nothing has rank
     ``_INERT``. Equal bodies share a rank.
 
-    A rank's filing holds whether its body can tick, its receives as
-    (slot index, continuation ranks) pairs, its sends as (channel slot
-    index, object slot index, continuation ranks) triples, and its fork
-    halves as a (left ranks, right ranks) pair, or None; slot indices
-    count from 0. A body's offers are read once, when it is ranked, and
-    it is filed from them when a form holding it is first expanded.
-    Filings depend on bodies alone, so one table can serve every
-    verdict of a suite (see ``composites``).
+    A rank's filing is whether its body can tick and its body's rules
+    (``lts._filing``), each group coded as its continuations' ranks. A
+    body is filed once, when it is ranked, and its groups are coded when
+    a form holding it is first expanded. Filings depend on bodies alone,
+    so one table can serve every verdict of a suite (see
+    ``composites``).
     """
 
     def __init__(self):
         self.rank: dict = {}
-        self.met: list[Optional[tuple]] = []  # rank -> side, body and offers, until filed
+        self.met: list[Optional[tuple]] = []  # rank -> side, tick flag and rules, until coded
         self.filings: list[Optional[tuple]] = []
 
     def of(self, side: type, body) -> int:
         r = self.rank.get(body)
         if r is None:
             r = _INERT
-            offers = side.offers(body)
-            if offers:
+            filing = _filing(side, body)
+            if filing[0]:
                 r = len(self.met)
-                self.met.append((side, body, offers))
+                self.met.append((side, bool(filing[1]), filing[2]))
                 self.filings.append(None)
             self.rank[body] = r
         return r
 
-    def _conts(self, side: type, group) -> tuple[int, ...]:
-        return tuple([self.of(side, cont) for _, cont in group])
-
     def _file(self, r: int) -> tuple:
-        side, body, offers = self.met[r]
+        side, tick, rules = self.met[r]
         self.met[r] = None  # the rank dict keeps the body
-        _, ticks, ins, outs, fork = _file_offers(body, offers)
-        conts = self._conts
-        filing = self.filings[r] = (
-            bool(ticks),
-            tuple([(a - 1, conts(side, group)) for a, group in ins]),
-            tuple([(c - 1, d - 1, conts(side, group)) for c, d, group in outs]),
-            fork and (conts(side, fork[0]), conts(side, fork[1])),
-        )
+
+        def conts(group) -> tuple[int, ...]:
+            return tuple([self.of(side, cont) for _, cont in group])
+
+        if rules:
+            ins, outs, fork = rules
+            rules = (
+                tuple([(a, conts(group)) for a, group in ins]),
+                tuple([(c, d, conts(group)) for c, d, group in outs]),
+                fork and (conts(fork[0]), conts(fork[1])),
+            )
+        filing = self.filings[r] = (tick, rules)
         return filing
 
     def form(self, state: State) -> tuple:
@@ -229,37 +229,30 @@ class _Ranks:
 
     def steps(self, form: tuple) -> tuple[bool, list[tuple]]:
         """Whether ``form`` can tick, and the form of each of its silent
-        steps, forks and syncs in the order of ``lts.Explorer.moves``."""
+        steps, forks and syncs in the order ``lts._silent_rules`` lists
+        them."""
         n, actors = form
-        fresh = n + 1
         filings = self.filings
-        can_tick = False
-        forks, sends, receives = [], [], []
-        for i, (r, attach) in enumerate(actors):
-            tick, ins, outs, fork = filings[r] or self._file(r)
+        rules, can_tick = [], False
+        for p, (r, _) in enumerate(actors):
+            tick, own = filings[r] or self._file(r)
             can_tick = can_tick or tick
-            for a, conts in ins:
-                receives.append((i, attach, attach[a], conts))
-            for c, d, conts in outs:
-                sends.append((i, attach, attach[c], attach[d], conts))
-            if fork:
-                forks.append((i, attach, fork))
+            if own:
+                rules.append((p, own))
+        if not rules:
+            return can_tick, []
+        forks, syncs = _silent_rules(actors, rules)
         succ = []
-        for i, attach, (lefts, rights) in forks:
-            rest = actors[:i] + actors[i + 1 :]
-            grown = attach + (fresh,)
-            for left in lefts:
-                for right in rights:
-                    succ.append(_form([*rest, (left, grown), (right, grown)]))
-        for q, sattach, ch, obj, sconts in sends:
-            for p, rattach, on, rconts in receives:
-                if on != ch or p == q:
-                    continue
-                rest = [a for k, a in enumerate(actors) if k != p and k != q]
-                grown = rattach + (obj,)
-                for sent in sconts:
-                    for got in rconts:
-                        succ.append(_form([*rest, (sent, sattach), (got, grown)]))
+        for i, left, right in forks:
+            grown = actors[i][1] + (n + 1,)
+            succ.append(_form([*actors[:i], *actors[i + 1 :], (left, grown), (right, grown)]))
+        for q, (_, d, sconts), p, (_, rconts) in syncs:
+            rest = [a for k, a in enumerate(actors) if k != p and k != q]
+            sattach = actors[q][1]
+            grown = actors[p][1] + (sattach[d],)
+            for sent in sconts:
+                for got in rconts:
+                    succ.append(_form([*rest, (sent, sattach), (got, grown)]))
         return can_tick, succ
 
 
@@ -338,15 +331,17 @@ class _Search:
         whose successor's form is one nearer. ``in_bot`` meets each
         depth's states in the order of their least label paths, so the
         first failing state it dequeues ends the least shortest path to
-        any, and each step the walk keeps extends to that path. Every
-        form on the walk was expanded when its distance was found, so
-        the walk meets no new form."""
+        any, and each step the walk keeps extends to that path. A form
+        on the walk was most often expanded when its distance was found;
+        one state's forms can differ in their channel numbering, and a
+        form the search never met has the distance of the one it did,
+        found afresh."""
         world, labels = Explorer(), []
         for want in range(top - 1, -1, -1):
             label, state = next(
                 (label, nxt)
                 for label, nxt in sorted(world.steps(state), key=lambda step: step[0])
-                if not label.is_tick and self.dist[self.index[self.ranks.form(nxt)]] == want
+                if not label.is_tick and self.distance(self.ranks.form(nxt)) == want
             )
             labels.append(label.render())
         return tuple(labels)

@@ -11,8 +11,7 @@ these labels.
 Closed world: the only steps are tick, silent fork and silent sync.
 Edge labels are StepLabel values carrying the move kind plus which
 actors moved and which summands or branches they chose; they are
-interned, so equal labels are one object. One ``Explorer`` serves each
-exploration of the closed world, filing each body's offers once.
+interned, so equal labels are one object.
 
 Interface: the subject additionally interacts with an environment that
 knows some of the global channels through the handle map h (a tuple of
@@ -39,12 +38,15 @@ concatenates its actors' choices, so closed labels read ``#i,j`` on the
 strategy side and carry branch indices, or nothing for a fork, on the
 process side.
 
-Interface graphs are built over int-coded states ``(h, num_channels,
-actors)``, and their ``states`` stay coded: bodies are ranked in body
-order, so coded actors order as the actors do, and successors, vertex
-numbering and dumps are those of the concrete states. One breadth-first
-loop builds a graph: states that differ only in h share the moves of
-their channel count and actors, and each state filters them by its h.
+One step core serves every engine: ``_filing`` files a body's offers
+once, in slot form, and ``_silent_rules`` lists a state's fork pairs
+and sync matches. The closed world (``Explorer``) codes a continuation
+as a concrete actor, a verdict form (``fairtest``) as a rank and an
+interface graph as a coded actor. Interface graphs are built over
+int-coded states ``(h, num_channels, actors)``, with bodies ranked in
+body order, so successors, vertex numbering and dumps are those of the
+concrete states; states that differ only in h share the moves of their
+channel count and actors, and each filters them by its h.
 
 States, actors and labels are named tuples, so hashing, comparing and
 sorting them runs in C. A player's leading ``arity`` field makes tuple
@@ -240,51 +242,97 @@ def _label(tag: str, *args: int) -> ALab:
 SILENT_TAGS = frozenset({"sync", "fork"})
 
 
-# --------------------------------------------------- closed-world steps
+# ------------------------------------------------------------ step core
 
 
-def _file_offers(body, offers: list) -> tuple:
-    """The body, then its ``offers``, each group filed under the rule
-    that consumes it: tick groups, (slot, group) receives, (channel
-    slot, object slot, group) sends, and the (left, right) fork halves
-    when the body offers both, else None. A filing kept by the body's
-    id holds the body, so the id stays the body's."""
-    ticks, ins, outs = [], [], []
+def _filing(side: type, body) -> tuple:
+    """``body``'s offers, read once as an actor of ``side`` reads them,
+    in slot form: the offers in offer order as (label tag, slots,
+    channels created, group) tuples; the tick groups; and the rules that
+    can take part in a silent step, or None if there are none: the
+    receives as (slot, group), the sends as (channel slot, object slot,
+    group) and the (left, right) fork halves when the body offers both,
+    else None. Slots count from 0, and a group is an offer's ((choice,
+    continuation), ...). Each engine codes the rules' groups in its own
+    way and keeps their layout, which ``_silent_rules`` reads."""
+    offers = side.offers(body)
+    if not offers:
+        return (), (), None  # an inert body
+    order, ticks, ins, outs = [], [], [], []
     left = right = None
-    for key, group in offers:
-        tag = key[0]
+    for seed, group in offers:
+        tag = seed[0]
         if tag == "heart":
+            order.append(("tick", (), 0, group))
             ticks.append(group)
         elif tag == "in":
-            ins.append((key[1], group))
+            a = seed[1] - 1
+            order.append(("in", (a,), 1, group))
+            ins.append((a, group))
         elif tag == "out":
-            outs.append((key[1], key[2], group))
-        elif tag == "forkL":
-            left = group
+            c, d = seed[1] - 1, seed[2] - 1
+            order.append(("out", (c, d), 0, group))
+            outs.append((c, d, group))
         else:
-            right = group
-    return body, ticks, ins, outs, (left, right) if left and right else None
+            order.append((tag, (), 1, group))
+            if tag == "forkL":
+                left = group
+            else:
+                right = group
+    fork = (left, right) if left and right else None
+    return order, ticks, (ins, outs, fork) if ins or outs or fork else None
+
+
+def _silent_rules(actors: Sequence, rules: list) -> tuple[list, list]:
+    """The silent steps of ``actors`` in enumeration order, given the
+    (actor index, rules) of each actor whose filing has rules, in actor
+    order: the fork pairs as (actor, left, right) tuples, actor by
+    actor, then the syncs as (sender, send, receiver, receive) tuples,
+    each send matched with every receive of another actor on the same
+    global channel, by sender then receiver. An actor's attachment is
+    its field 1 in every engine's coding."""
+    if len(rules) == 1 and not rules[0][1][2]:
+        return (), ()  # one actor, which does not fork
+    forks, syncs = [], []
+    for q, (_, sends, halves) in rules:
+        if halves:
+            for left in halves[0]:
+                for right in halves[1]:
+                    forks.append((q, left, right))
+        if sends:
+            attach = actors[q][1]
+            for send in sends:
+                ch = attach[send[0]]
+                for p, (receives, _, _) in rules:
+                    if receives and p != q:
+                        rattach = actors[p][1]
+                        for recv in receives:
+                            if rattach[recv[0]] == ch:
+                                syncs.append((q, send, p, recv))
+    return forks, syncs
 
 
 class Explorer:
     """One exploration of the closed world: a closed graph build, a fair
     witness walk, a strict check or an arena replay. Offers depend on
     an actor's body alone, so the explorer files each body it meets
-    once, by id.
+    once, by id; a continuation is coded as itself.
 
     A move is a (kind, actors, choice, created, avatars) tuple: actor
     ``actors[i]`` of the state becomes the avatars ``avatars[i]``, and
     ``created`` fresh channels are added. A state's moves come in
-    enumeration order: ticks by actor, then forks by actor, then syncs
-    by sender then receiver, the choices of each step innermost."""
+    enumeration order: ticks by actor, then the forks and syncs of
+    ``_silent_rules``, the choices of each step innermost."""
 
     def __init__(self) -> None:
         self.filed: dict[int, tuple] = {}  # id of a body -> its filing
+        self.bodies: list = []  # the bodies filed, so that each id stays its body's
 
     def file(self, actor) -> tuple:
-        """``_file_offers`` of ``actor``'s body, which ``filed`` misses."""
+        """The filing of ``actor``'s body, which ``filed`` misses."""
         body = actor.body
-        filing = self.filed[id(body)] = _file_offers(body, actor.offers(body))
+        self.bodies.append(body)
+        filing = self.filed[id(body)] = _filing(type(actor), body)
         return filing
 
     def can_tick(self, state: State) -> bool:
@@ -295,40 +343,36 @@ class Explorer:
     def moves(self, state: State) -> list[tuple]:
         """``state``'s moves in enumeration order."""
         moves: list[tuple] = []
-        forks, outs, ins = [], [], []
-        filed = self.filed
-        for p, actor in enumerate(state.actors):
-            attach = actor.attach
-            _, ticks, i, o, fork = filed.get(id(actor.body)) or self.file(actor)
-            for group in ticks:
+        rules = []
+        filed, actors = self.filed, state.actors
+        for p, actor in enumerate(actors):
+            _, ticks, own = filed.get(id(actor.body)) or self.file(actor)
+            if ticks:
+                attach = actor.attach
                 kind = _heartbeat(len(attach))
-                for choice, cont in group:
-                    moves.append((kind, (p,), choice, 0, ((actor.avatar(attach, cont),),)))
-            for a, group in i:
-                ins.append((p, actor, attach, a, group))
-            for c, d, group in o:
-                outs.append((p, actor, attach, c, d, group))
-            if fork:
-                forks.append((p, actor, attach, *fork))
+                for group in ticks:
+                    for choice, cont in group:
+                        moves.append((kind, (p,), choice, 0, ((actor.avatar(attach, cont),),)))
+            if own:
+                rules.append((p, own))
+        if not rules:
+            return moves
+        forks, syncs = _silent_rules(actors, rules)
         fresh = state.num_channels + 1
-        for p, actor, attach, lefts, rights in forks:
-            kind = _fork(len(attach))
-            grown = attach + (fresh,)
-            for cl, dl in lefts:
-                for cr, dr in rights:
-                    av = (actor.avatar(grown, dl), actor.avatar(grown, dr))
-                    moves.append((kind, (p,), cl + cr, 1, (av,)))
-        for q, sender, sattach, c, d, sends in outs:
-            shared, obj = sattach[c - 1], sattach[d - 1]
-            for p, receiver, rattach, a, recvs in ins:
-                if p == q or rattach[a - 1] != shared:
-                    continue
-                kind = _sync(len(rattach), a, len(sattach), c, d)
-                for cs, ds in sends:
-                    for cr, dr in recvs:
-                        send_av = (sender.avatar(sattach, ds),)
-                        recv_av = (receiver.avatar(rattach + (obj,), dr),)
-                        moves.append((kind, (q, p), cs + cr, 0, (send_av, recv_av)))
+        for p, (cl, dl), (cr, dr) in forks:
+            actor = actors[p]
+            grown = actor.attach + (fresh,)
+            av = (actor.avatar(grown, dl), actor.avatar(grown, dr))
+            moves.append((_fork(len(grown) - 1), (p,), cl + cr, 1, (av,)))
+        for q, (c, d, sends), p, (a, recvs) in syncs:
+            sender, receiver = actors[q], actors[p]
+            sattach, rattach = sender.attach, receiver.attach
+            kind = _sync(len(rattach), a + 1, len(sattach), c + 1, d + 1)
+            grown = rattach + (sattach[d],)
+            for cs, ds in sends:
+                for cr, dr in recvs:
+                    av = ((sender.avatar(sattach, ds),), (receiver.avatar(grown, dr),))
+                    moves.append((kind, (q, p), cs + cr, 0, av))
         return moves
 
     @staticmethod
@@ -357,47 +401,46 @@ class Explorer:
 # ----------------------------------------------------- interface engine
 
 # An order key is a flat tuple of ints: a strategy's arity, then for
-# each offer group a branch marker, its seed tag's code and the slots
-# of its seed key, a branch marker and the key of each continuation,
-# and an end marker; a last end marker closes the body. Each side's
-# codes give its own order of tags, and the end marker sorts below the
-# branch marker, so keys compare as the bodies do, in C and with no
-# recursion.
+# each offer a branch marker, its tag's code and its slots, a branch
+# marker and the key of each continuation, and an end marker; a last
+# end marker closes the body. Each side's codes give its own order of
+# tags, and the end marker sorts below the branch marker, so keys
+# compare as the bodies do, in C and with no recursion.
 _END, _BRANCH = 0, 1
 _TAG_CODE = {
     # a receive, a send, a tick, then a parallel's halves: Sum < Par
-    Thread: {"in": 0, "out": 1, "heart": 2, "forkL": 3, "forkR": 4},
-    # seed keys compare by their tag strings
-    PlayerState: {"forkL": 0, "forkR": 1, "heart": 2, "in": 3, "out": 4},
+    Thread: {"in": 0, "out": 1, "tick": 2, "forkL": 3, "forkR": 4},
+    # seed keys compare by their tag strings, "heart" for a tick
+    PlayerState: {"forkL": 0, "forkR": 1, "tick": 2, "in": 3, "out": 4},
 }
 
 
-def _rank_bodies(side: type, actors: tuple) -> tuple[dict[int, int], list[list], list[int]]:
+def _rank_bodies(side: type, actors: tuple) -> tuple[dict[int, int], list[tuple]]:
     """Rank every body reachable from ``actors`` through its offers in
     body order, equal bodies alike. Gives the rank of each body met, by
-    id; each rank's offers; and, for players, each rank's arity. Each
-    body's offers are read once, and its order key is built from its
-    continuations' keys, bottom-up; a lone body needs no key."""
+    id, and each rank's filing. Each body is filed once, and its order
+    key is built from its continuations' keys, bottom-up; a lone body
+    needs no key."""
     code = _TAG_CODE[side]
     player = side is PlayerState
-    filed: dict[int, list] = {}  # id -> offers
+    filed: dict[int, tuple] = {}  # id -> filing
     keys: dict[int, tuple] = {}
     stack = [a.body for a in actors]
     while stack:
         body = stack[-1]
         i = id(body)
-        offers = filed.get(i)
-        if offers is None:
-            offers = filed[i] = side.offers(body)
-            if not offers:  # an inert body's key is its head and an end marker
+        filing = filed.get(i)
+        if filing is None:
+            filing = filed[i] = _filing(side, body)
+            if not filing[0]:  # an inert body's key is its head and an end marker
                 if len(filed) == len(stack) == 1:
-                    return {i: 0}, [offers], [body.arity] if player else []  # a lone body
+                    return {i: 0}, [filing]  # a lone body
                 keys[i] = (body.arity, _END) if player else (_END,)
                 stack.pop()
                 continue
             pending = False
-            for _, group in offers:
-                for _, c in group:
+            for offer in filing[0]:
+                for _, c in offer[3]:
                     if id(c) not in filed:
                         stack.append(c)
                         pending = True
@@ -407,8 +450,8 @@ def _rank_bodies(side: type, actors: tuple) -> tuple[dict[int, int], list[list],
             stack.pop()
             continue
         key = [body.arity] if player else []
-        for seed, group in offers:
-            key += (_BRANCH, code[seed[0]], *seed[1:])
+        for tag, slots, _, group in filing[0]:
+            key += (_BRANCH, code[tag], *slots)
             for _, c in group:
                 key.append(_BRANCH)
                 key += keys[id(c)]
@@ -417,24 +460,14 @@ def _rank_bodies(side: type, actors: tuple) -> tuple[dict[int, int], list[list],
         keys[i] = tuple(key)
         stack.pop()
     rank: dict[int, int] = {}
-    filings, arities = [], []
+    filings = []
     prev = None
     for key, i in sorted(zip(keys.values(), keys)):
         if key != prev:
             prev = key
             filings.append(filed[i])
-            if player:
-                arities.append(key[0])
         rank[i] = len(filings) - 1
-    return rank, filings, arities
-
-
-def _inserted(rest: tuple, avatars: tuple) -> tuple:
-    """``rest``, sorted, with ``avatars`` inserted each in its place."""
-    actors = list(rest)
-    for a in avatars:
-        insort(actors, a)
-    return tuple(actors)
+    return rank, filings
 
 
 class _Interface:
@@ -453,87 +486,68 @@ class _Interface:
     in h share them, and ``build`` filters them by each state's h."""
 
     def __init__(self, root: State, enable_link: bool = False):
+        # the root's actors, checked as ``State.of`` and ``PlayerState``
+        # check; every avatar of a checked actor passes the same checks
+        State.of(root.num_channels, [a.avatar(a.attach, a.body) for a in root.actors])
         actors = root.actors
         side = type(actors[0]) if actors else Thread
         self.player = player = side is PlayerState
         self.link = enable_link
         self.entries: dict[int, dict] = {}  # fresh channel -> actor -> entry
         self.shared: dict[tuple, list] = {}  # (n, actors) -> moves
-        self.rank, self.filings, self.arities = _rank_bodies(side, actors)
+        self.rank, self.filings = _rank_bodies(side, actors)
         coded = []
         for a in actors:
             r = self.rank[id(a.body)]
             coded.append((a.arity, a.attach, r) if player else (r, a.attach))
         self.root = (tuple(range(1, root.num_channels + 1)), root.num_channels, tuple(coded))
 
-    def avatars(self, group: tuple, attach: tuple, num_channels: int) -> tuple:
+    def avatars(self, group: tuple, attach: tuple) -> tuple:
         """The coded actors that carry on as the continuations of the
-        offer ``group`` attached to ``attach``, checked as ``PlayerState``
-        and ``State.of`` check."""
+        offer ``group`` attached to ``attach``."""
         rank = self.rank
         if self.player:
-            arity = len(attach)
-            avatars = []
-            for _, c in group:
-                r = rank[id(c)]
-                if self.arities[r] != arity:
-                    raise ValueError(
-                        f"player attached to {arity} channels runs a strategy "
-                        f"of arity {self.arities[r]}"
-                    )
-                avatars.append((arity, attach, r))
-        else:
-            avatars = [(rank[id(c)], attach) for _, c in group]
-        for c in attach:
-            if not 1 <= c <= num_channels:
-                raise ValueError(f"attachment {c} outside 1..{num_channels}")
-        return tuple(avatars)
+            return tuple([(len(attach), attach, rank[id(c)]) for _, c in group])
+        return tuple([(rank[id(c)], attach) for _, c in group])
 
     def entry(self, actor: tuple, fresh: int) -> tuple:
-        """``actor``'s entry in a state whose next fresh channel is
-        ``fresh``: its observable moves in offer order as (channel h must
-        know or None, label, handle extension, channels created, avatars),
-        its fork avatar pairs, its sends as (channel, object, avatars) and
-        its receives as (channel, avatars, attachment, offer group,
-        avatars by object) for the link and sync rules."""
+        """``actor``'s filing in a state whose next fresh channel is
+        ``fresh``, each group coded as the actors it becomes: its
+        observable moves in offer order as (channel h must know or None,
+        label, handle extension, channels created, avatars), and its
+        rules: receives as (slot, avatars, group, avatars by object) for
+        the link and sync rules, sends as (channel slot, object slot,
+        avatars) and its fork halves' avatars."""
         r, attach = (actor[2], actor[1]) if self.player else actor
-        filing = self.filings[r]
-        if not filing:
-            return (), (), (), ()
-        n = fresh - 1
+        order, _, rules = self.filings[r]
+        if not order:
+            return order, None  # an inert actor
         grown = attach + (fresh,)
-        moves, forks, sends, receives = [], [], [], []
-        left = ()
-        for seed, group in filing:
-            tag = seed[0]
-            if tag == "heart":
-                moves.append((None, _label("tick"), (), 0, self.avatars(group, attach, n)))
-            elif tag == "out":
-                ch, obj = attach[seed[1] - 1], attach[seed[2] - 1]
-                avatars = self.avatars(group, attach, n)
-                moves.append((ch, _label("out", ch, obj), (obj,), 0, avatars))
-                sends.append((ch, obj, avatars))
-            elif tag == "in":
-                ch = attach[seed[1] - 1]
-                avatars = self.avatars(group, grown, fresh)
-                moves.append((ch, _label("in", ch), (fresh,), 1, avatars))
-                receives.append((ch, avatars, attach, group, {}))
+        at = attach.__getitem__
+        moves, coded = [], {}  # id of a group -> its avatars
+        for tag, slots, created, group in order:
+            chans = tuple(map(at, slots))
+            if created:
+                avatars = coded[id(group)] = self.avatars(group, grown)
+                ext = (fresh,)
             else:
-                avatars = self.avatars(group, grown, fresh)
-                moves.append((None, _label(tag), (fresh,), 1, avatars))
-                if tag == "forkL":
-                    left = avatars
-                else:
-                    for a in left:
-                        for b in avatars:
-                            forks.append((a, b))
-        return moves, forks, sends, receives
+                avatars = coded[id(group)] = self.avatars(group, attach)
+                ext = chans[1:]
+            moves.append((chans[0] if chans else None, _label(tag, *chans), ext, created, avatars))
+        if rules:
+            ins, outs, fork = rules
+            rules = (
+                [(a, coded[id(g)], g, {}) for a, g in ins],
+                [(c, d, coded[id(g)]) for c, d, g in outs],
+                fork and (coded[id(fork[0])], coded[id(fork[1])]),
+            )
+        return moves, rules
 
     def fill(self, moves: list, n: int, actors: tuple) -> None:
         """Fill ``moves`` with the moves of every state ``(h, n,
         actors)``, whatever its h, in step order: observable moves actor
-        by actor in offer order, then silent forks by actor and syncs by
-        sender then receiver. An observable move is one (channel h must
+        by actor in offer order, then the silent forks and syncs of
+        ``_silent_rules``. An observable move is one (channel h must
         know or None, label, handle extension, channel count, successor
         actors) tuple per avatar; with the link rule on, each receive adds
         (channel, None, (), channel count, successor actors of each
@@ -541,48 +555,41 @@ class _Interface:
         fresh = n + 1
         entries = self.entries.setdefault(fresh, {})
         link = self.link
-        forks, sends, receives = [], [], []
+        rules = []
         for p, actor in enumerate(actors):
             entry = entries.get(actor)
             if entry is None:
                 entry = entries[actor] = self.entry(actor, fresh)
-            own, pairs, outs, ins = entry
+            own, silent = entry
             if not own:
-                continue  # an inert actor: no forks, sends or receives either
+                continue  # an inert actor
             rest = actors[:p] + actors[p + 1 :]
             for ch, label, ext, created, avatars in own:
                 for av in avatars:
                     i = bisect(rest, av)
                     moves.append((ch, label, ext, n + created, rest[:i] + (av,) + rest[i:]))
-            if link:
-                for ch, avatars, *_ in ins:
-                    linked = tuple([_inserted(rest, (av,)) for av in avatars])
-                    moves.append((ch, None, (), fresh, linked))
-            if pairs:
-                forks.append((rest, pairs))
-            for out in outs:
-                sends.append((p, out))
-            for recv in ins:
-                receives.append((p, recv))
-        if forks:
-            label = _label("fork")
-            for rest, pairs in forks:
-                for pair in pairs:
-                    moves.append((None, label, (), fresh, _inserted(rest, pair)))
-        if sends and receives:
-            label = _label("sync")
-            for q, (ch, obj, sent) in sends:
-                for p, (on, _, attach, group, got_by_obj) in receives:
-                    if on != ch or p == q:
-                        continue
-                    got = got_by_obj.get(obj)
-                    if got is None:
-                        got = got_by_obj[obj] = self.avatars(group, attach + (obj,), n)
-                    lo, hi = (p, q) if p < q else (q, p)
-                    rest = actors[:lo] + actors[lo + 1 : hi] + actors[hi + 1 :]
-                    for sent_av in sent:
-                        for got_av in got:
-                            moves.append((None, label, (), n, _inserted(rest, (sent_av, got_av))))
+            if silent:
+                rules.append((p, silent))
+                if link:
+                    for a, avatars, _, _ in silent[0]:
+                        linked = tuple([tuple(sorted((*rest, av))) for av in avatars])
+                        moves.append((actor[1][a], None, (), fresh, linked))
+        if not rules:
+            return
+        forks, syncs = _silent_rules(actors, rules)
+        for p, left, right in forks:
+            rest = actors[:p] + actors[p + 1 :]
+            moves.append((None, _label("fork"), (), fresh, tuple(sorted((*rest, left, right)))))
+        for q, (_, d, sent), p, (_, _, group, got_by_obj) in syncs:
+            obj = actors[q][1][d]
+            got = got_by_obj.get(obj)
+            if got is None:
+                got = got_by_obj[obj] = self.avatars(group, actors[p][1] + (obj,))
+            lo, hi = (p, q) if p < q else (q, p)
+            rest = actors[:lo] + actors[lo + 1 : hi] + actors[hi + 1 :]
+            for sent_av in sent:
+                for got_av in got:
+                    moves.append((None, _label("sync"), (), n, tuple(sorted((*rest, sent_av, got_av)))))
 
     def build(self) -> LtsGraph:
         """The graph from ``root``, numbered and capped as by ``build_graph``:
@@ -762,7 +769,8 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     whose T plus itself is the vertex's T; otherwise it joins, or
     founds, the class of its (O, T). The class of a vertex's own steps
     is remembered, keyed by its one step's int code when it has one
-    edge and by the set of its steps' codes otherwise. Blocks are
+    edge, by one shared empty set when it has none, and by the set of
+    its steps' codes otherwise. Blocks are
     numbered by their first vertex, the first graph's vertices first.
 
     When the roots differ the witness is a label sequence tracing one
@@ -784,6 +792,7 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
     # into it.
     classes: dict[tuple, int] = {}
     by_steps: dict[object, int] = {}  # a vertex's one step, or set of steps -> class
+    leaf = frozenset()  # the steps of every vertex with no edge
 
     unseen, open_ = -1, -2
     cls1, cls2 = [unseen] * n1, [unseen] * (n - n1)  # per vertex of each graph
@@ -813,8 +822,10 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
                     if len(arcs) == 1:
                         [(label, w)] = arcs
                         steps = offsets[label] + cls[w]  # a lone step keys itself
-                    else:
+                    elif arcs:
                         steps = frozenset([offsets[label] + cls[w] for label, w in arcs])
+                    else:
+                        steps = leaf
                     c = by_steps.get(steps)
                     if c is None:
                         t: set[int] = set()

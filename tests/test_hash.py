@@ -23,14 +23,13 @@ from actorgame.lts import (
     State,
     StepLabel,
     Thread,
-    interface_graph,
     root_process,
     root_strategy,
 )
 from actorgame.strategy import Definite
 from actorgame.term import Par, Recv, Send, Sum, Tick, parse
 from gen import terms
-from oracles import KIND_FIELDS
+from oracles import KIND_FIELDS, AState, interface_steps
 
 KINDS = (Fork, ForkL, ForkR, Input, Output, Heartbeat, Sync)
 TUPLES = (PlayerState, Thread, State, StepLabel, ALab) + KINDS
@@ -87,7 +86,9 @@ def values(roots):
     for root in roots:
         stack.append(root)
         stack.extend(Explorer().steps(root))
-        stack.extend(interface_graph(root).edges[0])
+        # the root's interface steps, without building a graph that
+        # may pass the state cap
+        stack.extend(interface_steps(AState(tuple(range(1, root.num_channels + 1)), root)))
     while stack:
         x = stack.pop()
         if isinstance(x, SLOTTED):

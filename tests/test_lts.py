@@ -34,7 +34,7 @@ from actorgame.lts import (
     weak_bisim,
 )
 from actorgame.strategy import Definite, interpret
-from actorgame.term import NIL, Sum, Tick, parse
+from actorgame.term import NIL, Sum, Tick, enumerate_terms, parse
 from gen import typed_terms
 from oracles import (
     AState,
@@ -49,9 +49,12 @@ from oracles import (
 RELAY = "ctx 1. snd(2,2).0 | rcv(2).tick.0"
 
 
-def roots(text):
-    p, gamma = parse(text)
+def roots_of(p, gamma):
     return root_strategy(p, gamma), root_process(p, gamma)
+
+
+def roots(text):
+    return roots_of(*parse(text))
 
 
 # --------------------------------------------------------------- states
@@ -99,8 +102,8 @@ def test_proc_state_rejects_bad_env():
 
 @pytest.mark.parametrize("side", ["strategy", "process"])
 def test_steps_check_the_attachments_of_a_state_built_as_a_tuple(side):
-    # only ``State.of`` checks a state's actors, so a step checks each
-    # avatar it inserts
+    # only ``State.of`` checks a state's actors, so a closed step checks
+    # each avatar it inserts and an interface build its root's actors
     tick = parse("ctx 1. tick.0")[0]
     actor = PlayerState((5,), interpret(tick, 1)) if side == "strategy" else Thread(tick, (5,))
     state = State(1, (actor,))
@@ -112,7 +115,8 @@ def test_steps_check_the_attachments_of_a_state_built_as_a_tuple(side):
 
 def test_steps_check_the_arity_of_a_player_built_as_a_tuple():
     # a player built without its constructor may run a strategy of
-    # another arity, so a step checks each avatar as PlayerState does
+    # another arity, so a closed step checks each avatar as PlayerState
+    # does, and an interface build its root's actors
     tick = interpret(parse("ctx 1. tick.0")[0], 1)
     state = State(1, (tuple.__new__(PlayerState, (2, (1, 1), tick)),))
     arity = r"^player attached to 2 channels runs a strategy of arity 1$"
@@ -285,17 +289,37 @@ def test_fork_interleavings_share_a_normal_form():
         assert ranks.steps(a_form)[1] == ranks.steps(b_form)[1] == [ranks.form(ab)]
 
 
-def test_normal_form_keeps_tick_flag_and_step_count(small_corpus):
-    # one table serves every state, as one serves a suite
-    for gamma, terms in small_corpus.items():
+def test_normal_form_keeps_tick_flag_and_step_count():
+    # one table serves every state, as one serves a suite; on the states
+    # of single terms the forms of a state's silent steps are, in order,
+    # the forms of the explorer's tick-free successors, since both
+    # engines list the fork pairs and sync matches of one enumeration
+    for gamma in (0, 1, 2):
         ranks = _Ranks()
-        for t in terms[:12]:
+        for t in itertools.islice(enumerate_terms(gamma, 3, 2), 400):
             for root in (root_strategy(t, gamma), root_process(t, gamma)):
                 world = Explorer()
                 for state in closed_graph(root).states:
-                    silent = [label for label, _ in world.steps(state) if not label.is_tick]
+                    silent = [nxt for label, nxt in world.steps(state) if not label.is_tick]
                     form_tick, form_steps = ranks.steps(ranks.form(state))
-                    assert (world.can_tick(state), len(silent)) == (form_tick, len(form_steps))
+                    assert world.can_tick(state) == form_tick
+                    assert form_steps == [ranks.form(nxt) for nxt in silent]
+
+
+def test_interface_silent_moves_are_the_explorers(small_corpus):
+    # each interface state's fork and sync moves, decoded, are in order
+    # the explorer's tick-free successors of the decoded state; coded
+    # actors order as the actors do, so this holds on many-actor states
+    picked = [root for gamma, terms in small_corpus.items() for t in terms for root in roots_of(t, gamma)]
+    for root in picked + list(roots(W1376)):
+        engine = _Interface(root)
+        graph = engine.build()
+        concrete = decoded(root, graph.states)
+        for (h, n, actors), state in zip(graph.states, concrete):
+            moves = engine.shared[n, actors]
+            coded = [(h, m, succ) for _, label, _, m, succ in moves if label.tag in SILENT_TAGS]
+            silent = [nxt for label, nxt in Explorer().steps(state.subject) if not label.is_tick]
+            assert [a.subject for a in decoded(root, coded)] == silent
 
 
 # ------------------------------------------------------------ interface
@@ -607,7 +631,8 @@ def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
     # on every coded state of a build, with and without the link rule:
     # its edges, decoded, are the concrete engine's steps; the shared
     # moves of its (n, actors) equal those of an engine with no entries
-    # yet, and each entry equals a fresh one; each successor's actors
+    # yet, and each entry (its observable moves and its coded receives,
+    # sends and fork halves) equals a fresh one; each successor's actors
     # are sorted, and each observable successor holds the unmoved
     # actors, compared by value, and the avatar object of the moved
     # actor's entry
@@ -626,13 +651,17 @@ def test_steps_with_filed_offers_and_inserted_avatars_match_fresh_ones(tg):
                 assert shared == fresh_moves
                 entries = {}
                 for actor in actors:
-                    moves, forks, sends, receives = engine.entries[n + 1][actor]
-                    fresh = _Interface(root, link).entry(actor, n + 1)
-                    assert (moves, forks, sends) == fresh[:3]
-                    assert [r[:4] for r in receives] == [r[:4] for r in fresh[3]]
-                    for _, _, attach, group, by_obj in receives:
-                        for obj, avatars in by_obj.items():
-                            assert avatars == engine.avatars(group, attach + (obj,), n)
+                    moves, rules = engine.entries[n + 1][actor]
+                    fresh, fresh_rules = _Interface(root, link).entry(actor, n + 1)
+                    assert moves == fresh
+                    if rules is None:
+                        assert fresh_rules is None
+                    else:
+                        assert rules[1:] == fresh_rules[1:]
+                        assert [r[:3] for r in rules[0]] == [r[:3] for r in fresh_rules[0]]
+                        for _, _, group, by_obj in rules[0]:
+                            for obj, avatars in by_obj.items():
+                                assert avatars == engine.avatars(group, actor[1] + (obj,))
                     entries[actor] = {id(av) for *_, avatars in moves for av in avatars}
                 before = Counter(actors)
                 for _, label, _, _, succ in shared:
@@ -695,10 +724,11 @@ def test_deep_bodies_rank_and_build_without_recursion():
         chain = Sum(((Tick(), chain),))
         table = Definite(0, ((("heart",), (table,)),))
     for actor in (Thread(chain, ()), PlayerState((), table)):
-        rank, filings, _ = _rank_bodies(type(actor), (actor,))
+        rank, filings = _rank_bodies(type(actor), (actor,))
         assert rank[id(actor.body)] == 3000 and len(filings) == 3001
-        [(seed, [(_, below)])] = filings[3000]
-        assert filings[0] == [] and seed == ("heart",) and rank[id(below)] == 2999
+        [(tag, slots, created, [(_, below)])] = filings[3000][0]
+        assert filings[0] == ((), (), None) and rank[id(below)] == 2999
+        assert (tag, slots, created) == ("tick", (), 0) and filings[3000][2] is None
         graph = interface_graph(State(0, (actor,)))
         assert len(graph.states) == 3001 and graph.num_edges == 3000
 
@@ -810,22 +840,55 @@ W1376 = (
 def test_interface_moves_are_built_once_per_channel_count_and_actors(monkeypatch):
     # states that differ only in h share their moves: with and without
     # the link rule, each distinct (num_channels, actors) of the graph's
-    # states has its moves built exactly once
-    built = Counter()
-    fill = _Interface.fill
+    # states has its moves built exactly once, and each of its actors'
+    # entries at its next fresh channel is coded exactly once
+    built, coded = Counter(), Counter()
+    fill, entry = _Interface.fill, _Interface.entry
 
-    def counted(self, moves, n, actors):
+    def counted_fill(self, moves, n, actors):
         built[n, actors] += 1
         fill(self, moves, n, actors)
 
-    monkeypatch.setattr(_Interface, "fill", counted)
+    def counted_entry(self, actor, fresh):
+        coded[fresh, actor] += 1
+        return entry(self, actor, fresh)
+
+    monkeypatch.setattr(_Interface, "fill", counted_fill)
+    monkeypatch.setattr(_Interface, "entry", counted_entry)
     for root in roots(W1376):
         for link in (False, True):
             built.clear()
+            coded.clear()
             graph = interface_graph(root, enable_link=link)
             shapes = {(n, actors) for _, n, actors in graph.states}
             assert built == Counter(shapes)
+            assert coded == Counter({(n + 1, a) for n, actors in shapes for a in actors})
             assert len(shapes) < len(graph.states)
+
+
+def test_a_build_reads_each_bodys_offers_once(monkeypatch, corpus):
+    # one closed graph build and one interface graph build each file a
+    # body once: its offers are read at most once per body object
+    read = Counter()
+    kept = []  # the bodies read, so that no id is reused
+
+    def counted(offers):
+        def reading(body):
+            read[id(body)] += 1
+            kept.append(body)
+            return offers(body)
+
+        return staticmethod(reading)
+
+    for kind in (PlayerState, Thread):
+        monkeypatch.setattr(kind, "offers", counted(kind.offers))
+    for gamma, terms in corpus.items():
+        for t in terms:
+            for root in (root_strategy(t, gamma), root_process(t, gamma)):
+                for build in (closed_graph, interface_graph):
+                    read.clear()
+                    build(root)
+                    assert read and max(read.values()) == 1
 
 
 def test_weak_bisim_does_not_copy_the_graphs():
