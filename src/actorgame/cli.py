@@ -24,16 +24,7 @@ import sys
 from typing import Iterable
 
 from .arena import to_dot
-from .fairtest import (
-    Test,
-    Verdict,
-    composites,
-    eq_check,
-    gen_tests,
-    identity_test,
-    passes,
-    settle,
-)
+from .fairtest import Test, eq_check, gen_tests, identity_test, passes, suite_verdicts
 from .lts import (
     ROOTS,
     arena_position,
@@ -144,17 +135,11 @@ def cmd_fair(args: argparse.Namespace) -> int:
         verdict = passes(subject, gamma, test, args.side, args.bot)
         print(f"RESULT {verdict.render()}")
         return 0 if verdict.passed else 1
-    drawn, failures, passed = 0, 0, set()
-    suite = composites([subject], gamma, _suite(args, gamma), args.side, passed)
-    # a test with the key of one that passed passes too (see composites);
-    # a failing test is decided on its own composite, for its own witness
-    for drawn, (_, key, roots) in enumerate(suite, 1):
-        verdict = Verdict(True) if roots is None else settle(*roots[0], args.bot)[1]()
-        if verdict.passed:
-            passed.add(key)
-        else:
-            failures += 1
-        print(f"test#{drawn - 1} {verdict.render()}")
+    drawn = failures = 0
+    suite = suite_verdicts([subject], gamma, _suite(args, gamma), args.side, args.bot)
+    for drawn, (_, (passed,), verdicts) in enumerate(suite, 1):
+        failures += not passed
+        print(f"test#{drawn - 1} {'pass' if passed else verdicts()[0].render()}")
     print(f"RESULT {drawn - failures}/{drawn} pass")
     return 0 if failures == 0 else 1
 

@@ -28,18 +28,20 @@ renaming, a form's ticks, deadlocks and distances are those of every
 state it stands for. Forms live for one decision; a rank table depends
 on bodies alone, so one table serves every decision of a suite.
 
-A suite verdict starts from a root form built from the subject's and
-the test's ranked bodies (``composites``, which ``eq_check`` and ``fair
---gen`` read); a concrete composite is built only for the labels that
-the strict verdict and a weak failure's witness read. ``holds`` and
-``decide`` settle a concrete state, ranking its bodies afresh.
+One driver, ``suite_verdicts``, runs every suite (``passes`` is its
+one-test case) and owns the rule that a test equal to an earlier one up
+to summand order passes or fails with it. A suite verdict starts from a
+root form built from the subject's and the test's ranked bodies; a
+concrete composite is built only for the labels that the strict verdict
+and a weak failure's witness read. ``holds`` and ``decide`` settle a
+concrete state, ranking its bodies afresh.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import lts
 from .lts import ROOTS, Explorer, LtsGraph, PlayerState, State, StepLabel, Thread, _filing, _silent_rules
@@ -186,7 +188,7 @@ class _Ranks:
     body is filed once, when it is ranked, and its groups are coded when
     a form holding it is first expanded. Filings depend on bodies alone,
     so one table can serve every verdict of a suite (see
-    ``composites``).
+    ``suite_verdicts``).
     """
 
     def __init__(self):
@@ -384,30 +386,32 @@ def decide(state: State, mode: str = "weak") -> Verdict:
     return settle(ranks, ranks.form(state), lambda: state, mode)[1]()
 
 
-def composites(
+def suite_verdicts(
     subjects: Sequence[Process],
     gamma: int,
     tests: Iterable[Test],
     side: str = "strategy",
-    settled: Container[tuple] = frozenset(),
-) -> Iterator[tuple[Test, tuple, Optional[tuple[tuple[_Ranks, tuple, Callable[[], State]], ...]]]]:
-    """Each test, drawn when asked for, with its key and, for every
-    subject, the rank table, root form and concrete-composite builder
-    that ``settle`` reads. One table serves the whole suite and goes
-    with it. Each subject's root is built and ranked once per suite,
-    each test's body (its term, or on the strategy side its strategy)
-    ranked once; a test whose key the caller has put in ``settled``
-    comes with no composites, and its body is not ranked.
+    mode: str = "weak",
+) -> Iterator[tuple[Test, tuple[bool, ...], Callable[[], tuple[Verdict, ...]]]]:
+    """Each test, drawn when asked for, with every subject's pass flag
+    and a function that gives their verdicts, read off the test's own
+    composites. One rank table serves the whole suite and goes with it.
+    Each subject's root is built and ranked once per suite, and a test's
+    body (its term, or on the strategy side its strategy) is ranked when
+    its composites are settled from root forms (see ``settle``).
 
     A test's key is its term with every choice's summands in canonical
     order, its context and its handle map. Tests with one key pass or
     fail alike against any subject: the closed step rules treat the
     summands of a choice symmetrically, so permuting them changes only
     the choice indices in step labels, which no verdict reads. Only a
-    failure witness, which prints labels, can tell them apart."""
+    failure witness, which prints labels, can tell them apart. So a
+    test with the key of an earlier one takes that test's flags, and
+    its body is ranked and its composites settled only if its verdicts
+    are asked for."""
     if side not in ROOTS:
         raise ValueError(f"unknown side {side!r}")
-    root, ranks = ROOTS[side], _Ranks()
+    root, ranks, flags_of, vectors = ROOTS[side], _Ranks(), {}, {}
     kind = PlayerState if side == "strategy" else Thread
     roots = [root(s, gamma) for s in subjects]
     ranked = [ranks.of(kind, r.actors[0].body) for r in roots]
@@ -415,27 +419,36 @@ def composites(
     def build(subject: State, test: Test) -> Callable[[], State]:
         return lambda: compose(subject, root(test.proc, test.ctx), test.h)
 
-    for test in tests:
-        key = (canonical(test.proc), test.ctx, test.h)
-        if key in settled:
-            yield test, key, None
-            continue
+    def run(test: Test) -> tuple[tuple[bool, ...], Callable[[], tuple[Verdict, ...]]]:
         if len(test.h) != gamma:
             raise ValueError(
                 f"subject arity {gamma} does not match handle map of length {len(test.h)}"
             )
         body = interpret(test.proc, test.ctx) if kind is PlayerState else test.proc
         env = (ranks.of(kind, body), tuple(range(1, test.ctx + 1)))
-        yield test, key, tuple(
-            (ranks, _form([(r, test.h), env]), build(s, test)) for r, s in zip(ranked, roots)
-        )
+        settled = [
+            settle(ranks, _form([(r, test.h), env]), build(s, test), mode)
+            for r, s in zip(ranked, roots)
+        ]
+        return tuple([p for p, _ in settled]), lambda: tuple([v() for _, v in settled])
+
+    for test in tests:
+        key = (canonical(test.proc), test.ctx, test.h)
+        flags = flags_of.get(key)
+        if flags is None:
+            flags, verdicts = run(test)
+            # thousands of keys share a few flag vectors: keep one of each
+            flags_of[key] = flags = vectors.setdefault(flags, flags)
+        else:
+            verdicts = lambda test=test: run(test)[1]()
+        yield test, flags, verdicts
 
 
 def passes(
     subject: Process, gamma: int, test: Test, side: str = "strategy", mode: str = "weak"
 ) -> Verdict:
-    [(_, _, (root,))] = composites([subject], gamma, [test], side)
-    return settle(*root, mode)[1]()
+    [(_, _, verdicts)] = suite_verdicts([subject], gamma, [test], side, mode)
+    return verdicts()[0]
 
 
 # ----------------------------------------------------------- test sets
@@ -479,17 +492,11 @@ def eq_check(
     mode: str = "weak",
 ) -> EqResult:
     """Run both subjects against the suite; stop at the first test whose
-    verdicts differ, drawing no test after it. A test with the key of an
-    earlier one is counted but not run: its verdicts were found equal.
-    Only the two verdicts of the distinguishing test are searched for
-    failure witnesses."""
-    count, seen = 0, set()
-    suite = composites((left, right), gamma, tests, side, seen)
-    for count, (test, key, pair) in enumerate(suite, 1):
-        if pair is None:
-            continue
-        (pl, vl), (pr, vr) = (settle(*root, mode) for root in pair)
+    pass flags differ, drawing no test after it, and decide just that
+    test's two verdicts with their failure witnesses."""
+    count = 0
+    suite = suite_verdicts((left, right), gamma, tests, side, mode)
+    for count, (test, (pl, pr), verdicts) in enumerate(suite, 1):
         if pl != pr:
-            return EqResult(False, count, test, vl(), vr())
-        seen.add(key)
+            return EqResult(False, count, test, *verdicts())
     return EqResult(True, count)

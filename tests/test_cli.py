@@ -6,8 +6,9 @@ import sys
 import pytest
 
 import actorgame
+from actorgame import fairtest
 from actorgame.cli import main
-from actorgame.fairtest import gen_tests, settle
+from actorgame.fairtest import gen_tests
 from actorgame.term import MAX_CONTEXT, MAX_DIGITS
 
 RELAY = "ctx 1. snd(2,2).0 | rcv(2).tick.0"
@@ -210,12 +211,13 @@ def test_fair_suite_decides_each_repeat_that_fails(capsys, write, monkeypatch):
     # failing repeat is decided again and prints its own witness, a
     # passing one is not
     decided = []
+    orig_settle = fairtest.settle
 
     def counting_settle(ranks, form, composite, mode):
         decided.append(form)
-        return settle(ranks, form, composite, mode)
+        return orig_settle(ranks, form, composite, mode)
 
-    monkeypatch.setattr(actorgame.cli, "settle", counting_settle)
+    monkeypatch.setattr(fairtest, "settle", counting_settle)
     f = write("ctx 1. snd(1,1).0")
     code, out, _ = run(capsys, "fair", f, "--gen", "2", "--limit", "29", "--side", "process")
     lines = out.splitlines()
@@ -225,6 +227,16 @@ def test_fair_suite_decides_each_repeat_that_fails(capsys, write, monkeypatch):
     assert lines[28] == "test#28 pass"
     # of the repeats 24, 27 and 28 only the passing 28 is not decided
     assert len(decided) == 28
+    # strictly, 24, 27 and 28 fail; test 88 repeats the passing test 52
+    decided.clear()
+    argv = ("fair", f, "--gen", "2", "--limit", "89", "--side", "process", "--bot", "strict")
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 90
+    assert lines[23] == "test#23 fail witness: tick(1)@0#1"
+    assert lines[27] == "test#27 fail witness: tick(1)@1#0"
+    assert lines[52] == "test#52 pass" and lines[88] == "test#88 pass"
+    assert len(decided) == 88
 
 
 def test_eq_bisim(capsys, write):

@@ -14,7 +14,6 @@ from actorgame.fairtest import Test as FTest
 from actorgame.fairtest import (
     Verdict,
     compose,
-    composites,
     decide,
     eq_check,
     gen_tests,
@@ -22,6 +21,7 @@ from actorgame.fairtest import (
     in_bot,
     merge_map,
     passes,
+    suite_verdicts,
 )
 from actorgame.lts import (
     Explorer,
@@ -362,9 +362,9 @@ def test_tick_nest_meets_the_same_forms_on_both_sides(monkeypatch):
             holds(state)
 
 
-def test_no_rank_table_outlives_eq_check(monkeypatch):
-    # every verdict of one eq_check reads one table, which goes when the
-    # call returns or raises
+def test_no_rank_table_outlives_eq_check(monkeypatch, tmp_path, capsys):
+    # every verdict of one eq_check, fair --gen or passes call reads one
+    # table, which goes when the call returns or raises
     tables, ids = [], set()
     orig_settle = fairtest.settle
 
@@ -373,23 +373,34 @@ def test_no_rank_table_outlives_eq_check(monkeypatch):
         ids.add(id(ranks))
         return orig_settle(ranks, form, composite, mode)
 
+    def outcome(call):
+        try:
+            return call()
+        except RuntimeError as exc:
+            return str(exc)
+
     monkeypatch.setattr(fairtest, "settle", spying_settle)
     c, d = term("ctx 1. rcv(1).0 + rcv(1).0"), term("ctx 1. rcv(1).0")
+    path = tmp_path / "c.act"
+    path.write_text("ctx 1. rcv(1).0 + rcv(1).0\n")
     suite = list(itertools.islice(gen_tests(1, 2), 40))
-    cap = lts.MAX_STATES
+    test = FTest((1,), 1, term("ctx 1. snd(1,1).0"))
+    cap, cap_error = lts.MAX_STATES, "state space exceeds 1 states"
     for side in ("strategy", "process"):
-        for capped in (False, True):
-            tables.clear()
-            ids.clear()
-            monkeypatch.setattr(lts, "MAX_STATES", 1 if capped else cap)
-            if capped:
-                with pytest.raises(RuntimeError, match="^state space exceeds 1 states$"):
-                    eq_check(c, d, 1, suite, side)
+        fair = ["fair", str(path), "--gen", "2", "--limit", "40", "--side", side]
+        for call, least, passing, failing in (
+            (lambda: eq_check(c, d, 1, suite, side).equivalent, 40, True, cap_error),
+            (lambda: (cli.main(fair), capsys.readouterr().err), 30, (1, ""), (2, f"error: {cap_error}\n")),
+            (lambda: passes(c, 1, test, side).passed, 0, False, cap_error),
+        ):
+            for max_states, want in ((cap, passing), (1, failing)):
+                tables.clear()
+                ids.clear()
+                monkeypatch.setattr(lts, "MAX_STATES", max_states)
+                assert outcome(call) == want
+                assert max_states == 1 or len(tables) > least
                 gc.collect()
-            else:
-                assert eq_check(c, d, 1, suite, side).equivalent
-                assert len(tables) > 40
-            assert len(ids) == 1 and tables[0]() is None
+                assert len(ids) == 1 and tables[0]() is None
 
 
 def test_a_suite_reads_each_bodys_offers_once(monkeypatch):
@@ -573,30 +584,40 @@ def test_suite_builds_each_root_once_and_draws_tests_lazily(monkeypatch):
     # one of the distinguishing test's two verdicts fails, with a witness
     assert [v.passed for v in (res.verdict_left, res.verdict_right)].count(False) == 1
     assert built == [a, b, drawn[-1].proc]
-    settled = set()
-    for test, key, pair in composites([a, b], 1, drawn, "process", settled):
-        assert (pair is None) == (key in settled)
-        if pair is not None:
-            assert tuple(orig_settle(*root, "weak")[1]() for root in pair) == (
-                passes(a, 1, test, "process"),
-                passes(b, 1, test, "process"),
-            )
-            settled.add(key)
-    assert len(settled) == 50
+    # a repeat takes its key's flags, and its verdicts, when asked for,
+    # are its own composites' verdicts: each key is settled once, and
+    # each of the three repeats once more, for its verdicts
+    wants = [(passes(a, 1, t, "process"), passes(b, 1, t, "process")) for t in drawn]
+    forms.clear()
+    for (_, flags, verdicts), want in zip(suite_verdicts([a, b], 1, drawn, "process"), wants):
+        assert flags == tuple(v.passed for v in want)
+        assert verdicts() == want
+    assert len(forms) == 2 * 50 + 2 * 3
 
 
-def test_suite_root_forms_are_the_composites_forms():
+def test_suite_root_forms_are_the_composites_forms(monkeypatch):
     # in the suite's rank table, the root form built from subject, test
     # and handle map is the form of the concrete composite, at the same
-    # distance: over the canonical suite and a merged-map block
+    # distance: over the canonical suite and a merged-map block, with
+    # every repeat's verdicts asked for
     cases = [
         (term("ctx 1. rcv(1).tick.0 + snd(1,1).0"), 1, list(gen_tests(1, 2))),
         (term("ctx 2. rcv(1).snd(2,2).0 + tick.0"), 2, list(gen_tests(2, 1))[count_terms(2, 1, 2) :]),
     ]
     assert {t.h for t in cases[1][2]} == {(1, 1)}
+    settled = []
+
+    def recording_settle(ranks, form, composite, mode):
+        settled.append((ranks, form, composite))
+        return True, lambda: Verdict(True)
+
+    monkeypatch.setattr(fairtest, "settle", recording_settle)
     for side, root in lts.ROOTS.items():
         for subject, gamma, tests in cases:
-            for test, _, ((ranks, form, build),) in composites([subject], gamma, tests, side):
+            for test, _, verdicts in suite_verdicts([subject], gamma, tests, side):
+                verdicts()
+                ((ranks, form, build),) = settled
+                settled.clear()
                 old = ranks.form(compose(root(subject, gamma), root(test.proc, test.ctx), test.h))
                 assert form == old == ranks.form(build())
                 assert fairtest._Search(ranks).distance(form) == fairtest._Search(ranks).distance(old)
@@ -622,7 +643,7 @@ def permuted(p, rng):
 @settings(max_examples=60, deadline=None)
 @given(terms(1, depth=3, width=3), st.randoms(use_true_random=False))
 def test_permuting_summands_keeps_every_verdict(proc, rng):
-    # what lets a suite run one test per key: see fairtest.composites
+    # what lets a suite run one test per key: see fairtest.suite_verdicts
     test = FTest((1,), 1, proc)
     other = FTest((1,), 1, permuted(proc, rng))
     for root in ROOTS:
