@@ -411,7 +411,7 @@ def suite_verdicts(
     are asked for."""
     if side not in ROOTS:
         raise ValueError(f"unknown side {side!r}")
-    root, ranks, flags_of, vectors = ROOTS[side], _Ranks(), {}, {}
+    root, ranks, flags_of = ROOTS[side], _Ranks(), {}
     kind = PlayerState if side == "strategy" else Thread
     roots = [root(s, gamma) for s in subjects]
     ranked = [ranks.of(kind, r.actors[0].body) for r in roots]
@@ -437,8 +437,7 @@ def suite_verdicts(
         flags = flags_of.get(key)
         if flags is None:
             flags, verdicts = run(test)
-            # thousands of keys share a few flag vectors: keep one of each
-            flags_of[key] = flags = vectors.setdefault(flags, flags)
+            flags_of[key] = flags
         else:
             verdicts = lambda test=test: run(test)[1]()
         yield test, flags, verdicts

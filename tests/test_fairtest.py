@@ -399,7 +399,8 @@ def test_no_rank_table_outlives_eq_check(monkeypatch, tmp_path, capsys):
                 monkeypatch.setattr(lts, "MAX_STATES", max_states)
                 assert outcome(call) == want
                 assert max_states == 1 or len(tables) > least
-                gc.collect()
+                if max_states == 1:
+                    gc.collect()
                 assert len(ids) == 1 and tables[0]() is None
 
 
