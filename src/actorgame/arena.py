@@ -8,8 +8,9 @@ identifiers; structural equality of positions is on identifiers.
 A move is a cospan, stored as its kind, its initial and final
 positions and its player trace. Construction keeps channel identifiers
 fixed, so the channel trace is the identity embedding of the initial
-channels and created channels are exactly ``final - initial``. Avatars
-(players produced by a move) always get fresh identifiers; spectators
+channels and created channels are exactly ``final - initial``. A seed's
+movers and avatars (the players a move produces) get fresh identifiers,
+which ``extend``'s glue may carry onto others, one to one; spectators
 added by ``extend`` keep theirs in both boundaries, so the moving
 players are exactly those the trace does not keep, and play
 composition is exact on identifiers.
@@ -240,10 +241,13 @@ def extend(m: Move, z: Position, glue: dict[int, int]) -> Move:
     """Glue the seed ``m`` into ambient position ``z`` along ``glue``.
 
     ``glue`` must send every interface channel of ``m`` to a channel of
-    ``z`` (not necessarily injectively). Players of ``z`` become
-    spectators, present and untouched in both boundaries, so each must
-    sit on channels of ``z``. Identifier freshness makes ``z`` and the
-    seed disjoint. All of this is checked.
+    ``z`` (not necessarily injectively), and leaves created channels as
+    they are. It may also carry seed players, movers and avatars alike,
+    onto other identifiers; a seed player it does not name keeps its
+    own. Players of ``z`` become spectators, present and untouched in
+    both boundaries, so each must sit on channels of ``z``, and no two
+    players of the result may share an identifier. Identifier freshness
+    makes ``z`` and the seed's channels disjoint. All of this is checked.
     """
     if not m.is_seed():
         raise ValueError("only seeds can be extended")
@@ -255,25 +259,30 @@ def extend(m: Move, z: Position, glue: dict[int, int]) -> Move:
     bad = {glue[c] for c in iface} - z.channels
     if bad:
         raise ValueError(f"glue targets outside the ambient position: {sorted(bad)}")
-    if z.players.keys() & (m.initial.players.keys() | m.final.players.keys()):
+    ids = {pid: glue.get(pid, pid) for pid in (*m.initial.players, *m.final.players)}
+    if len(set(ids.values())) < len(ids):
+        raise ValueError("glue carries two seed players onto one identifier")
+    if z.players.keys() & ids.values():
         raise ValueError("ambient position shares player identifiers with the seed")
     if z.channels & m.final.channels:
         raise ValueError("ambient position shares channel identifiers with the seed")
-
     created = m.created_channels()
+    if created & glue.keys():
+        raise ValueError(f"glue names created channels: {sorted(created & glue.keys())}")
 
     init_players = dict(z.players)
     for pid, pl in m.initial.players.items():
-        init_players[pid] = Player(tuple(glue[c] for c in pl.attach))
+        init_players[ids[pid]] = Player(tuple(glue[c] for c in pl.attach))
     initial = Position(z.channels, init_players)
 
     fin_players = dict(z.players)
     for pid, pl in m.final.players.items():
-        fin_players[pid] = Player(tuple(glue.get(c, c) for c in pl.attach))
+        fin_players[ids[pid]] = Player(tuple(glue.get(c, c) for c in pl.attach))
     final = Position(z.channels | created, fin_players)
 
     player_map = {pid: (pid,) for pid in z.players}
-    player_map.update(m.player_map)
+    for pid, avatars in m.player_map.items():
+        player_map[ids[pid]] = tuple(ids[a] for a in avatars)
     return Move(m.kind, initial, final, player_map)
 
 

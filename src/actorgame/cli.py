@@ -24,7 +24,7 @@ import sys
 from typing import Iterable
 
 from .arena import to_dot
-from .fairtest import Test, eq_check, gen_tests, identity_test, passes, suite_verdicts
+from .fairtest import Test, eq_check, gen_tests, passes, suite_verdicts
 from .lts import (
     ROOTS,
     arena_position,
@@ -131,7 +131,7 @@ def cmd_fair(args: argparse.Namespace) -> int:
                     f"test context {tctx} differs from subject context {gamma}; "
                     "give an explicit --map"
                 )
-            test = identity_test(gamma, tproc)
+            test = Test(range(1, gamma + 1), gamma, tproc)
         verdict = passes(subject, gamma, test, args.side, args.bot)
         print(f"RESULT {verdict.render()}")
         return 0 if verdict.passed else 1

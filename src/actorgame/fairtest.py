@@ -78,10 +78,6 @@ class Test(_Test):
         return cls(*fields)
 
 
-def identity_test(gamma: int, proc: Process) -> Test:
-    return Test(tuple(range(1, gamma + 1)), gamma, proc)
-
-
 def compose(subject: State, env: State, h: tuple[int, ...]) -> State:
     """The closed world of ``subject`` run against the test ``env``: the
     subject's one actor, interface channel i wired to env channel

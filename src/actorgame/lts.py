@@ -916,18 +916,6 @@ def weak_bisim(g1: LtsGraph, g2: LtsGraph) -> BisimResult:
 # -------------------------------------------------------- arena bridge
 
 
-def _position(state: State, chan_ids: dict[int, int], pids: Sequence[int]) -> arena.Position:
-    """The arena position of ``state``: global channel c is ``chan_ids[c]``
-    and the i-th player is ``pids[i]``."""
-    return arena.Position(
-        frozenset(chan_ids[c] for c in range(1, state.num_channels + 1)),
-        {
-            pid: arena.Player(tuple(chan_ids[c] for c in ps.attach))
-            for ps, pid in zip(state.actors, pids)
-        },
-    )
-
-
 def arena_position(g: State) -> arena.Position:
     """The current strategy-side state as a string-diagram position."""
     return arena_trace(g, []).initial
@@ -939,13 +927,17 @@ def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
     Index k selects the k-th of ``Explorer.moves``: ticks by player,
     then forks by player, then syncs by sender then receiver, each
     player's entries in table order and summand products innermost.
-    Channel and player traces are exact identity embeddings, so the
-    resulting moves compose on the nose.
+    Each step is its kind's seed glued among the other players, the
+    spectators: the glue sends the seed's channels to the play's, its
+    movers onto their players and its avatars onto fresh identifiers
+    allocated in player order, so the resulting moves compose on the
+    nose.
     """
-    chan_ids = {c: arena.new_id() for c in range(1, state.num_channels + 1)}
+    chans = {c: arena.new_id() for c in range(1, state.num_channels + 1)}
     pids = [arena.new_id() for _ in state.actors]
-    pos = _position(state, chan_ids, pids)
-    play = arena.identity_play(pos)
+    attach = (tuple(chans[c] for c in ps.attach) for ps in state.actors)
+    players = {pid: arena.Player(a) for pid, a in zip(pids, attach)}
+    play = arena.identity_play(arena.Position(frozenset(chans.values()), players))
     world = Explorer()
     for idx in indices:
         moves = world.moves(state)
@@ -953,27 +945,27 @@ def arena_trace(state: State, indices: Sequence[int]) -> arena.Play:
             raise IndexError(
                 f"edge index {idx} out of range: state has {len(moves)} raw steps"
             )
-        kind, actors, _, created, avatars = moves[idx]
-        if created:
-            chan_ids[state.num_channels + 1] = arena.new_id()
-        repl = dict(zip(actors, avatars))
-        nxt = world.successor(state, moves[idx])
+        kind, actors, _, _, avatars = moves[idx]
+        seed = arena.seed(kind)
+        # a seed's movers come in its step's actor order: a sync's sender first
+        movers = dict(zip(actors, zip(seed.player_map, avatars)))
+        glue: dict[int, int] = {}
+        spectators = dict(play.final.players)
         pairs: list[tuple[PlayerState, int]] = []
-        player_map: dict[int, tuple[int, ...]] = {}
-        for i, ps in enumerate(state.actors):
-            if i in repl:
-                fresh_pids = tuple(arena.new_id() for _ in repl[i])
-                player_map[pids[i]] = fresh_pids
-                pairs.extend(zip(repl[i], fresh_pids))
-            else:
-                player_map[pids[i]] = (pids[i],)
-                pairs.append((ps, pids[i]))
+        for i, (ps, pid) in enumerate(zip(state.actors, pids)):
+            if i not in movers:
+                pairs.append((ps, pid))
+                continue
+            mover, group = movers[i]
+            glue[mover] = pid
+            glue.update(zip(seed.initial.players[mover].attach, spectators.pop(pid).attach))
+            for av, av_state in zip(seed.player_map[mover], group):
+                glue[av] = arena.new_id()
+                pairs.append((av_state, glue[av]))
+        move = arena.extend(seed, arena.Position(play.final.channels, spectators), glue)
+        state = world.successor(state, moves[idx])
         pairs.sort(key=lambda pr: pr[0])
-        assert tuple(ps for ps, _ in pairs) == nxt.actors
+        assert tuple(ps for ps, _ in pairs) == state.actors
         pids = [pid for _, pid in pairs]
-        final = _position(nxt, chan_ids, pids)
-        move = arena.Move(kind, pos, final, player_map)
         play = arena.compose(arena.play_of(move), play)
-        pos = final
-        state = nxt
     return play

@@ -248,6 +248,56 @@ def test_extend_rejects_shared_identifiers():
         extend(m, Position(z.channels | {own}, {}), glue)
 
 
+def test_extend_carries_seed_players_onto_glued_identifiers():
+    """A glue that names seed players carries them: movers take the
+    carried identifiers in the initial boundary, avatars in the final
+    boundary and the trace, a seed player the glue does not name keeps
+    its own, and spectators ride along untouched."""
+    for kind in all_kinds(2):
+        m = seed(kind)
+        z, glue = glue_position(m)
+        extra = new_id()
+        spectators = {new_id(): Player((extra,)), new_id(): Player((extra, extra))}
+        ambient = Position(z.channels | {extra}, spectators)
+        plain = extend(m, ambient, glue)
+        movers = {pid: new_id() for pid in m.initial.players}
+        for carry in [movers, {**movers, **{av: new_id() for av in m.final.players}}]:
+            big = extend(m, ambient, {**glue, **carry})
+            for pos, plain_pos in [(big.initial, plain.initial), (big.final, plain.final)]:
+                assert pos.channels == plain_pos.channels
+                assert pos.players == {carry.get(p, p): pl for p, pl in plain_pos.players.items()}
+            assert big.player_map == {
+                carry.get(p, p): tuple(carry.get(a, a) for a in avs)
+                for p, avs in plain.player_map.items()
+            }
+            assert big.moving == set(movers.values())
+            for pid, pl in spectators.items():
+                assert big.initial.players[pid] == big.final.players[pid] == pl
+                assert big.player_map[pid] == (pid,)
+
+
+def test_extend_rejects_a_glue_onto_taken_or_created_identifiers():
+    m = seed(Fork(1))
+    z, glue = glue_position(m)
+    (c,) = z.channels
+    spectator = new_id()
+    ambient = Position(z.channels, {spectator: Player((c,))})
+    (mover,) = m.initial.players
+    left, right = m.final.players
+    with pytest.raises(ValueError, match="shares player identifiers"):
+        extend(m, ambient, {**glue, mover: spectator})
+    with pytest.raises(ValueError, match="shares player identifiers"):
+        extend(m, ambient, {**glue, right: spectator})
+    x = new_id()
+    with pytest.raises(ValueError, match="two seed players onto one identifier"):
+        extend(m, ambient, {**glue, left: x, right: x})
+    with pytest.raises(ValueError, match="two seed players onto one identifier"):
+        extend(m, ambient, {**glue, mover: left})
+    (created,) = m.created_channels()
+    with pytest.raises(ValueError, match="glue names created channels"):
+        extend(m, ambient, {**glue, created: x})
+
+
 # ---------------------------------------------------------------- plays
 
 

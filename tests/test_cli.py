@@ -262,6 +262,58 @@ def test_dot_outputs(capsys, write):
     assert code == 0 and out.count("subgraph cluster_") == 4
 
 
+# The play of a sync whose receiver comes before its sender: player
+# serials follow identifier order, so the avatars' identifiers must be
+# allocated in player order, not in the seed's sender-receiver order.
+SYNC_PLAY = (
+    "digraph play {\n"
+    "  rankdir=LR;\n"
+    "  subgraph cluster_0 {\n"
+    '    label="0: start";\n'
+    '    s0_c0 [shape=ellipse label="c0"];\n'
+    '    s0_p0 [shape=box label="1"];\n'
+    '    s0_p0 -> s0_c0 [label="1"];\n'
+    "  }\n"
+    "  subgraph cluster_1 {\n"
+    '    label="1: fork(1)";\n'
+    '    s1_c0 [shape=ellipse label="c0"];\n'
+    '    s1_c1 [shape=ellipse label="c1"];\n'
+    '    s1_p0 [shape=box label="2"];\n'
+    '    s1_p1 [shape=box label="2"];\n'
+    '    s1_p0 -> s1_c0 [label="1"];\n'
+    '    s1_p0 -> s1_c1 [label="2"];\n'
+    '    s1_p1 -> s1_c0 [label="1"];\n'
+    '    s1_p1 -> s1_c1 [label="2"];\n'
+    "  }\n"
+    "  subgraph cluster_2 {\n"
+    '    label="2: sync(2;2|2;2,1)";\n'
+    '    s2_c0 [shape=ellipse label="c0"];\n'
+    '    s2_c1 [shape=ellipse label="c1"];\n'
+    '    s2_p0 [shape=box label="3"];\n'
+    '    s2_p1 [shape=box label="2"];\n'
+    '    s2_p0 -> s2_c0 [label="1"];\n'
+    '    s2_p0 -> s2_c1 [label="2"];\n'
+    '    s2_p0 -> s2_c0 [label="3"];\n'
+    '    s2_p1 -> s2_c0 [label="1"];\n'
+    '    s2_p1 -> s2_c1 [label="2"];\n'
+    "  }\n"
+    "  s0_p0 -> s1_p0 [style=dashed];\n"
+    "  s0_p0 -> s1_p1 [style=dashed];\n"
+    "  s0_c0 -> s1_c0 [style=dotted];\n"
+    "  s1_p0 -> s2_p0 [style=dashed];\n"
+    "  s1_p1 -> s2_p1 [style=dashed];\n"
+    "  s1_c0 -> s2_c0 [style=dotted];\n"
+    "  s1_c1 -> s2_c1 [style=dotted];\n"
+    "}\n"
+)
+
+
+def test_dot_play_of_a_sync_whose_receiver_comes_first(capsys, write):
+    f = write("ctx 1. (rcv(2).0 | snd(2,1).0)")
+    code, out, err = run(capsys, "dot", f, "--what", "play", "--trace", "0,0")
+    assert (code, out, err) == (0, SYNC_PLAY, "")
+
+
 # --------------------------------------------------------------- errors
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from actorgame import lts
+from actorgame import arena, lts
 from actorgame.fairtest import _Ranks
 from actorgame.arena import Fork, Heartbeat, Sync, to_dot
 from actorgame.cli import main
@@ -1082,3 +1082,53 @@ def test_arena_trace_positions_track_states():
     assert play.moves[1].kind == Heartbeat(1)
     _, state1 = Explorer().steps(g)[0]
     assert to_dot(play.moves[0].final) == to_dot(arena_position(state1))
+
+
+# the test term of test_fairtest's state-bound test: 3362 closed states
+# and 7110 steps per side
+BIG = (
+    "ctx 1. ((rcv(1).0 | snd(2,1).0) | (rcv(2).tick.0 | snd(2,2).0)) "
+    "| ((tick.0 | rcv(1).0) | (snd(1,1).0 | rcv(3).0))"
+)
+
+
+def shape(pos):
+    """``pos`` up to identifiers: its channel count and the sorted
+    attachments of its players, each channel named by its rank in
+    identifier order. Equal shapes are isomorphic positions. A replay
+    allocates a state's channels in their order and a created channel
+    after them, as the state numbers it."""
+    rank = {c: i for i, c in enumerate(sorted(pos.channels))}
+    return len(rank), sorted(tuple(rank[c] for c in pl.attach) for pl in pos.players.values())
+
+
+def test_replayed_moves_are_seeds_glued_into_the_state(corpus, monkeypatch):
+    """Every step of the closed graphs of the corpus and of BIG, on both
+    sides, replays as its kind's seed glued into the state's position
+    (``arena.compose`` checks that the move starts there): it ends at
+    the successor's position, up to identifiers, and its trace moves the
+    step's actors onto its avatars, the final position's players."""
+    glued = []
+    extend = arena.extend
+
+    def counted(m, z, glue):
+        glued.append(m.kind)
+        return extend(m, z, glue)
+
+    monkeypatch.setattr(arena, "extend", counted)
+    cases = [roots_of(t, gamma) for gamma, terms in corpus.items() for t in terms] + [roots(BIG)]
+    steps = 0
+    for root in itertools.chain.from_iterable(cases):
+        world = Explorer()
+        for state in closed_graph(root).states:
+            for k, step in enumerate(world.moves(state)):
+                kind, actors, _, _, avatars = step
+                (move,) = arena_trace(state, [k]).moves
+                nxt = world.successor(state, step)
+                assert move.kind == kind
+                assert shape(move.final) == shape(arena_position(nxt))
+                assert sorted(itertools.chain(*move.player_map.values())) == sorted(move.final.players)
+                moved = sorted(len(move.player_map[pid]) for pid in move.moving)
+                assert moved == sorted(map(len, avatars)) and len(moved) == len(actors)
+                steps += 1
+    assert len(glued) == steps == 528 + 2 * 7110
