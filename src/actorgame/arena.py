@@ -34,16 +34,18 @@ Seed shapes:
 
 Fork, Sync and Heartbeat are the closed-world kinds; ForkL, ForkR,
 Input, Output and Heartbeat are the basic kinds a single strategy table
-indexes. A kind is the tuple of its class name and its fields, so
-kinds hash, compare and order in C: by class name, then field by
-field. Kinds of two classes are never equal, even with equal fields.
+indexes. A kind is a ``term.Value`` tagged by its class name: the tuple
+of its class name and its fields, so kinds hash, compare and order in
+C, by class name, then field by field, like terms and strategies.
+Kinds of two classes are never equal, even with equal fields.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+
+from .term import Value
 
 _ids = itertools.count(1)
 
@@ -77,29 +79,12 @@ class Position:
 # ---------------------------------------------------------------- kinds
 
 
-class MoveKind(tuple):
-    """A move kind: the tuple of its class name, then its fields. Each
-    kind class names its fields in ``_fields``, in constructor order."""
+class MoveKind(Value):
+    """A move kind: a value tagged by its class name, so kinds hash
+    through a string. Each kind class names its fields in ``_fields``,
+    in constructor order."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        for i, name in enumerate(cls._fields, 1):
-            setattr(cls, name, property(itemgetter(i)))
-
-    def __new__(cls, *fields: int) -> MoveKind:
-        if len(fields) != len(cls._fields):
-            names = ", ".join(cls._fields)
-            raise TypeError(f"{cls.__name__}({names}) got {len(fields)} values")
-        return tuple.__new__(cls, (cls.__name__, *fields))
-
-    def __getnewargs__(self) -> tuple:
-        return self[1:]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self._fields, self[1:]))
-        return f"{type(self).__name__}({fields})"
 
 
 class Fork(MoveKind):

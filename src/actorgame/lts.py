@@ -50,10 +50,11 @@ channel count and actors, and each filters them by its h.
 
 States, actors and labels are named tuples, so hashing, comparing and
 sorting them runs in C. A player's leading ``arity`` field makes tuple
-order the player order: arity, attachment, strategy. Move kinds are
-tuples too (see ``arena``). Interface labels, closed step labels and
-closed move kinds are interned: edges share one object per value, and a
-dump renders each distinct label once.
+order the player order: arity, attachment, strategy. The move kinds,
+terms and strategies inside them are ``term.Value`` tuples, so a state
+hashes and compares in C all the way down. Interface labels, closed
+step labels and closed move kinds are interned: edges share one object
+per value, and a dump renders each distinct label once.
 """
 
 from __future__ import annotations

@@ -28,19 +28,8 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 
-from .term import (
-    HashOnce,
-    Par,
-    Process,
-    Recv,
-    Send,
-    Sum,
-    Tick,
-    hash_once,
-    typecheck,
-)
+from .term import Par, Process, Recv, Send, Sum, Tick, Value, typecheck
 
 SeedKey = tuple
 
@@ -81,30 +70,29 @@ def check_entry(key: SeedKey, n: int) -> None:
         raise ValueError(f"bad key {key} at arity {n}")
 
 
-@hash_once
-@dataclass(frozen=True, order=True, slots=True)
-class Definite(HashOnce):
+class Definite(Value, tag=5):
     """A strategy table: seed key to plain strategy for the avatar, the
     nonempty tuple of its summands, each of the arity the key fixes.
     Strategies order by arity, then table entry by entry, key first."""
 
-    arity: int
-    table: tuple[tuple[SeedKey, tuple[Definite, ...]], ...] = ()
+    __slots__ = ()
+    _fields = ("arity", "table")
 
-    def __post_init__(self) -> None:
+    def __new__(cls, arity: int, table: tuple = ()) -> Definite:
         prev = ()  # below every key's seed order
-        for key, summands in self.table:
-            check_entry(key, self.arity)
+        for key, summands in table:
+            check_entry(key, arity)
             order = seed_order(key)
             if order <= prev:
                 raise ValueError(f"table keys out of order or repeated at {key}")
             prev = order
             if not summands:
                 raise ValueError(f"empty entry {key} should be omitted")
-            need = key_arity(key, self.arity)
+            need = key_arity(key, arity)
             for d in summands:
                 if d.arity != need:
-                    raise ValueError(f"entry {key} at arity {self.arity} needs arity {need}, not {d.arity}")
+                    raise ValueError(f"entry {key} at arity {arity} needs arity {need}, not {d.arity}")
+        return tuple.__new__(cls, (cls._tag, arity, table))
 
     def lookup(self, key: SeedKey) -> tuple[Definite, ...]:
         """The summands under ``key``; ``()`` if the table has no entry."""

@@ -6,8 +6,10 @@ typed in context gamma+1. A parallel composition shares one fresh mailbox
 between its children, so both children are typed in gamma+1 and index
 gamma+1 names that mailbox. Terms are finite; there is no recursion.
 
-Prefixes order receive < send < tick and terms choice < parallel, then
-field by field; this is the canonical order of threads and branches.
+Prefixes, terms and strategies are ``Value`` tuples led by an int tag.
+Tags order prefixes receive < send < tick and terms choice < parallel,
+then field by field; this is the canonical order of threads and
+branches.
 """
 
 from __future__ import annotations
@@ -15,95 +17,77 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 
-class HashOnce:
-    """Base of the value classes whose hash covers a whole tree: the slot
-    in which ``hash_once`` keeps the hash after its first use, so a value
-    that holds one hashes in time independent of its size."""
+class Value(tuple):
+    """A value: the tuple of its class's tag, then its fields, so values
+    hash, compare and order in C, by tag and then field by field. A class
+    names its fields in ``_fields``, in constructor order, and its tag in
+    its class statement (``tag=``), or else takes its class name as tag.
+    Values of classes with distinct tags are never equal."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, tag: object = None) -> None:
+        cls._tag = cls.__name__ if tag is None else tag
+        for i, name in enumerate(cls._fields, 1):
+            setattr(cls, name, property(itemgetter(i)))
 
-def hash_once(cls: type) -> type:
-    """Class decorator over ``@dataclass(frozen=True, slots=True)`` on a
-    ``HashOnce`` subclass: its dataclass hash, that of the tuple of its
-    compared fields, is computed on first use and kept."""
-    compute = cls.__hash__
+    def __new__(cls, *fields: object) -> Value:
+        if len(fields) != len(cls._fields):
+            names = ", ".join(cls._fields)
+            raise TypeError(f"{cls.__name__}({names}) got {len(fields)} values")
+        return tuple.__new__(cls, (cls._tag, *fields))
 
-    def __hash__(self: HashOnce) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = compute(self)
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
 
-    cls.__hash__ = __hash__
-    return cls
-
-
-@dataclass(frozen=True, slots=True)
-class Send:
-    """Emit channel ``obj`` on mailbox ``subject``. Binds nothing."""
-
-    subject: int
-    obj: int
-
-    def __lt__(self, other: Prefix) -> bool:
-        if isinstance(other, Send):
-            return (self.subject, self.obj) < (other.subject, other.obj)
-        return isinstance(other, Tick)
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class Recv:
+class Recv(Value, tag=0):
     """Consume one message from mailbox ``subject``, binding one new index."""
 
-    subject: int
-
-    def __lt__(self, other: Prefix) -> bool:
-        if isinstance(other, Recv):
-            return self.subject < other.subject
-        return isinstance(other, (Send, Tick))
+    __slots__ = ()
+    _fields = ("subject",)
 
 
-@dataclass(frozen=True, slots=True)
-class Tick:
+class Send(Value, tag=1):
+    """Emit channel ``obj`` on mailbox ``subject``. Binds nothing."""
+
+    __slots__ = ()
+    _fields = ("subject", "obj")
+
+
+class Tick(Value, tag=2):
     """Success beacon; the observable that fair testing counts."""
 
-    def __lt__(self, other: Prefix) -> bool:
-        return False
+    __slots__ = ()
 
 
 Prefix = Union[Send, Recv, Tick]
 
 
-@hash_once
-@dataclass(frozen=True, slots=True)
-class Sum(HashOnce):
+class Sum(Value, tag=3):
     """Guarded choice. The empty choice is the inert process."""
 
-    branches: tuple["Branch", ...] = ()
+    __slots__ = ()
+    _fields = ("branches",)
 
-    def __lt__(self, other: Process) -> bool:
-        if isinstance(other, Sum):
-            return self.branches < other.branches
-        return isinstance(other, Par)
+    def __new__(cls, branches: tuple[Branch, ...] = ()) -> Sum:
+        return tuple.__new__(cls, (cls._tag, branches))
 
 
-@hash_once
-@dataclass(frozen=True, slots=True)
-class Par(HashOnce):
+class Par(Value, tag=4):
     """Parallel composition; the two sides share one fresh mailbox."""
 
-    left: "Process"
-    right: "Process"
-
-    def __lt__(self, other: Process) -> bool:
-        return isinstance(other, Par) and (self.left, self.right) < (other.left, other.right)
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
 Process = Union[Sum, Par]

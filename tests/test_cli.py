@@ -348,12 +348,12 @@ def test_module_entry_point():
 DEEP_LIMITS = [
     (247, "parse {f}"),
     (198, "interp {f}"),
-    (329, "lts {f} --side strategy"),
-    (329, "lts {f} --side process"),
-    (329, "lts {f} --world closed --side strategy"),
-    (329, "lts {f} --world closed --side process"),
-    (196, "fair {f} --test {f} --side strategy"),
-    (196, "fair {f} --test {f} --side process"),
+    (493, "lts {f} --side strategy"),
+    (493, "lts {f} --side process"),
+    (493, "lts {f} --world closed --side strategy"),
+    (493, "lts {f} --world closed --side process"),
+    (328, "fair {f} --test {f} --side strategy"),
+    (329, "fair {f} --test {f} --side process"),
 ]
 
 
