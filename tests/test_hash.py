@@ -144,7 +144,7 @@ def test_engine_values_of_different_classes_never_compare_equal(roots):
     check_classes_apart(values(roots))
 
 
-def composite_roots():
+def composites():
     """A composite on each side: the composite syncs either way, and
     then one successor ticks and the other forks."""
     subject, gamma = parse("ctx 1. rcv(1).tick.0 + snd(1,1).(0 | tick.0)")
@@ -153,8 +153,8 @@ def composite_roots():
 
 
 def composed_roots():
-    """The composites of ``composite_roots`` and their successors."""
-    roots = composite_roots()
+    """The composites of ``composites`` and their successors."""
+    roots = composites()
     return roots + [nxt for root in roots for _, nxt in Explorer().steps(root)]
 
 
@@ -209,7 +209,7 @@ def test_closed_graphs_hash_and_compare_in_c():
         if event == "call" and code.co_name in ("__hash__", "__eq__", "__lt__"):
             calls[code.co_filename, code.co_name] += 1
 
-    for root in composite_roots():
+    for root in composites():
         sys.setprofile(profile)
         try:
             graph = closed_graph(root)
