@@ -356,6 +356,17 @@ DEEP_LIMITS = [
     (329, "fair {f} --test {f} --side process"),
 ]
 
+# The limits as they stood while terms were still objects; chains of those
+# lengths must keep answering too.
+EARLIER_LIMITS = [
+    (329, "lts {f} --side strategy"),
+    (329, "lts {f} --side process"),
+    (329, "lts {f} --world closed --side strategy"),
+    (329, "lts {f} --world closed --side process"),
+    (196, "fair {f} --test {f} --side strategy"),
+    (196, "fair {f} --test {f} --side process"),
+]
+
 
 def run_on_chain(write, length, command):
     f = write("ctx 0. " + "tick." * length + "0")
@@ -363,7 +374,7 @@ def run_on_chain(write, length, command):
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the limit is the interpreter's")
-@pytest.mark.parametrize("length, command", DEEP_LIMITS)
+@pytest.mark.parametrize("length, command", DEEP_LIMITS + EARLIER_LIMITS)
 def test_deep_chains_within_the_limit_answer(write, length, command):
     res = run_on_chain(write, length, command)
     assert res.returncode in (0, 1), res.stderr
