@@ -15,25 +15,9 @@ from pathlib import Path
 from actorgame.lts import closed_graph, process_lts, root_strategy, strategy_lts
 from actorgame.term import enumerate_terms
 
-# term size and depth are test-side helpers, kept beside the oracles
+# term counts, sizes and depths are test-side helpers, kept beside the oracles
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles import term_depth, term_size  # noqa: E402
-
-
-def count_exact(gamma: int, depth: int, width: int) -> int:
-    # sums go up to the width, a branch is rcv (g ways, context grows),
-    # snd (g*g ways) or tick, pars square the next depth tier
-    table = {}
-
-    def t(g: int, d: int) -> int:
-        if d == 0:
-            return 1
-        if (g, d) not in table:
-            b = g * t(g + 1, d - 1) + (g * g + 1) * t(g, d - 1)
-            table[(g, d)] = 1 + sum(b**k for k in range(1, width + 1)) + t(g + 1, d - 1) ** 2
-        return table[(g, d)]
-
-    return t(gamma, depth)
+from oracles import count_terms, term_depth, term_size  # noqa: E402
 
 
 def main() -> None:
@@ -44,7 +28,7 @@ def main() -> None:
     args = ap.parse_args()
 
     for gamma in (0, 1, 2):
-        total = count_exact(gamma, args.depth, args.width)
+        total = count_terms(gamma, args.depth, args.width)
         print(f"context {gamma}: {total} terms at depth {args.depth}, width {args.width}")
 
     print()

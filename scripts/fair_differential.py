@@ -4,21 +4,22 @@ closed graph, and the suite's one-run-per-key memo against a suite run
 without it.
 
 Every composite is decided in both modes by ``decide``, the search over
-int-coded forms that ``passes`` uses, by ``holds``, the same search
-without a failure witness that ``eq_check`` uses, and by
-``in_bot(closed_graph(root))``. The composites are the four subjects of
+int-coded forms that ``passes`` uses, by the pass flag that ``settle``
+gives first, before any failure witness, which the suite and so
+``eq_check`` read, and by the reference ``in_bot(closed_graph(root))``
+of ``tests/oracles.py``. The composites are the four subjects of
 acceptance criterion 6 against every test of the context-1, depth-2
 suite on both sides (86776 composites), and the three large closed
 composites of the benchmark's ``closed`` workload on both sides. The
 ``decide`` verdicts must agree with the graph's on pass or fail and on
-the failure witness, and the ``holds`` flags on pass or fail. The walk
+the failure witness, and the ``settle`` flags on pass or fail. The walk
 that gives a weak failure's witness must meet no form that the search
 for its distance did not.
 
 The memo checks: for each of the six pairs of the four subjects, on
 both sides and in both modes, ``eq_check`` must return, field by field,
-the ``EqResult`` of a reference loop that compares the ``holds`` flags
-of every test's composites; and ``fair --gen 2`` must print, for each
+the ``EqResult`` of a reference loop that compares the graph's pass
+flags of every test's composites; and ``fair --gen 2`` must print, for each
 subject, side and mode, the stdout whose sha256 the suite loop without
 the memo printed.
 
@@ -40,19 +41,13 @@ import time
 from pathlib import Path
 
 from actorgame import cli
-from actorgame.fairtest import (
-    EqResult,
-    _Ranks,
-    _Search,
-    compose,
-    decide,
-    eq_check,
-    gen_tests,
-    holds,
-    in_bot,
-)
+from actorgame.fairtest import EqResult, _Ranks, _Search, compose, decide, eq_check, gen_tests, settle
 from actorgame.lts import ROOTS, closed_graph
 from actorgame.term import parse
+
+# the reference verdict is a test-side oracle
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import in_bot  # noqa: E402
 
 SUBJECTS = {
     "A": "ctx 1. rcv(1).tick.0",
@@ -133,7 +128,7 @@ def walk_meets_a_new_form(root) -> bool:
 
 def reference_eq(left, right, side, mode, flags):
     """``eq_check`` of two subjects on the suite without the memo: the
-    ``holds`` flags of every test's two composites, compared in suite
+    graph's pass flags of every test's two composites, compared in suite
     order; only the first test whose flags differ is decided."""
     for k, test in enumerate(SUITE):
         if flags[left, side, mode][k] != flags[right, side, mode][k]:
@@ -183,32 +178,34 @@ def fair_gen_mismatches() -> int:
 
 def main() -> int:
     start = time.perf_counter()
-    checked = verdicts = decide_mismatches = holds_mismatches = walk_mismatches = 0
-    flags = {}  # (subject, side, mode) -> holds flag of each suite test
+    checked = verdicts = decide_mismatches = settle_mismatches = walk_mismatches = 0
+    flags = {}  # (subject, side, mode) -> the graph's pass flag of each suite test
     for name, suite, root in composites():
         checked += 1
         g = closed_graph(root)
         for mode in MODES:
             verdicts += 1
-            got, want, passed = decide(root, mode), in_bot(g, mode), holds(root, mode)
+            ranks = _Ranks()
+            got, want = decide(root, mode), in_bot(g, mode)
+            passed = settle(ranks, ranks.form(root), lambda: root, mode)[0]
             if got != want:
                 decide_mismatches += 1
                 print(f"mismatch {name} {mode}: search {got.render()!r}, graph {want.render()!r}")
             if passed != want.passed:
-                holds_mismatches += 1
-                print(f"mismatch {name} {mode}: holds {passed}, graph {want.render()!r}")
+                settle_mismatches += 1
+                print(f"mismatch {name} {mode}: settle {passed}, graph {want.render()!r}")
             if mode == "weak" and not want.passed and walk_meets_a_new_form(root):
                 walk_mismatches += 1
                 print(f"mismatch {name}: the witness walk met a new form")
             if suite:
-                flags.setdefault((*suite, mode), []).append(passed)
+                flags.setdefault((*suite, mode), []).append(want.passed)
     memo = eq_mismatches(flags) + fair_gen_mismatches()
     elapsed = time.perf_counter() - start
     print(
         f"composites {checked}, verdicts {verdicts}, mismatches {decide_mismatches} (decide) "
-        f"{holds_mismatches} (holds) {walk_mismatches} (walk) {memo} (memo), {elapsed:.1f}s"
+        f"{settle_mismatches} (settle) {walk_mismatches} (walk) {memo} (memo), {elapsed:.1f}s"
     )
-    return 1 if decide_mismatches or holds_mismatches or walk_mismatches or memo else 0
+    return 1 if decide_mismatches or settle_mismatches or walk_mismatches or memo else 0
 
 
 if __name__ == "__main__":

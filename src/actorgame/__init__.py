@@ -24,7 +24,6 @@ from .term import (
 )
 from .strategy import Definite, definite, dump, interpret, readback
 from .lts import (
-    build_graph,
     closed_graph,
     process_lts,
     root_process,
@@ -57,7 +56,6 @@ __all__ = [
     "dump",
     "interpret",
     "readback",
-    "build_graph",
     "closed_graph",
     "process_lts",
     "root_process",

@@ -17,34 +17,34 @@ vacuously. Every graph of this calculus is acyclic, since each step
 consumes a prefix or a parallel node, so the weak verdict is deadlock
 reachability over tick-free steps.
 
-``in_bot`` reads both verdicts off a built closed graph; ``settle``
-reaches the same verdict, failure witness included, without building
-one. The weak search runs over int-coded forms of ranked bodies (see
-``_Ranks`` and ``_form``): a rank's filing is the ``lts`` step core's
-with each continuation coded as its rank, and a successor form is built
-from the core's fork pairs and sync matches alone, with no concrete
-state or label. Since the step rules are equivariant under channel
-renaming, a form's ticks, deadlocks and distances are those of every
-state it stands for. Forms live for one decision; a rank table depends
-on bodies alone, so one table serves every decision of a suite.
+``settle`` reaches either verdict, failure witness included, without
+building the closed graph. The weak search runs over int-coded forms of
+ranked bodies (see ``_Ranks`` and ``_form``): a rank's filing is the
+``lts`` step core's with each continuation coded as its rank, and a
+successor form is built from the core's fork pairs and sync matches
+alone, with no concrete state or label. Since the step rules are
+equivariant under channel renaming, a form's ticks, deadlocks and
+distances are those of every state it stands for. Forms live for one
+decision; a rank table depends on bodies alone, so one table serves
+every decision of a suite.
 
 One driver, ``suite_verdicts``, runs every suite (``passes`` is its
 one-test case) and owns the rule that a test equal to an earlier one up
 to summand order passes or fails with it. A suite verdict starts from a
 root form built from the subject's and the test's ranked bodies; a
 concrete composite is built only for the labels that the strict verdict
-and a weak failure's witness read. ``holds`` and ``decide`` settle a
-concrete state, ranking its bodies afresh.
+and a weak failure's witness read. ``decide`` settles a concrete
+state, ranking its bodies afresh, and ``in_bot`` settles the root of a
+built closed graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import lts
-from .lts import ROOTS, Explorer, LtsGraph, PlayerState, State, StepLabel, Thread, _filing, _silent_rules
+from .lts import ROOTS, Explorer, LtsGraph, PlayerState, State, Thread, _filing, _silent_rules
 from .strategy import interpret
 from .term import Process, canonical, enumerate_terms, typecheck
 
@@ -113,61 +113,6 @@ class Verdict:
         if self.witness:
             return "fail witness: " + ";".join(self.witness)
         return "fail"
-
-
-def in_bot(g: LtsGraph, mode: str = "weak") -> Verdict:
-    """Does the composite pass the empty observer?
-
-    weak: from every tick-free-reachable state a tick must stay
-    tick-free-reachable. strict: every immediate successor of the root
-    must itself have a direct tick.
-    """
-    if not isinstance(g.states[g.root], State):
-        raise TypeError("fair testing needs a closed-world graph")
-    if mode == "strict":
-        for label, dst in g.edges[g.root]:
-            if not any(l2.is_tick for l2, _ in g.edges[dst]):
-                return Verdict(False, (label.render(),))
-        return Verdict(True)
-    if mode != "weak":
-        raise ValueError(f"unknown verdict mode {mode!r}")
-
-    n = len(g.states)
-    tickfree = [[(l, d) for l, d in g.edges[v] if not l.is_tick] for v in range(n)]
-    has_tick = [any(l.is_tick for l, _ in g.edges[v]) for v in range(n)]
-
-    good = set(v for v in range(n) if has_tick[v])
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for _, d in tickfree[v]:
-            rev[d].append(v)
-    stack = list(good)
-    while stack:
-        v = stack.pop()
-        for u in rev[v]:
-            if u not in good:
-                good.add(u)
-                stack.append(u)
-
-    # BFS the tick-free region so a failure witness is a shortest path
-    parent: dict[int, tuple[int, StepLabel]] = {}
-    seen = {g.root}
-    queue = deque([g.root])
-    while queue:
-        v = queue.popleft()
-        if v not in good:
-            labels = []
-            while v != g.root:
-                u, label = parent[v]
-                labels.append(label.render())
-                v = u
-            return Verdict(False, tuple(reversed(labels)))
-        for label, d in tickfree[v]:
-            if d not in seen:
-                seen.add(d)
-                parent[d] = (v, label)
-                queue.append(d)
-    return Verdict(True)
 
 
 UNBOUNDED = float("inf")
@@ -324,16 +269,16 @@ class _Search:
         return dist[top]
 
     def witness(self, state: State, top: int) -> tuple[str, ...]:
-        """The failure witness of ``in_bot`` from ``state``, at distance
-        ``top``: ``top`` times the least tick-free step in label order
-        whose successor's form is one nearer. ``in_bot`` meets each
-        depth's states in the order of their least label paths, so the
-        first failing state it dequeues ends the least shortest path to
-        any, and each step the walk keeps extends to that path. A form
-        on the walk was most often expanded when its distance was found;
-        one state's forms can differ in their channel numbering, and a
-        form the search never met has the distance of the one it did,
-        found afresh."""
+        """The failure witness from ``state``, at distance ``top``:
+        ``top`` times the least tick-free step in label order whose
+        successor's form is one nearer. A breadth-first search of the
+        closed graph meets each depth's states in the order of their
+        least label paths, so the first failing state it dequeues ends
+        the least shortest path to any, and each step the walk keeps
+        extends to that path. A form on the walk was most often expanded
+        when its distance was found; one state's forms can differ in
+        their channel numbering, and a form the search never met has the
+        distance of the one it did, found afresh."""
         world, labels = Explorer(), []
         for want in range(top - 1, -1, -1):
             label, state = next(
@@ -368,18 +313,20 @@ def settle(
     return False, lambda: Verdict(False, search.witness(composite(), int(top)))
 
 
-def holds(state: State, mode: str = "weak") -> bool:
-    """``decide(state, mode).passed``, found in the weak mode without
-    searching for a failure witness."""
-    ranks = _Ranks()
-    return settle(ranks, ranks.form(state), lambda: state, mode)[0]
-
-
 def decide(state: State, mode: str = "weak") -> Verdict:
-    """``in_bot(closed_graph(state), mode)``, found without building the
-    graph (see ``settle``)."""
+    """The verdict of the closed-world state ``state``, found without
+    building its graph (see ``settle``)."""
     ranks = _Ranks()
     return settle(ranks, ranks.form(state), lambda: state, mode)[1]()
+
+
+# perfbench/tracing.py still hooks this name (ROADMAP item 1)
+def in_bot(g: LtsGraph, mode: str = "weak") -> Verdict:
+    """``decide`` of the root of the closed graph ``g``."""
+    root = g.states[g.root]
+    if not isinstance(root, State):
+        raise TypeError("fair testing needs a closed-world graph")
+    return decide(root, mode)
 
 
 def suite_verdicts(

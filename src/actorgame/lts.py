@@ -64,7 +64,7 @@ from bisect import bisect, insort
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import arena
 from .arena import Fork, Heartbeat, MoveKind, Sync, kind_label
@@ -433,12 +433,8 @@ def _rank_bodies(side: type, actors: tuple) -> tuple[dict[int, int], list[tuple]
         filing = filed.get(i)
         if filing is None:
             filing = filed[i] = _filing(side, body)
-            if not filing[0]:  # an inert body's key is its head and an end marker
-                if len(filed) == len(stack) == 1:
-                    return {i: 0}, [filing]  # a lone body
-                keys[i] = (body.arity, _END) if player else (_END,)
-                stack.pop()
-                continue
+            if not filing[0] and len(filed) == len(stack) == 1:
+                return {i: 0}, [filing]  # a lone inert body
             pending = False
             for offer in filing[0]:
                 for _, c in offer[3]:
@@ -593,7 +589,7 @@ class _Interface:
                     moves.append((None, _label("sync"), (), n, tuple(sorted((*rest, sent_av, got_av)))))
 
     def build(self) -> LtsGraph:
-        """The graph from ``root``, numbered and capped as by ``build_graph``:
+        """The graph from ``root``, numbered and capped as by ``closed_graph``:
         a state's steps are its pair's shared moves whose channel h knows,
         with h extended, and only two or more are deduplicated and sorted."""
         max_states = MAX_STATES
@@ -682,20 +678,21 @@ def _collector_paused():
             gc.enable()
 
 
-def build_graph(root, successors: Callable) -> LtsGraph:
-    """BFS the reachable states, at most ``MAX_STATES`` of them, read
-    when the build starts, with the collector paused. Successor lists
-    are deduplicated and sorted by label then target, so vertex
-    numbering and edge order are functions of the root alone. Closed
-    graphs are built here; interface graphs by ``_Interface.build``."""
+def closed_graph(root: State) -> LtsGraph:
+    """BFS the closed-world states reachable from ``root``, at most
+    ``MAX_STATES`` of them, read when the build starts, with the
+    collector paused. Successor lists are deduplicated and sorted by
+    label then target, so vertex numbering and edge order are functions
+    of the root alone. Interface graphs are built by ``_Interface.build``."""
     max_states = MAX_STATES
+    steps = Explorer().steps
     index = {root: 0}
     states = [root]
     edges: list[tuple] = []
     with _collector_paused():
         for state in states:  # the loop meets every state appended
             outs: set[tuple] = set()
-            for label, nxt in successors(state):
+            for label, nxt in steps(state):
                 dst = index.setdefault(nxt, len(states))
                 if dst == len(states):
                     if dst >= max_states:
@@ -706,8 +703,8 @@ def build_graph(root, successors: Callable) -> LtsGraph:
     return LtsGraph(states, edges)
 
 
-def closed_graph(state: State) -> LtsGraph:
-    return build_graph(state, Explorer().steps)
+# perfbench/tracing.py still hooks this name (ROADMAP item 1)
+build_graph = closed_graph
 
 
 def interface_graph(root: State, enable_link: bool = False) -> LtsGraph:

@@ -6,6 +6,7 @@ exhaustive path enumeration instead of the algorithms under test.
 from __future__ import annotations
 
 from bisect import insort
+from collections import deque
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -21,7 +22,8 @@ from actorgame.arena import (
     Position,
     Sync,
 )
-from actorgame.lts import ALab, PlayerState, State, StepLabel, Thread, build_graph
+from actorgame.fairtest import Verdict
+from actorgame.lts import ALab, LtsGraph, PlayerState, State, StepLabel, Thread
 from actorgame.term import IllTyped, Par, Recv, Send, Sum, Tick
 
 
@@ -100,6 +102,62 @@ def _check_with_paths(p, gamma: int, path: tuple[str, ...]) -> None:
         _check_with_paths(p.right, gamma + 1, path + ("right",))
     else:
         raise IllTyped(f"not a process node: {p!r}", path, gamma)
+
+
+def in_bot(g, mode: str = "weak") -> Verdict:
+    """Does the composite pass the empty observer? Both verdicts read
+    off its built closed graph, the reference for ``fairtest.decide``.
+
+    weak: from every tick-free-reachable state a tick must stay
+    tick-free-reachable. strict: every immediate successor of the root
+    must itself have a direct tick.
+    """
+    if not isinstance(g.states[g.root], State):
+        raise TypeError("fair testing needs a closed-world graph")
+    if mode == "strict":
+        for label, dst in g.edges[g.root]:
+            if not any(l2.is_tick for l2, _ in g.edges[dst]):
+                return Verdict(False, (label.render(),))
+        return Verdict(True)
+    if mode != "weak":
+        raise ValueError(f"unknown verdict mode {mode!r}")
+
+    n = len(g.states)
+    tickfree = [[(l, d) for l, d in g.edges[v] if not l.is_tick] for v in range(n)]
+    has_tick = [any(l.is_tick for l, _ in g.edges[v]) for v in range(n)]
+
+    good = set(v for v in range(n) if has_tick[v])
+    rev: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for _, d in tickfree[v]:
+            rev[d].append(v)
+    stack = list(good)
+    while stack:
+        v = stack.pop()
+        for u in rev[v]:
+            if u not in good:
+                good.add(u)
+                stack.append(u)
+
+    # BFS the tick-free region so a failure witness is a shortest path
+    parent: dict[int, tuple[int, StepLabel]] = {}
+    seen = {g.root}
+    queue = deque([g.root])
+    while queue:
+        v = queue.popleft()
+        if v not in good:
+            labels = []
+            while v != g.root:
+                u, label = parent[v]
+                labels.append(label.render())
+                v = u
+            return Verdict(False, tuple(reversed(labels)))
+        for label, d in tickfree[v]:
+            if d not in seen:
+                seen.add(d)
+                parent[d] = (v, label)
+                queue.append(d)
+    return Verdict(True)
 
 
 def brute_in_bot(graph) -> bool:
@@ -448,7 +506,18 @@ def concrete_interface_graph(root: State, enable_link: bool = False):
     """``lts.interface_graph`` on the concrete engine."""
     start = AState(tuple(range(1, root.num_channels + 1)), root)
     filed: dict = {}
-    return build_graph(start, lambda a: interface_steps(a, enable_link, filed))
+    index = {start: 0}
+    states = [start]
+    edges = []
+    for state in states:  # the loop meets every state appended
+        outs = set()
+        for label, nxt in interface_steps(state, enable_link, filed):
+            dst = index.setdefault(nxt, len(states))
+            if dst == len(states):
+                states.append(nxt)
+            outs.add((label, dst))
+        edges.append(tuple(sorted(outs)))
+    return LtsGraph(states, edges)
 
 
 def decoded(root: State, states) -> list[AState]:

@@ -28,7 +28,7 @@ from actorgame.arena import (
     new_id,
     seed,
 )
-from actorgame.fairtest import decide, eq_check, gen_tests, in_bot, passes
+from actorgame.fairtest import decide, eq_check, gen_tests, passes
 from actorgame.lts import (
     PlayerState,
     State,
@@ -41,7 +41,7 @@ from actorgame.lts import (
 from actorgame.strategy import interpret, readback
 from actorgame.term import enumerate_terms, parse
 from gen import enumerate_pure
-from oracles import brute_in_bot, count_terms, renamed
+from oracles import brute_in_bot, count_terms, in_bot, renamed
 
 C1_TIME_LIMIT = 60.0
 C2_TIME_LIMIT = 300.0
@@ -58,9 +58,9 @@ _REGISTRY: dict[tuple, bool] = {}
 @contextmanager
 def _recording():
     """Capture every composite, with its mode, whose verdict ``settle``
-    decides, and whether it passed there. The suite hands ``settle`` a
-    root form and what builds the concrete composite; ``holds`` and
-    ``decide`` hand it a state."""
+    decides, and whether it passed there. The suite, and so ``passes``
+    and ``eq_check``, hands ``settle`` a root form and what builds the
+    concrete composite; ``decide`` hands it a state."""
     orig_settle = fairtest_mod.settle
 
     def settle(ranks, form, composite, mode):

@@ -17,8 +17,6 @@ from actorgame.fairtest import (
     decide,
     eq_check,
     gen_tests,
-    holds,
-    in_bot,
     merge_map,
     passes,
     suite_verdicts,
@@ -34,7 +32,7 @@ from actorgame.lts import (
 )
 from actorgame.term import IllTyped, Par, Sum, Tick, canonical, parse
 from gen import terms
-from oracles import brute_in_bot, count_terms
+from oracles import brute_in_bot, count_terms, in_bot
 
 
 def term(text):
@@ -166,20 +164,37 @@ def test_bot_strict():
 def test_bot_rejects_interface_graphs():
     g = strategy_lts(term("ctx 0. tick.0"), 0)
     with pytest.raises(TypeError):
-        in_bot(g)
+        fairtest.in_bot(g)
 
 
 def test_bot_rejects_edgeless_interface_graphs():
     # no edge to look at: the check must go by the kind of state
     for build in (process_lts, strategy_lts):
         with pytest.raises(TypeError):
-            in_bot(build(*parse("ctx 0. 0")))
+            fairtest.in_bot(build(*parse("ctx 0. 0")))
 
 
 def test_bot_rejects_unknown_mode():
     g = closed_graph(root_strategy(term("ctx 0. 0"), 0))
     with pytest.raises(ValueError):
-        in_bot(g, "sloppy")
+        fairtest.in_bot(g, "sloppy")
+
+
+# the test term of the state-bound test: 3362 closed states per side
+BIG = (
+    "ctx 1. ((rcv(1).0 | snd(2,1).0) | (rcv(2).tick.0 | snd(2,2).0)) "
+    "| ((tick.0 | rcv(1).0) | (snd(1,1).0 | rcv(3).0))"
+)
+
+
+def test_hooked_in_bot_is_the_oracle_on_closed_graphs(corpus):
+    # fairtest.in_bot settles a graph's root; the oracle walks the graph
+    cases = [(t, gamma) for gamma, terms in corpus.items() for t in terms] + [parse(BIG)]
+    for t, gamma in cases:
+        for root in ROOTS:
+            g = closed_graph(root(t, gamma))
+            for mode in ("weak", "strict"):
+                assert fairtest.in_bot(g, mode) == in_bot(g, mode), (gamma, t, mode)
 
 
 def test_bot_agrees_with_brute_oracle(small_corpus):
@@ -307,11 +322,9 @@ def test_search_matches_full_graph_verdict(drawn):
         first = min(label for label, _ in Explorer().steps(root))
         assert decide(root) == Verdict(False, ())
         assert decide(root, "strict") == Verdict(False, (first.render(),))
-        assert not holds(root) and not holds(root, "strict")
         return
     for mode in ("weak", "strict"):
         assert decide(root, mode) == in_bot(g, mode)
-        assert holds(root, mode) == in_bot(g, mode).passed
     # the weak verdict is deadlock reachability: every graph is acyclic
     reached, stack = {g.root}, [g.root]
     while stack:
@@ -337,12 +350,10 @@ def test_search_counts_forms_only(monkeypatch):
     # meets no fourth
     late = composite(root_process, term("ctx 1. snd(2,2).0 | rcv(2).0 + tick.0"), 1, EMPTY1)
     cap(3)
-    assert not holds(late)
     assert decide(late) == Verdict(False, ("fork(1)@1#", "sync(2;2|2;2,2)@2,1#0,0"))
     cap(2)
-    for verdict_of in (holds, decide):
-        with pytest.raises(RuntimeError, match="state space exceeds 2 states"):
-            verdict_of(late)
+    with pytest.raises(RuntimeError, match="state space exceeds 2 states"):
+        decide(late)
 
 
 def test_tick_nest_meets_the_same_forms_on_both_sides(monkeypatch):
@@ -356,10 +367,10 @@ def test_tick_nest_meets_the_same_forms_on_both_sides(monkeypatch):
     for root in ROOTS:
         state = compose(root(p, 0), root(p, 0), ())
         monkeypatch.setattr(lts, "MAX_STATES", 381)
-        assert holds(state) and decide(state) == Verdict(True)
+        assert decide(state) == Verdict(True)
         monkeypatch.setattr(lts, "MAX_STATES", 380)
         with pytest.raises(RuntimeError, match="^state space exceeds 380 states$"):
-            holds(state)
+            decide(state)
 
 
 def test_no_rank_table_outlives_eq_check(monkeypatch, tmp_path, capsys):
@@ -426,14 +437,10 @@ def test_a_suite_reads_each_bodys_offers_once(monkeypatch):
 
 
 def test_state_bound_is_an_input_error(tmp_path, monkeypatch, capsys):
-    big = (
-        "ctx 1. ((rcv(1).0 | snd(2,1).0) | (rcv(2).tick.0 | snd(2,2).0)) "
-        "| ((tick.0 | rcv(1).0) | (snd(1,1).0 | rcv(3).0))"
-    )
     subject = tmp_path / "subject.act"
     subject.write_text("ctx 1. rcv(1).tick.0 + snd(1,1).0\n")
     test = tmp_path / "test.act"
-    test.write_text(big + "\n")
+    test.write_text(BIG + "\n")
     argv = ["fair", str(subject), "--test", str(test)]
     assert cli.main(argv) == 0
     monkeypatch.setattr(lts, "MAX_STATES", 50)
@@ -454,7 +461,6 @@ def test_one_cap_stops_graph_builds_and_searches(tmp_path, monkeypatch, capsys):
     calls = [
         lambda root: closed_graph(root(p, 1)),
         lambda root: interface_graph(root(p, 1)),
-        lambda root: holds(composite(root, p, 1, EMPTY1)),
         lambda root: decide(composite(root, p, 1, EMPTY1)),
     ]
     for root in ROOTS:
@@ -476,10 +482,10 @@ def test_passes_rejects_unknown_mode():
         passes(term("ctx 0. 0"), 0, EMPTY0, mode="sloppy")
 
 
-def test_holds_rejects_unknown_mode():
+def test_decide_rejects_unknown_mode():
     state = composite(root_strategy, term("ctx 0. 0"), 0, EMPTY0)
     with pytest.raises(ValueError, match="unknown verdict mode 'sloppy'"):
-        holds(state, "sloppy")
+        decide(state, "sloppy")
 
 
 def test_passes_rejects_unknown_side():
@@ -651,8 +657,7 @@ def test_permuting_summands_keeps_every_verdict(proc, rng):
         for subject in CRITERION_6:
             this, that = (composite(root, subject, 1, t) for t in (test, other))
             for mode in ("weak", "strict"):
-                assert holds(this, mode) == holds(that, mode)
-                assert decide(this, mode).passed == decide(that, mode).passed == holds(this, mode)
+                assert decide(this, mode).passed == decide(that, mode).passed
 
 
 def test_eq_check_searches_for_no_witness(monkeypatch):

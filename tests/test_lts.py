@@ -530,8 +530,8 @@ def test_edges_share_interned_labels_and_kinds():
             assert len({id(v) for v in values}) == len(set(values))
 
 
-# the graph builders: closed graphs through build_graph, interface
-# graphs through their own loop
+# the graph builders: closed and interface graphs, each through its
+# own loop
 BUILDS = (
     strategy_lts,
     process_lts,
